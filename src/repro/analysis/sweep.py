@@ -124,15 +124,7 @@ def _measure_engine(
                               seed=seed, warm=warm)
             for key, config in zip(keys, configs)
         ]
-        if engine == "scalar" or (
-            engine == "auto"
-            and (runtime.faults is not None or runtime.job_fn is not None)
-        ):
-            # The chaos layer is scalar-only; "auto" degrades gracefully,
-            # explicit "batch" lets evaluate_batch() refuse loudly.
-            measured = runtime.evaluate_many(requests)
-        else:
-            measured = runtime.evaluate_batch(requests)
+        measured = runtime.evaluate_all(requests, engine=engine)
         sources = runtime.last_sources
         return [
             (measured[key], sources.get(key, "simulated")) for key in keys
@@ -166,14 +158,16 @@ def sweep_configs(
     """Measure one trace across several machine configurations.
 
     With a *runtime*, engine-fidelity points are evaluated through the
-    supervised pool; under ``engine="auto"``/``"batch"`` its pending
-    configs dispatch as **one** batch kernel job per trace
-    (:meth:`EvaluationRuntime.evaluate_batch`) instead of N scalar jobs.
-    Without a runtime, ``"auto"`` steps every batch-eligible config per
-    kernel call and falls back to scalar for the rest; ``"batch"`` raises
+    supervised pool (:meth:`EvaluationRuntime.evaluate_all`): under
+    ``engine="auto"``/``"batch"`` its pending configs dispatch as **one**
+    batch job per trace instead of N scalar jobs.  Without a runtime,
+    ``"auto"`` and ``"batch"`` measure through
+    :func:`~repro.sim.stats.simulate_and_measure_batch`, whose dispatch
+    plan runs wide groups of batch-eligible configs in one kernel call
+    and the rest on the scalar path; ``"batch"`` also raises
     :class:`~repro.runtime.errors.ConfigError` on any ineligible config;
-    ``"scalar"`` forces the per-config path.  All engines are
-    bit-identical.
+    ``"scalar"`` forces one full scalar evaluation per config.  All
+    engines are bit-identical.
 
     *fidelity* selects what "measure" means (see the module docstring);
     *top_k*/*margin* shape the ``"multi"`` escalation frontier and

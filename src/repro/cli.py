@@ -134,8 +134,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated L1 sizes in KB")
     sweep.add_argument("--engine", choices=("auto", "batch", "scalar"),
                        default="auto",
-                       help="'auto' steps every batch-eligible config per "
-                            "kernel call, 'batch' requires all configs "
+                       help="'auto' runs a wide group of batch-eligible "
+                            "configs in one kernel call and a narrow one on "
+                            "the scalar path, 'batch' also requires all configs "
                             "eligible, 'scalar' forces per-config runs "
                             "(all bit-identical)")
 
@@ -383,7 +384,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.analysis import sweep_configs
     from repro.core import render_table
     from repro.sched import NUCAMachine
-    from repro.sim.batch import partition_eligible
+    from repro.sim.stats import dispatch_plan
     from repro.workloads import get_benchmark
 
     sizes_kb = [int(s) for s in args.sizes.split(",") if s]
@@ -404,9 +405,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     elif args.engine == "scalar":
         print(f"engine: scalar ({len(configs)} per-config simulations)")
     else:
-        eligible, fallback = partition_eligible(configs)
-        print(f"engine: {args.engine} ({len(configs)}-lane batch: "
-              f"{len(eligible)} eligible, {len(fallback)} scalar fallback)")
+        plan = dispatch_plan(configs)
+        print(f"engine: {args.engine} ({len(configs)} configs: "
+              f"{len(plan.kernel)} kernel lanes, {len(plan.scalar)} scalar, "
+              f"{len(plan.ineligible)} ineligible)")
     result = sweep_configs(configs, trace, seed=0, runtime=runtime,
                            engine=args.engine, fidelity=args.fidelity,
                            top_k=args.top_k, margin=args.margin)

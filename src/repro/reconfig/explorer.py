@@ -17,8 +17,10 @@ Fig. 3 algorithm over architecture configurations:
 Both backends measure with the same trace and re-use
 :func:`repro.sim.stats.simulate_and_measure_batch`, so each step is a full
 simulation + C-AMAT analysis of the running application — the "online
-measurement" of the paper scaled to trace-driven simulation, with every
-batch-eligible candidate of a step stepped in one kernel call.
+measurement" of the paper scaled to trace-driven simulation.  The
+candidates of one step are measured together: they share the perfect-L1
+pass per distinct core projection, and a step wide enough to beat the
+scalar fast path runs in one batch kernel call.
 """
 
 from __future__ import annotations
@@ -177,12 +179,7 @@ class _SimulatingBackend:
                 )
                 for config in fresh.values()
             ]
-            if self.runtime.faults is None and self.runtime.job_fn is None:
-                # One batch kernel job for the whole ladder/walk step; the
-                # chaos layer stays on the scalar per-config path.
-                measured = self.runtime.evaluate_batch(requests)
-            else:
-                measured = self.runtime.evaluate_many(requests)
+            measured = self.runtime.evaluate_all(requests)
             sources = self.runtime.last_sources
             for key, config in fresh.items():
                 jkey = self._journal_key(config)

@@ -148,12 +148,12 @@ def _simulate_batch_job(
     seed: int,
     warm: bool,
 ) -> "list[HierarchyStats]":
-    """Worker-side batch job body: one vectorized kernel call per batch.
+    """Worker-side batch job body: one :func:`simulate_and_measure_batch`.
 
     Module-level so it pickles across process boundaries; *trace* follows
-    the :func:`_simulate_job` digest convention.  Ineligible configs fall
-    back to scalar simulation inside :func:`simulate_and_measure_batch`,
-    so the caller never has to split the batch itself.
+    the :func:`_simulate_job` digest convention.  The batch's dispatch plan
+    decides kernel or scalar per config and shares the perfect-L1 pass, so
+    the caller never has to split the batch itself.
     """
     from repro.sim.stats import simulate_and_measure_batch
 
@@ -225,6 +225,38 @@ class EvaluationRuntime:
                 raise error
         return {key: outcome.stats for key, outcome in outcomes.items()}
 
+    def _run_jobs(self, jobs: "list[Job]", on_result: "Callable") -> dict:
+        """Run *jobs* on the pool, folding its retry counts into counters."""
+        pool = self._pool
+        before = (pool.retries, pool.timeouts, pool.worker_restarts)
+        results = pool.run(jobs, on_error="keep", on_result=on_result)
+        self.counters.retries += pool.retries - before[0]
+        self.counters.timeouts += pool.timeouts - before[1]
+        self.counters.worker_restarts += pool.worker_restarts - before[2]
+        return results
+
+    def evaluate_all(
+        self, requests: "list[EvaluationRequest]", *, engine: str = "auto"
+    ) -> "dict[str, HierarchyStats]":
+        """Evaluate *requests* as batch jobs unless the chaos layer is on.
+
+        ``engine="auto"`` dispatches one batch job per shared trace
+        (:meth:`evaluate_batch`) and falls back to per-request scalar jobs
+        (:meth:`evaluate_many`) when fault injection or a custom
+        ``job_fn`` is installed, since those are scalar-path features.
+        ``"scalar"`` always takes per-request jobs and ``"batch"`` always
+        takes batch jobs, refusing the chaos layer loudly.  Results are
+        bit-identical either way.
+        """
+        if engine not in ("auto", "batch", "scalar"):
+            raise ConfigError(
+                f"engine must be 'auto', 'batch' or 'scalar', got {engine!r}"
+            )
+        chaos = self.faults is not None or self.job_fn is not None
+        if engine == "scalar" or (engine == "auto" and chaos):
+            return self.evaluate_many(requests)
+        return self.evaluate_batch(requests)
+
     def evaluate_batch(
         self, requests: "list[EvaluationRequest]"
     ) -> "dict[str, HierarchyStats]":
@@ -235,8 +267,9 @@ class EvaluationRuntime:
         is bit-identical, so a scalar result satisfies a batch request and
         vice versa).  The remaining misses are grouped by
         ``(trace, seed, warm)`` and each group dispatches **one** pool job
-        that steps the whole design-space slice per kernel call, instead
-        of N scalar jobs.  Fault injection and custom job bodies are a
+        (:func:`~repro.sim.stats.simulate_and_measure_batch`, which shares
+        the perfect-L1 pass and steps wide groups in one kernel call)
+        instead of N scalar jobs.  Fault injection and custom job bodies are a
         scalar-path feature; batch dispatch refuses them loudly.
         """
         from repro.sim.stats import HierarchyStats
@@ -297,12 +330,14 @@ class EvaluationRuntime:
                 )
                 for (digest, seed, warm), grp in groups.items()
             ]
-            pool_results = self._pool.run(jobs, on_error="keep")
-            for job, ((_, _, _), grp) in zip(jobs, groups.items()):
-                outcome = pool_results[job.key]
-                if not outcome.ok:
-                    raise outcome.error
-                for req, stats in zip(grp, outcome.value):
+            group_of = {job.key: grp for job, grp in zip(jobs, groups.values())}
+
+            def _checkpoint(result) -> None:
+                # Journal each group the moment its job finishes, so a run
+                # killed mid-batch keeps every finished group.
+                if not result.ok:
+                    return
+                for req, stats in zip(group_of[result.key], result.value):
                     results[req.key] = stats
                     self.counters.simulations += 1
                     self.last_sources[req.key] = "simulated"
@@ -311,6 +346,11 @@ class EvaluationRuntime:
                         self.journal.put(req.key, stats_dict)
                     if self.cache is not None and req.key in cache_keys:
                         self.cache.put(cache_keys[req.key], stats_dict)
+
+            pool_results = self._run_jobs(jobs, _checkpoint)
+            for job in jobs:
+                if not pool_results[job.key].ok:
+                    raise pool_results[job.key].error
         return results
 
     def evaluate_many_detailed(
@@ -396,7 +436,6 @@ class EvaluationRuntime:
                     )
                     for req in todo
                 ]
-                before = (self._pool.retries, self._pool.timeouts, self._pool.worker_restarts)
 
                 def _checkpoint(result) -> None:
                     # Fires per terminal job result, *during* the batch — a run
@@ -413,10 +452,7 @@ class EvaluationRuntime:
                         if self.cache is not None and result.key in cache_keys:
                             self.cache.put(cache_keys[result.key], stats_dict)
 
-                results = self._pool.run(jobs, on_error="keep", on_result=_checkpoint)
-                self.counters.retries += self._pool.retries - before[0]
-                self.counters.timeouts += self._pool.timeouts - before[1]
-                self.counters.worker_restarts += self._pool.worker_restarts - before[2]
+                results = self._run_jobs(jobs, _checkpoint)
                 for req in todo:
                     result = results[req.key]
                     outcomes[req.key] = EvalOutcome(

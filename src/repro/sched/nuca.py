@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.sim.params import MachineConfig
-from repro.sim.stats import HierarchyStats, simulate_and_measure
+from repro.sim.stats import HierarchyStats, simulate_and_measure_batch
 from repro.util.validation import check_int
 from repro.workloads.spec import BenchmarkProfile
 
@@ -169,10 +169,14 @@ def profile_benchmarks(
 ) -> BenchmarkProfileDB:
     """Simulate every benchmark standalone on every distinct L1 size.
 
-    With a *runtime*, the whole (benchmark x L1 size) grid goes through the
-    supervised evaluation pool as one batch — parallel across workers, with
-    per-job retries, and checkpointed to the runtime's journal so an
-    interrupted profiling run resumes where it stopped.
+    Each benchmark's L1 sizes are measured together, so they share one
+    perfect-L1 pass.  With a *runtime*, the whole (benchmark x L1 size)
+    grid goes through the supervised evaluation pool
+    (:meth:`EvaluationRuntime.evaluate_all`) — one job per benchmark,
+    parallel across workers, with per-job retries, and checkpointed to the
+    runtime's journal so an interrupted profiling run resumes where it
+    stopped.  Under fault injection or a custom job body every grid point
+    is its own scalar job.
     """
     db = BenchmarkProfileDB(machine=machine, n_mem=n_mem, seed=seed)
     if runtime is not None:
@@ -192,14 +196,15 @@ def profile_benchmarks(
                 requests.append(EvaluationRequest(
                     key=key, config=config, trace=trace, seed=seed, warm=warm
                 ))
-        measured = runtime.evaluate_many(requests)
+        measured = runtime.evaluate_all(requests)
         for name, l1_size, key in slots:
             db.stats[(name, l1_size)] = measured[key]
         return db
+    sizes = machine.distinct_l1_sizes
+    configs = [machine.config_for_l1(l1_size) for l1_size in sizes]
     for profile in benchmarks:
         trace = profile.trace(n_mem, seed=seed)
-        for l1_size in machine.distinct_l1_sizes:
-            config = machine.config_for_l1(l1_size)
-            _, stats = simulate_and_measure(config, trace, seed=seed, warm=warm)
+        pairs = simulate_and_measure_batch(configs, trace, seed=seed, warm=warm)
+        for l1_size, (_, stats) in zip(sizes, pairs):
             db.stats[(profile.name, l1_size)] = stats
     return db

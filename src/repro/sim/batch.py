@@ -73,42 +73,16 @@ from repro.sim.cache import FunctionalCache
 from repro.sim.engine import (
     HierarchySimulator,
     SimulationResult,
+    batch_eligible,
     build_simulation_result,
 )
 from repro.sim.params import MachineConfig
 from repro.util.validation import check_int
 from repro.workloads.trace import Trace
 
-__all__ = ["BatchHierarchySimulator", "batch_eligible", "partition_eligible"]
+__all__ = ["BatchHierarchySimulator", "batch_eligible"]
 
 _HUGE = np.int64(2) ** 62
-
-
-def batch_eligible(config: MachineConfig) -> bool:
-    """Whether *config* can run on the vectorized batch kernel.
-
-    The gate mirrors :meth:`HierarchySimulator._use_fast_path`: no
-    prefetcher, no L1 bypass detector, LRU L1 and L2.  (The L1 MSHR file
-    the engine builds for a single core is always in-order, so that clause
-    of the fast-path gate is structural here.)
-    """
-    return (
-        config.prefetch is None
-        and config.l1_bypass is None
-        and config.l1.replacement == "lru"
-        and config.l2.replacement == "lru"
-    )
-
-
-def partition_eligible(
-    configs: "list[MachineConfig]",
-) -> "tuple[list[int], list[int]]":
-    """Split config indices into (batch-eligible, scalar-fallback) lists."""
-    ok: "list[int]" = []
-    fallback: "list[int]" = []
-    for idx, config in enumerate(configs):
-        (ok if batch_eligible(config) else fallback).append(idx)
-    return ok, fallback
 
 
 class BatchHierarchySimulator:
@@ -130,7 +104,7 @@ class BatchHierarchySimulator:
             raise ConfigError(
                 "engine='batch' requires no prefetcher, no L1 bypass and LRU "
                 f"L1/L2; ineligible configs: {bad} (use engine='auto' per "
-                "config, or partition_eligible() to split the batch)"
+                "config, or repro.sim.stats.dispatch_plan() to split the batch)"
             )
         self.configs = configs
         self.seed = seed

@@ -61,7 +61,7 @@ from repro.workloads.trace import Trace
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.batch import BatchHierarchySimulator
 
-__all__ = ["ENGINE_VERSION", "HierarchySimulator", "SimulationResult"]
+__all__ = ["ENGINE_VERSION", "HierarchySimulator", "SimulationResult", "batch_eligible"]
 
 #: Engine-family version.  Bump whenever a change alters simulated timing or
 #: any measured statistic, *and* whenever a new issue-loop implementation
@@ -73,6 +73,22 @@ __all__ = ["ENGINE_VERSION", "HierarchySimulator", "SimulationResult"]
 #: v2: the vectorized batch engine (:mod:`repro.sim.batch`) joined the
 #: fast/reference pair.
 ENGINE_VERSION = 2
+
+
+def batch_eligible(config: MachineConfig) -> bool:
+    """Whether *config* can run on the vectorized batch kernel.
+
+    The gate mirrors :meth:`HierarchySimulator._use_fast_path`: no
+    prefetcher, no L1 bypass detector, LRU L1 and L2.  (The L1 MSHR file
+    the engine builds for a single core is always in-order, so that clause
+    of the fast-path gate is structural here.)
+    """
+    return (
+        config.prefetch is None
+        and config.l1_bypass is None
+        and config.l1.replacement == "lru"
+        and config.l2.replacement == "lru"
+    )
 
 
 @dataclass

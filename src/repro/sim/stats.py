@@ -25,19 +25,26 @@ Measurement conventions (DESIGN.md section 5):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
+from typing import NamedTuple
 
 from repro.core.analyzer import LayerMeasurement, measure_layer
 from repro.core.lpm import LPMRReport
 from repro.core.stall import StallModel
 from repro.lint.contracts import satisfies
-from repro.sim.engine import HierarchySimulator, SimulationResult
+from repro.sim.engine import HierarchySimulator, SimulationResult, batch_eligible
 from repro.sim.params import MachineConfig
 from repro.util.validation import safe_ratio
 from repro.workloads.trace import Trace
 
 __all__ = [
+    "BATCH_MIN_LANES",
+    "DispatchPlan",
     "HierarchyStats",
+    "PERFECT_PASS_KNOBS",
+    "dispatch_plan",
     "measure_hierarchy",
+    "perfect_projection",
     "simulate_and_measure",
     "simulate_and_measure_batch",
 ]
@@ -256,6 +263,74 @@ def measure_hierarchy(result: SimulationResult, cpi_exe: float) -> HierarchyStat
     )
 
 
+#: The knobs the perfect-L1 CPI_exe pass reads besides the trace, as dotted
+#: :class:`MachineConfig` field paths.  With a perfect L1 every access hits
+#: in ``l1_hit_time`` with no port contention, so nothing below the L1 and
+#: no L1 geometry can move the result.  ``tests/sim/test_batch_dispatch.py``
+#: perturbs every other field and fails if the pass starts reading one.
+PERFECT_PASS_KNOBS = ("core.issue_width", "core.rob_size", "core.iw_size", "l1_hit_time")
+
+_perfect_knobs = attrgetter(*PERFECT_PASS_KNOBS)
+
+
+def perfect_projection(config: MachineConfig) -> tuple:
+    """The values of *config*'s :data:`PERFECT_PASS_KNOBS`, in order."""
+    return _perfect_knobs(config)
+
+
+#: Narrowest group of batch-eligible configs that runs on the vectorized
+#: kernel; narrower groups take the scalar fast path.  The kernel's cost
+#: per instruction is nearly flat in the lane count, so it only wins once
+#: enough lanes share it: measured on gcc, namd and bwaves it costs
+#: 0.63-0.96x the scalar fast path at 16 lanes but 0.66-1.34x at 12 and
+#: 0.84-1.34x at 8 (docs/PERFORMANCE.md, "Dispatch").
+BATCH_MIN_LANES = 16
+
+
+class DispatchPlan(NamedTuple):
+    """Where :func:`simulate_and_measure_batch` runs each config (indices)."""
+
+    #: Lanes of the one real-pass kernel call (empty below the crossover).
+    kernel: "list[int]"
+    #: Configs simulated one by one on the scalar engine, in input order.
+    scalar: "list[int]"
+    #: The scalar configs the kernel cannot run at all (prefetcher, L1
+    #: bypass, non-LRU L1/L2); each keeps its own perfect pass.
+    ineligible: "list[int]"
+
+
+def dispatch_plan(configs: "list[MachineConfig]") -> DispatchPlan:
+    """Split *configs* between one kernel call and the scalar path.
+
+    Batch-eligible configs go to the kernel together when there are at
+    least :data:`BATCH_MIN_LANES` of them; otherwise every config runs on
+    the scalar path.  Ineligible configs always run there.
+    """
+    eligible: "list[int]" = []
+    ineligible: "list[int]" = []
+    for idx, config in enumerate(configs):
+        (eligible if batch_eligible(config) else ineligible).append(idx)
+    if len(eligible) >= BATCH_MIN_LANES:
+        return DispatchPlan(eligible, ineligible, ineligible)
+    return DispatchPlan([], list(range(len(configs))), ineligible)
+
+
+def _perfect_cpi(config: MachineConfig, trace: Trace, seed: int) -> float:
+    """CPI_exe: the CPI of *trace* on *config* with a perfect L1."""
+    return HierarchySimulator(config, seed=seed).run(trace, perfect=True).cpi
+
+
+def _measure_real(
+    config: MachineConfig, trace: Trace, cpi_exe: float, *, seed: int, warm: bool
+) -> tuple[SimulationResult, HierarchyStats]:
+    """The real run of *config* on *trace*, measured against *cpi_exe*."""
+    sim = HierarchySimulator(config, seed=seed)
+    if warm:
+        sim.warm_caches(trace)
+    result = sim.run(trace)
+    return result, measure_hierarchy(result, cpi_exe=cpi_exe)
+
+
 def simulate_and_measure(
     config: MachineConfig,
     trace: Trace,
@@ -269,15 +344,9 @@ def simulate_and_measure(
     measured window reflects steady-state locality rather than cold-start
     compulsory misses (the paper samples long-running SPEC regions).
     """
-    perfect_sim = HierarchySimulator(config, seed=seed)
-    perfect = perfect_sim.run(trace, perfect=True)
-
-    sim = HierarchySimulator(config, seed=seed)
-    if warm:
-        sim.warm_caches(trace)
-    result = sim.run(trace)
-    stats = measure_hierarchy(result, cpi_exe=perfect.cpi)
-    return result, stats
+    return _measure_real(
+        config, trace, _perfect_cpi(config, trace, seed), seed=seed, warm=warm
+    )
 
 
 def simulate_and_measure_batch(
@@ -288,36 +357,77 @@ def simulate_and_measure_batch(
     warm: bool = True,
     require_eligible: bool = False,
 ) -> "list[tuple[SimulationResult, HierarchyStats]]":
-    """:func:`simulate_and_measure` for N configs in two batch kernel calls.
+    """:func:`simulate_and_measure` for N configs sharing one trace.
 
-    Batch-eligible configs run on the vectorized kernel (one perfect pass
-    for CPI_exe, one warmed real pass — the same fresh-simulator semantics
-    as the scalar path, so results are bit-identical to it); ineligible
-    configs fall back to per-config scalar evaluation.  Results come back
-    in input order.  With ``require_eligible=True`` an ineligible config
-    raises :class:`~repro.runtime.errors.ConfigError` instead of falling
-    back (the ``engine="batch"`` contract).
+    :func:`dispatch_plan` decides where each config runs: a wide enough
+    group of batch-eligible configs shares one vectorized kernel call,
+    everything else takes the scalar engine.  Either way the perfect-L1
+    pass runs once per distinct :func:`perfect_projection` among the
+    eligible configs; ineligible configs keep a perfect pass of their
+    own.  Every engine is bit-identical, so the results equal N
+    :func:`simulate_and_measure` calls, in input order.  With
+    ``require_eligible=True`` an ineligible config raises
+    :class:`~repro.runtime.errors.ConfigError` (the ``engine="batch"``
+    contract).
     """
-    from repro.sim.batch import BatchHierarchySimulator, partition_eligible
+    plan = dispatch_plan(configs)
+    if require_eligible and plan.ineligible:
+        from repro.sim.batch import BatchHierarchySimulator
 
-    eligible, fallback = partition_eligible(configs)
-    if require_eligible and fallback:
         # Delegate the error (with names) to the batch constructor's gate.
-        BatchHierarchySimulator([configs[i] for i in fallback], seed=seed)
+        BatchHierarchySimulator([configs[i] for i in plan.ineligible], seed=seed)
+    return _measure_planned(configs, trace, plan, seed=seed, warm=warm)
+
+
+def _shared_perfect_cpis(
+    configs: "list[MachineConfig]", trace: Trace, seed: int
+) -> "dict[tuple, float]":
+    """CPI_exe per distinct :func:`perfect_projection` of eligible *configs*.
+
+    One perfect pass per projection: all in one kernel call when there are
+    at least :data:`BATCH_MIN_LANES` of them, else one scalar run each.
+    """
+    firsts: "dict[tuple, MachineConfig]" = {}
+    for config in configs:
+        firsts.setdefault(perfect_projection(config), config)
+    if len(firsts) < BATCH_MIN_LANES:
+        return {key: _perfect_cpi(config, trace, seed) for key, config in firsts.items()}
+    from repro.sim.batch import BatchHierarchySimulator
+
+    perfect = BatchHierarchySimulator(list(firsts.values()), seed=seed).run(
+        trace, perfect=True
+    )
+    return {key: res.cpi for key, res in zip(firsts, perfect)}
+
+
+def _measure_planned(
+    configs: "list[MachineConfig]",
+    trace: Trace,
+    plan: DispatchPlan,
+    *,
+    seed: int,
+    warm: bool,
+) -> "list[tuple[SimulationResult, HierarchyStats]]":
+    """Measure *configs* where *plan* puts them, sharing perfect passes."""
+    ineligible = set(plan.ineligible)
+    cpi_exe = _shared_perfect_cpis(
+        [c for i, c in enumerate(configs) if i not in ineligible], trace, seed
+    )
     out: "list[tuple[SimulationResult, HierarchyStats] | None]" = [None] * len(configs)
-    if eligible:
-        batch_configs = [configs[i] for i in eligible]
-        perfect = BatchHierarchySimulator(batch_configs, seed=seed).run(
-            trace, perfect=True
-        )
-        sim = BatchHierarchySimulator(batch_configs, seed=seed)
+    if plan.kernel:
+        from repro.sim.batch import BatchHierarchySimulator
+
+        sim = BatchHierarchySimulator([configs[i] for i in plan.kernel], seed=seed)
         if warm:
             sim.warm_caches(trace)
-        results = sim.run(trace)
-        for idx, pres, res in zip(eligible, perfect, results):
-            out[idx] = (res, measure_hierarchy(res, cpi_exe=pres.cpi))
-    for idx in fallback:
-        out[idx] = simulate_and_measure(
-            configs[idx], trace, seed=seed, warm=warm
-        )
+        for idx, res in zip(plan.kernel, sim.run(trace)):
+            cpi = cpi_exe[perfect_projection(configs[idx])]
+            out[idx] = (res, measure_hierarchy(res, cpi_exe=cpi))
+    for idx in plan.scalar:
+        config = configs[idx]
+        if idx in ineligible:
+            out[idx] = simulate_and_measure(config, trace, seed=seed, warm=warm)
+        else:
+            cpi = cpi_exe[perfect_projection(config)]
+            out[idx] = _measure_real(config, trace, cpi, seed=seed, warm=warm)
     return out  # type: ignore[return-value]

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.runtime.evaluate import EvaluationRequest, EvaluationRuntime
+from repro.runtime.errors import ConfigError, MeasurementError
+from repro.runtime.evaluate import EvaluationRequest, EvaluationRuntime, _simulate_job
 from repro.runtime.faults import FaultConfig
 from repro.runtime.journal import CheckpointJournal
 from repro.runtime.pool import PoolConfig, RetryPolicy
@@ -200,6 +201,93 @@ class TestBatchEvaluate:
         rt = EvaluationRuntime(job_fn=lambda *a, **k: None)
         with pytest.raises(ConfigError):
             rt.evaluate_batch(_requests(trace, "A"))
+
+
+def _record_job_keys(rt, monkeypatch):
+    """Record the key of every pool job *rt* dispatches."""
+    keys = []
+    run = rt._pool.run
+
+    def recording_run(jobs, **kwargs):
+        keys.extend(job.key for job in jobs)
+        return run(jobs, **kwargs)
+
+    monkeypatch.setattr(rt._pool, "run", recording_run)
+    return keys
+
+
+class TestEvaluateAll:
+    def test_batches_per_trace_without_chaos(self, trace, monkeypatch):
+        rt = EvaluationRuntime()
+        keys = _record_job_keys(rt, monkeypatch)
+        out = rt.evaluate_all(_requests(trace, "ABC"))
+        assert len(keys) == 1 and keys[0].startswith("batch|")
+        assert out == EvaluationRuntime().evaluate_many(_requests(trace, "ABC"))
+
+    @pytest.mark.parametrize("chaos", [
+        dict(faults=FaultConfig()),
+        dict(job_fn=_simulate_job),
+    ])
+    def test_chaos_layer_stays_on_scalar_jobs(self, trace, monkeypatch, chaos):
+        rt = EvaluationRuntime(**chaos)
+        keys = _record_job_keys(rt, monkeypatch)
+        requests = _requests(trace, "AB")
+        out = rt.evaluate_all(requests)
+        assert keys == [req.key for req in requests]
+        assert out == EvaluationRuntime().evaluate_batch(requests)
+        with pytest.raises(ConfigError):
+            rt.evaluate_all(requests, engine="batch")
+
+    def test_scalar_engine_forces_per_request_jobs(self, trace, monkeypatch):
+        rt = EvaluationRuntime()
+        keys = _record_job_keys(rt, monkeypatch)
+        rt.evaluate_all(_requests(trace, "AB"), engine="scalar")
+        assert keys == [req.key for req in _requests(trace, "AB")]
+
+    def test_profile_benchmarks_under_faults_uses_scalar_jobs(self, monkeypatch):
+        from repro.sched.nuca import NUCAMachine, profile_benchmarks
+
+        machine = NUCAMachine()
+        benchmarks = [get_benchmark("429.mcf")]
+        plain = profile_benchmarks(machine, benchmarks, n_mem=600, seed=1)
+        for chaos, jobs in ((None, 1), (FaultConfig.uniform(0.2, seed=4), 4)):
+            rt = EvaluationRuntime(faults=chaos)
+            keys = _record_job_keys(rt, monkeypatch)
+            db = profile_benchmarks(machine, benchmarks, n_mem=600, seed=1,
+                                    runtime=rt)
+            assert db.stats == plain.stats
+            assert len(keys) == jobs
+            assert all(k.startswith("batch|") == (chaos is None) for k in keys)
+
+
+class TestBatchCheckpointing:
+    def test_finished_groups_are_journaled_when_another_fails(
+        self, trace, tmp_path, monkeypatch
+    ):
+        import repro.runtime.evaluate as evaluate
+
+        other = get_benchmark("429.mcf").trace(600, seed=5)
+        bad = other.content_digest()
+        real_job = evaluate._simulate_batch_job
+
+        def failing_job(configs, digest, seed, warm):
+            if digest == bad:
+                raise MeasurementError("injected group failure")
+            return real_job(configs, digest, seed, warm)
+
+        monkeypatch.setattr(evaluate, "_simulate_batch_job", failing_job)
+        path = tmp_path / "j.jsonl"
+        good = _requests(trace, "AB")
+        doomed = [EvaluationRequest(key="mcf|A", config=table1_config("A"),
+                                    trace=other)]
+        rt = EvaluationRuntime(
+            journal=path, pool=PoolConfig(retry=RetryPolicy(max_retries=0)),
+        )
+        with pytest.raises(MeasurementError):
+            rt.evaluate_batch(doomed + good)
+        journal = CheckpointJournal(path)
+        assert all(req.key in journal for req in good)
+        assert "mcf|A" not in journal
 
 
 class TestFaultyEvaluate:

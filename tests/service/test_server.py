@@ -9,8 +9,9 @@ saturation, client disconnects without job loss, graceful drain.
 
 import asyncio
 import json
+import threading
 
-from repro.runtime.evaluate import EvaluationRequest, EvaluationRuntime
+from repro.runtime.evaluate import EvaluationRequest, EvaluationRuntime, _simulate_job
 from repro.runtime.pool import PoolConfig, RetryPolicy
 from repro.service.admission import AdmissionConfig
 from repro.service.client import ServiceClient
@@ -29,7 +30,7 @@ def _trace(n=250, seed=13):
     )
 
 
-def _server(journal=None, cache=None, **scheduler_kwargs):
+def _server(journal=None, cache=None, job_fn=None, **scheduler_kwargs):
     defaults = dict(
         max_batch=2,
         idle_poll_s=0.01,
@@ -38,7 +39,7 @@ def _server(journal=None, cache=None, **scheduler_kwargs):
     defaults.update(scheduler_kwargs)
     runtime = EvaluationRuntime(
         pool=PoolConfig(max_workers=0, retry=RetryPolicy(max_retries=0)),
-        journal=journal, cache=cache,
+        journal=journal, cache=cache, job_fn=job_fn,
     )
     return EvaluationServer(
         runtime,
@@ -152,14 +153,40 @@ class TestEndToEnd:
         asyncio.run(main())
 
 
+class _GatedJob:
+    """Job body that holds every evaluation until the test opens the gate.
+
+    Keeps the service saturated for as long as the test needs, so queue
+    pressure does not depend on how fast this host simulates.
+    """
+
+    def __init__(self):
+        self.gate = threading.Event()
+
+    def __call__(self, *args, _attempt=1):
+        if not self.gate.wait(timeout=60):
+            raise RuntimeError("gate never opened")
+        return _simulate_job(*args, _attempt=_attempt)
+
+
+async def _when(predicate, timeout_s=30.0):
+    """Poll until *predicate()* holds; fails the test after *timeout_s*."""
+    loop = asyncio.get_running_loop()
+    deadline = loop.time() + timeout_s
+    while not predicate():
+        assert loop.time() < deadline, "condition not reached in time"
+        await asyncio.sleep(0.01)
+
+
 class TestBackpressure:
     def test_saturation_rejects_with_retry_after_then_recovers(self):
         async def main():
             trace = _trace()
+            job = _GatedJob()
             async with _server(
                 admission=AdmissionConfig(max_queued_total=2,
                                           max_queued_per_client=2),
-                max_batch=1,
+                max_batch=1, job_fn=job,
             ) as server:
                 async with ServiceClient(
                     "127.0.0.1", server.port, client_id="flood"
@@ -177,12 +204,20 @@ class TestBackpressure:
                     assert all(r["code"] == "rejected" for r in rejected)
                     assert all(r["retry_after_s"] > 0 for r in rejected)
                     # With retry-after honored, the same jobs all complete.
-                    for i in range(8):
-                        reply = await client.submit_with_retry(
-                            f"f-{i}", trace_digest=digest,
-                            config={"label": "A"}, seed=i,
-                        )
-                        assert reply["ok"], reply
+                    # The gate holds the queue full until a retry has been
+                    # rejected, then lets the jobs drain.
+                    async def resubmit():
+                        for i in range(8):
+                            reply = await client.submit_with_retry(
+                                f"f-{i}", trace_digest=digest,
+                                config={"label": "A"}, seed=i,
+                            )
+                            assert reply["ok"], reply
+
+                    retries = asyncio.create_task(resubmit())
+                    await _when(lambda: client.rejections > 0 or retries.done())
+                    job.gate.set()
+                    await retries
                     for i in range(8):
                         done = await client.wait(f"f-{i}", timeout_s=60)
                         assert done["status"] == JobStatus.DONE

@@ -5,8 +5,8 @@ seed — never on which other lanes share the kernel call.  Hypothesis
 hammers that contract with random small traces and random knob draws:
 a batch of one equals the scalar fast path, permuting the config axis
 permutes the results, re-batching any slice leaves each lane untouched,
-and ineligible configs mixed into a measurement batch fall back per-lane
-without perturbing the eligible lanes.
+and ineligible configs mixed into a kernel measurement batch fall back
+per-lane without perturbing the eligible lanes.
 """
 
 import dataclasses
@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from repro.sim import DEFAULT_MACHINE, HierarchySimulator
 from repro.sim.batch import BatchHierarchySimulator
 from repro.sim.prefetch import PrefetchConfig
-from repro.sim.stats import simulate_and_measure, simulate_and_measure_batch
+from repro.sim.stats import DispatchPlan, _measure_planned, simulate_and_measure
 from repro.workloads.trace import Trace
 
 
@@ -121,7 +121,11 @@ class TestMixedEligibilityFallback:
             st.integers(min_value=0, max_value=len(configs)), label="pos"
         )
         mixed = configs[:pos] + [ineligible] + configs[pos:]
-        pairs = simulate_and_measure_batch(mixed, trace, seed=0, warm=True)
+        # Force the kernel: these batches are narrower than the dispatch
+        # crossover, where simulate_and_measure_batch would go scalar.
+        lanes = [i for i in range(len(mixed)) if i != pos]
+        plan = DispatchPlan(kernel=lanes, scalar=[pos], ineligible=[pos])
+        pairs = _measure_planned(mixed, trace, plan, seed=0, warm=True)
         assert len(pairs) == len(mixed)
         for i, config in enumerate(mixed):
             res_solo, stats_solo = simulate_and_measure(

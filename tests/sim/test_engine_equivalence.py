@@ -22,9 +22,10 @@ import pytest
 
 from repro.runtime.errors import ConfigError
 from repro.sim import DEFAULT_MACHINE, HierarchySimulator, table1_config
-from repro.sim.batch import BatchHierarchySimulator, partition_eligible
+from repro.sim.batch import BatchHierarchySimulator
 from repro.sim.params import MachineConfig
 from repro.sim.prefetch import PrefetchConfig
+from repro.sim.stats import BATCH_MIN_LANES, dispatch_plan
 from repro.workloads.generators import (
     pointer_chase_addresses,
     strided_addresses,
@@ -330,7 +331,7 @@ class TestBatchEligibilityGate:
         ).run(trace)
         _assert_identical(res_batch, res_ref, lane="batch")
 
-    def test_partition_eligible_splits_by_gate(self):
+    def test_dispatch_plan_splits_by_gate(self):
         non_lru = dataclasses.replace(
             DEFAULT_MACHINE,
             l1=dataclasses.replace(DEFAULT_MACHINE.l1, replacement="fifo"),
@@ -338,6 +339,11 @@ class TestBatchEligibilityGate:
         )
         configs = [DEFAULT_MACHINE, self._prefetch_config(),
                    table1_config("C"), non_lru]
-        ok, fallback = partition_eligible(configs)
-        assert ok == [0, 2]
-        assert fallback == [1, 3]
+        wide = configs + [table1_config("D")] * BATCH_MIN_LANES
+        plan = dispatch_plan(wide)
+        assert plan.kernel == [0, 2] + list(range(4, len(wide)))
+        assert plan.scalar == plan.ineligible == [1, 3]
+        narrow = dispatch_plan(configs)
+        assert narrow.kernel == []
+        assert narrow.scalar == [0, 1, 2, 3]
+        assert narrow.ineligible == [1, 3]
