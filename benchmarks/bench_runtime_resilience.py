@@ -25,12 +25,13 @@ POINTS = [(label, seed) for label in "ABCD" for seed in (0, 1)]
 
 def _requests(trace):
     return [
-        EvaluationRequest(
-            key=f"{label}|seed={seed}|{table1_config(label).cache_key()}",
-            config=table1_config(label), trace=trace, seed=seed,
-        )
+        EvaluationRequest(config=table1_config(label), trace=trace, seed=seed)
         for label, seed in POINTS
     ]
+
+
+def _evaluate(runtime, trace):
+    return [outcome.result() for outcome in runtime.evaluate(_requests(trace))]
 
 
 def _timed(fn):
@@ -43,26 +44,26 @@ def run_modes(trace, journal_path):
     timings, results = {}, {}
 
     def direct():
-        return {
-            req.key: simulate_and_measure(req.config, trace, seed=req.seed)[1]
+        return [
+            simulate_and_measure(req.config, trace, seed=req.seed)[1]
             for req in _requests(trace)
-        }
+        ]
 
     results["direct"], timings["direct"] = _timed(direct)
     results["inline"], timings["inline"] = _timed(
-        lambda: EvaluationRuntime().evaluate_many(_requests(trace))
+        lambda: _evaluate(EvaluationRuntime(), trace)
     )
     journaled_rt = EvaluationRuntime(journal=journal_path)
     results["journaled"], timings["journaled"] = _timed(
-        lambda: journaled_rt.evaluate_many(_requests(trace))
+        lambda: _evaluate(journaled_rt, trace)
     )
     resumed_rt = EvaluationRuntime(journal=journal_path)
     results["resumed"], timings["resumed"] = _timed(
-        lambda: resumed_rt.evaluate_many(_requests(trace))
+        lambda: _evaluate(resumed_rt, trace)
     )
     pooled_rt = EvaluationRuntime(pool=PoolConfig(max_workers=2, timeout_s=300))
     results["pooled"], timings["pooled"] = _timed(
-        lambda: pooled_rt.evaluate_many(_requests(trace))
+        lambda: _evaluate(pooled_rt, trace)
     )
     return results, timings, resumed_rt
 

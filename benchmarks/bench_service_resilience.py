@@ -18,7 +18,6 @@ import asyncio
 import os
 import time
 
-from repro.runtime.evalcache import evaluation_cache_key
 from repro.runtime.evaluate import EvaluationRequest, EvaluationRuntime
 from repro.runtime.journal import CheckpointJournal
 from repro.runtime.pool import PoolConfig, RetryPolicy
@@ -157,16 +156,10 @@ def _check_resume(cell, trace, direct):
         if cell["statuses"][_job_id(cell["name"], label, seed)] != JobStatus.DONE:
             continue
         config = table1_config(label)
-        requests.append(EvaluationRequest(
-            key=evaluation_cache_key(trace, config, seed, True),
-            config=config, trace=trace, seed=seed,
-        ))
+        requests.append(EvaluationRequest(config=config, trace=trace, seed=seed))
         points.append((label, seed))
-    results = resumed.evaluate_many(requests)
-    for request, point in zip(requests, points):
-        assert results[request.key].to_dict() == direct[point], (
-            cell["name"], point,
-        )
+    for outcome, point in zip(resumed.evaluate(requests), points):
+        assert outcome.result().to_dict() == direct[point], (cell["name"], point)
     # Tail truncation may legally drop the final record (never more): the
     # resumed run recomputes at most one point per injected truncation.
     assert resumed.counters.simulations <= cell["store_chaos"].journal_truncations, (
@@ -182,19 +175,15 @@ def _check_cache_recovery(cell, trace, direct):
     recovered = EvaluationRuntime(
         cache=EvaluationCache(cell["runtime"].cache.root)
     )
-    results = recovered.evaluate_many([
-        EvaluationRequest(
-            key=evaluation_cache_key(trace, table1_config(label), seed, True),
-            config=table1_config(label), trace=trace, seed=seed,
-        )
+    outcomes = recovered.evaluate([
+        EvaluationRequest(config=table1_config(label), trace=trace, seed=seed)
         for label, seed in POINTS
     ])
     assert recovered.cache.quarantined >= 1, cell["name"]
     # Exactly the torn shards recompute; intact ones are cache hits.
     assert recovered.counters.simulations == recovered.cache.quarantined
-    for (label, seed) in POINTS:
-        key = evaluation_cache_key(trace, table1_config(label), seed, True)
-        assert results[key].to_dict() == direct[(label, seed)], (label, seed)
+    for point, outcome in zip(POINTS, outcomes):
+        assert outcome.result().to_dict() == direct[point], point
 
 
 def _percentile(values, fraction):
@@ -207,11 +196,13 @@ def run_matrix(trace, tmp_path):
         asyncio.run(_run_cell(name, chaos, trace, tmp_path))
         for name, chaos in _active_cells()
     ]
-    direct = {
-        (label, seed): EvaluationRuntime().evaluate(EvaluationRequest(
-            key="direct", config=table1_config(label), trace=trace, seed=seed,
-        )).to_dict()
+    outcomes = EvaluationRuntime().evaluate([
+        EvaluationRequest(config=table1_config(label), trace=trace, seed=seed)
         for label, seed in POINTS
+    ])
+    direct = {
+        point: outcome.result().to_dict()
+        for point, outcome in zip(POINTS, outcomes)
     }
     return cells, direct
 

@@ -6,10 +6,9 @@
 * :mod:`~repro.analysis.surrogate.validate` — error quantification vs the
   cycle-accurate engine (``repro surrogate validate``).
 
-The profiling pass itself lives in :mod:`repro.workloads.locality`; its
-persistent cache in :mod:`repro.runtime.histogram_store`.  Everything in
-this package is pure (registered as a measurement-producer package with
-the program linter).
+The profiling pass itself lives in :mod:`repro.workloads.locality`.
+Everything in this package is pure (registered as a measurement-producer
+package with the program linter).
 """
 
 from repro.analysis.surrogate.predictor import (

@@ -156,9 +156,6 @@ class _SimulatingBackend:
                 self.log.record_predicted(config.name)
         return [config for i, config in enumerate(configs) if i in keep]
 
-    def _journal_key(self, config: MachineConfig) -> str:
-        return f"{self.trace.name}|seed={self.seed}|warm={self.warm}|{config.cache_key()}"
-
     def _measure_config(self, config: MachineConfig) -> HierarchyStats:
         return self._measure_many([config])[0]
 
@@ -172,19 +169,14 @@ class _SimulatingBackend:
         if fresh and self.runtime is not None:
             from repro.runtime.evaluate import EvaluationRequest
 
-            requests = [
-                EvaluationRequest(
-                    key=self._journal_key(config), config=config,
-                    trace=self.trace, seed=self.seed, warm=self.warm,
-                )
+            outcomes = self.runtime.evaluate([
+                EvaluationRequest(config=config, trace=self.trace,
+                                  seed=self.seed, warm=self.warm)
                 for config in fresh.values()
-            ]
-            measured = self.runtime.evaluate_all(requests)
-            sources = self.runtime.last_sources
-            for key, config in fresh.items():
-                jkey = self._journal_key(config)
-                self._cache[key] = measured[jkey]
-                if sources.get(jkey, "simulated") == "simulated":
+            ])
+            for (key, config), outcome in zip(fresh.items(), outcomes):
+                self._cache[key] = outcome.result()
+                if outcome.source == "simulated":
                     self.log.record(config.name)
                 else:
                     self.log.record_cached(config.name)

@@ -24,10 +24,7 @@ package makes that evaluation path production-grade:
     a digest string instead of pickled numpy arrays.
 ``repro.runtime.evalcache``
     Persistent content-addressed cache of measurements, shared across runs
-    and invalidated by engine-version bumps.
-``repro.runtime.histogram_store``
-    Persistent content-addressed cache of trace locality profiles for the
-    tier-0 surrogate, invalidated by histogram-version bumps.
+    and invalidated by engine-version bumps; its key is also the journal's.
 ``repro.runtime.evaluate``
     :class:`EvaluationRuntime`, the façade composing all of the above.
 
@@ -71,9 +68,6 @@ __all__ = [
     "RuntimeCounters",
     "EvaluationCache",
     "evaluation_cache_key",
-    "HistogramStore",
-    "histogram_cache_key",
-    "cached_locality_profile",
 ]
 
 _LAZY = {
@@ -93,9 +87,6 @@ _LAZY = {
     "RuntimeCounters": "repro.runtime.evaluate",
     "EvaluationCache": "repro.runtime.evalcache",
     "evaluation_cache_key": "repro.runtime.evalcache",
-    "HistogramStore": "repro.runtime.histogram_store",
-    "histogram_cache_key": "repro.runtime.histogram_store",
-    "cached_locality_profile": "repro.runtime.histogram_store",
 }
 
 

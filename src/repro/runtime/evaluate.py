@@ -4,17 +4,20 @@
 it composes the worker pool (:mod:`repro.runtime.pool`), the JSONL
 checkpoint journal (:mod:`repro.runtime.journal`), the fault-injection
 layer (:mod:`repro.runtime.faults`) and the measurement guards
-(:mod:`repro.runtime.guards`) behind two calls::
+(:mod:`repro.runtime.guards`) behind one call::
 
     runtime = EvaluationRuntime(pool=PoolConfig(max_workers=4),
                                 journal="explore.jsonl")
-    stats = runtime.evaluate(EvaluationRequest(key, config, trace))
-    many  = runtime.evaluate_many(requests)     # parallel, checkpointed
+    outcomes = runtime.evaluate([EvaluationRequest(config, trace)])
+    stats = outcomes[0].result()
 
-Every completed evaluation is journaled, so an interrupted exploration or
-profiling run resumes without re-simulating finished design points; the
-``counters`` attribute reports exactly how much work was real versus
-recovered from the journal.
+Each request is keyed by content (:func:`~repro.runtime.evalcache.
+evaluation_cache_key`: trace digest, config knobs, seed, warm, engine
+version), so the journal and the evaluation cache share one key and two
+distinct traces can never alias.  Every completed evaluation is
+journaled, so an interrupted exploration or profiling run resumes without
+re-simulating finished design points; the ``counters`` attribute reports
+exactly how much work was real versus recovered.
 
 Two further layers keep repeated work cheap:
 
@@ -23,8 +26,7 @@ Two further layers keep repeated work cheap:
   digest, so per-job pickle size no longer scales with trace length.
 * **Persistent evaluation cache** — an optional
   :class:`~repro.runtime.evalcache.EvaluationCache` (``cache=`` kwarg)
-  recalls measurements across runs and processes, keyed by trace content,
-  config knobs, seed/warm and the engine version.
+  recalls measurements across runs and processes.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from typing import TYPE_CHECKING
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.runtime import trace_store
-from repro.runtime.errors import ConfigError
 from repro.runtime.evalcache import EvaluationCache, evaluation_cache_key
 from repro.runtime.faults import FaultConfig, FaultInjector
 from repro.runtime.guards import ensure_finite_stats
@@ -60,15 +61,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EvaluationRequest:
-    """One simulate-and-measure evaluation, identified by a stable key.
+    """One simulate-and-measure evaluation.
 
-    The key is what the checkpoint journal stores results under, so it must
-    capture everything that determines the measurement — callers should
-    build it from the trace identity plus the full configuration knob
-    tuple (see :meth:`repro.sim.params.MachineConfig.cache_key`).
+    The runtime keys it by content (trace digest, config knobs, seed,
+    warm), so callers never build a key themselves.
     """
 
-    key: str
     config: "MachineConfig"
     trace: "Trace"
     seed: int = 0
@@ -77,11 +75,12 @@ class EvaluationRequest:
 
 @dataclass
 class EvalOutcome:
-    """Per-request outcome of a detailed batch evaluation.
+    """Per-request outcome of :meth:`EvaluationRuntime.evaluate`.
 
-    ``source`` records which layer produced the result (``"journal"``,
-    ``"cache"`` or ``"simulated"``); the attempt counters are zero for
-    journal/cache hits, which never touch the pool.
+    ``key`` is the request's content key.  ``source`` records which layer
+    produced the result (``"journal"``, ``"cache"`` or ``"simulated"``);
+    the attempt counters are zero for journal/cache hits, which never
+    touch the pool.
     """
 
     key: str
@@ -97,6 +96,13 @@ class EvalOutcome:
     def ok(self) -> bool:
         """Whether the evaluation produced usable statistics."""
         return self.error is None
+
+    def result(self) -> "HierarchyStats":
+        """The statistics, or raise the evaluation's terminal error."""
+        if self.error is not None:
+            raise self.error
+        assert self.stats is not None
+        return self.stats
 
 
 @dataclass
@@ -194,284 +200,148 @@ class EvaluationRuntime:
         #: without touching the journal/cache layering above it.
         self.job_fn = job_fn
         self.counters = RuntimeCounters()
-        #: Where each key of the most recent :meth:`evaluate_many` batch came
-        #: from: ``"simulated"``, ``"journal"`` or ``"cache"``.
-        self.last_sources: "dict[str, str]" = {}
         self._pool = EvaluationPool(self.pool_config)
 
-    def evaluate(self, request: EvaluationRequest) -> "HierarchyStats":
-        """Evaluate one request (journal-checkpointed, supervised)."""
-        return self.evaluate_many([request])[request.key]
+    def evaluate(
+        self, requests: "list[EvaluationRequest]", *, isolate: bool = False
+    ) -> "list[EvalOutcome]":
+        """Evaluate *requests*; one outcome per request, in input order.
 
-    def evaluate_many(
-        self, requests: "list[EvaluationRequest]"
-    ) -> "dict[str, HierarchyStats]":
-        """Evaluate a batch; parallel across workers when the pool has any.
+        Lookup order per distinct content key: checkpoint journal (this
+        run's file), then the persistent evaluation cache (cross-run), then
+        a real simulation.  Cache hits are re-journaled and fresh results
+        are journaled *and* cached as soon as their job completes, so a run
+        killed mid-call resumes with zero duplicate evaluations.
 
-        Lookup order per request: checkpoint journal (this run's file),
-        then the persistent evaluation cache (cross-run), then a real
-        simulation.  Cache hits are re-journaled and fresh results are
-        journaled *and* cached as soon as they complete, so a run killed
-        mid-batch resumes with zero duplicate evaluations.
-        ``last_sources`` records where each key came from.
-
-        Raises the first failed request's error (in submission order); use
-        :meth:`evaluate_many_detailed` to keep per-request failures.
+        The misses dispatch as one batch job
+        (:func:`~repro.sim.stats.simulate_and_measure_batch`, which shares
+        the perfect-L1 pass) per ``(trace, seed, warm)`` group.  With
+        *isolate*, or when the chaos layer (``faults`` or ``job_fn``) is
+        installed, every miss is its own job with its own failure, timeout
+        and retry budget.  Results are bit-identical either way.  Failures
+        stay per-request: :meth:`EvalOutcome.result` raises them.
         """
-        outcomes = self.evaluate_many_detailed(requests)
-        for req in requests:
-            error = outcomes[req.key].error
-            if error is not None:
-                raise error
-        return {key: outcome.stats for key, outcome in outcomes.items()}
+        from repro.sim.stats import HierarchyStats
 
-    def _run_jobs(self, jobs: "list[Job]", on_result: "Callable") -> dict:
-        """Run *jobs* on the pool, folding its retry counts into counters."""
+        keys = [
+            evaluation_cache_key(req.trace, req.config, req.seed, req.warm)
+            for req in requests
+        ]
+        outcomes: "dict[str, EvalOutcome]" = {}
+        todo: "dict[str, EvaluationRequest]" = {}
+        with obs_trace.span("runtime.evaluate_many", requests=len(requests)) as span:
+            for key, req in zip(keys, requests):
+                if key in outcomes or key in todo:
+                    continue  # duplicate request in one call
+                stored, source = None, "journal"
+                if self.journal is not None and key in self.journal:
+                    stored = self.journal.get(key)
+                elif self.cache is not None:
+                    stored, source = self.cache.get(key), "cache"
+                if stored is None:
+                    todo[key] = req
+                    continue
+                outcomes[key] = EvalOutcome(
+                    key=key, stats=HierarchyStats.from_dict(stored), source=source
+                )
+                if source == "cache" and self.journal is not None:
+                    # Re-journal so later calls in this run hit the journal.
+                    self.journal.put(key, stored)
+            n_cache = sum(1 for o in outcomes.values() if o.source == "cache")
+            n_journal = len(outcomes) - n_cache
+            self.counters.journal_hits += n_journal
+            self.counters.cache_hits += n_cache
+            if obs_metrics.metrics_enabled():
+                reg = obs_metrics.get_registry()
+                reg.counter("runtime.requests").inc(len(requests))
+                reg.counter("runtime.journal_hits").inc(n_journal)
+                reg.counter("runtime.cache_hits").inc(n_cache)
+            span.set(journal_hits=n_journal, cache_hits=n_cache, simulated=len(todo))
+            if todo:
+                self._simulate(todo, outcomes, isolate=isolate)
+        return [outcomes[key] for key in keys]
+
+    def _simulate(
+        self,
+        todo: "dict[str, EvaluationRequest]",
+        outcomes: "dict[str, EvalOutcome]",
+        *,
+        isolate: bool,
+    ) -> None:
+        """Run the journal/cache misses in *todo* on the pool."""
+        # Ship each distinct trace once per process, not once per job:
+        # register parent-side (covers inline execution and fork workers,
+        # which inherit the store) and, under spawn, once per worker via
+        # the pool's setup messages.
+        traces = {req.trace.content_digest(): req.trace for req in todo.values()}
+        for digest, trace in traces.items():
+            trace_store.register(trace, digest)
+        self._pool.worker_setup = (
+            [(trace_store.register, (trace, digest))
+             for digest, trace in traces.items()]
+            if self._pool.effective_start_method() == "spawn"
+            else []
+        )
+
+        chaos = self.faults is not None or self.job_fn is not None
+        jobs: "list[Job]" = []
+        #: Job key -> the request keys it measures, in result order.
+        members: "dict[str, list[str]]" = {}
+        if isolate or chaos:
+            for key, req in todo.items():
+                jobs.append(Job(
+                    key=key,
+                    fn=self.job_fn if self.job_fn is not None else _simulate_job,
+                    args=(req.config, req.trace.content_digest(), req.seed,
+                          req.warm, self.faults, key),
+                    pass_attempt=chaos,
+                ))
+                members[key] = [key]
+        else:
+            groups: "dict[tuple[str, int, bool], list[str]]" = {}
+            for key, req in todo.items():
+                group = (req.trace.content_digest(), req.seed, req.warm)
+                groups.setdefault(group, []).append(key)
+            for (digest, seed, warm), group_keys in groups.items():
+                job_key = f"batch|{digest}|seed={seed}|warm={warm}"
+                jobs.append(Job(
+                    key=job_key,
+                    fn=_simulate_batch_job,
+                    args=([todo[k].config for k in group_keys], digest, seed, warm),
+                ))
+                members[job_key] = group_keys
+
+        def _values(result) -> list:
+            # A per-request job returns one stats object, a batch job a list.
+            return [result.value] if result.key in todo else result.value
+
+        def _checkpoint(result) -> None:
+            # Fires per terminal job result, *during* the call — a run
+            # killed mid-call keeps everything finished so far.
+            if not result.ok:
+                return
+            for key, stats in zip(members[result.key], _values(result)):
+                self.counters.simulations += 1
+                if obs_metrics.metrics_enabled():
+                    obs_metrics.get_registry().counter("runtime.simulations").inc()
+                stats_dict = stats.to_dict()
+                if self.journal is not None:
+                    self.journal.put(key, stats_dict)
+                if self.cache is not None:
+                    self.cache.put(key, stats_dict)
+
         pool = self._pool
         before = (pool.retries, pool.timeouts, pool.worker_restarts)
-        results = pool.run(jobs, on_error="keep", on_result=on_result)
+        results = pool.run(jobs, on_error="keep", on_result=_checkpoint)
         self.counters.retries += pool.retries - before[0]
         self.counters.timeouts += pool.timeouts - before[1]
         self.counters.worker_restarts += pool.worker_restarts - before[2]
-        return results
-
-    def evaluate_all(
-        self, requests: "list[EvaluationRequest]", *, engine: str = "auto"
-    ) -> "dict[str, HierarchyStats]":
-        """Evaluate *requests* as batch jobs unless the chaos layer is on.
-
-        ``engine="auto"`` dispatches one batch job per shared trace
-        (:meth:`evaluate_batch`) and falls back to per-request scalar jobs
-        (:meth:`evaluate_many`) when fault injection or a custom
-        ``job_fn`` is installed, since those are scalar-path features.
-        ``"scalar"`` always takes per-request jobs and ``"batch"`` always
-        takes batch jobs, refusing the chaos layer loudly.  Results are
-        bit-identical either way.
-        """
-        if engine not in ("auto", "batch", "scalar"):
-            raise ConfigError(
-                f"engine must be 'auto', 'batch' or 'scalar', got {engine!r}"
-            )
-        chaos = self.faults is not None or self.job_fn is not None
-        if engine == "scalar" or (engine == "auto" and chaos):
-            return self.evaluate_many(requests)
-        return self.evaluate_batch(requests)
-
-    def evaluate_batch(
-        self, requests: "list[EvaluationRequest]"
-    ) -> "dict[str, HierarchyStats]":
-        """Like :meth:`evaluate_many`, but one *batch job* per shared trace.
-
-        The journal/cache pre-pass is identical to :meth:`evaluate_many`
-        (and cache keys are shared with the scalar path — the batch kernel
-        is bit-identical, so a scalar result satisfies a batch request and
-        vice versa).  The remaining misses are grouped by
-        ``(trace, seed, warm)`` and each group dispatches **one** pool job
-        (:func:`~repro.sim.stats.simulate_and_measure_batch`, which shares
-        the perfect-L1 pass and steps wide groups in one kernel call)
-        instead of N scalar jobs.  Fault injection and custom job bodies are a
-        scalar-path feature; batch dispatch refuses them loudly.
-        """
-        from repro.sim.stats import HierarchyStats
-
-        if self.faults is not None or self.job_fn is not None:
-            raise ConfigError(
-                "evaluate_batch() does not support fault injection or a "
-                "custom job_fn; use evaluate_many() for the chaos layer"
-            )
-        results: "dict[str, HierarchyStats]" = {}
-        todo: "list[EvaluationRequest]" = []
-        self.last_sources = {}
-        cache_keys: "dict[str, str]" = {}
-        with obs_trace.span("runtime.evaluate_batch", requests=len(requests)):
-            for req in requests:
-                if req.key in results or any(t.key == req.key for t in todo):
-                    continue
-                if self.journal is not None and req.key in self.journal:
-                    results[req.key] = HierarchyStats.from_dict(
-                        self.journal.get(req.key)
-                    )
-                    self.counters.journal_hits += 1
-                    self.last_sources[req.key] = "journal"
-                    continue
-                if self.cache is not None:
-                    ckey = evaluation_cache_key(
-                        req.trace, req.config, req.seed, req.warm
-                    )
-                    cache_keys[req.key] = ckey
-                    cached = self.cache.get(ckey)
-                    if cached is not None:
-                        results[req.key] = HierarchyStats.from_dict(cached)
-                        self.counters.cache_hits += 1
-                        self.last_sources[req.key] = "cache"
-                        if self.journal is not None:
-                            self.journal.put(req.key, cached)
-                        continue
-                todo.append(req)
-            if not todo:
-                return results
-            groups: "dict[tuple, list[EvaluationRequest]]" = {}
-            setup: "list[tuple]" = []
-            for req in todo:
-                digest = req.trace.content_digest()
-                group_key = (digest, req.seed, req.warm)
-                if group_key not in groups:
-                    trace_store.register(req.trace, digest)
-                    setup.append((trace_store.register, (req.trace, digest)))
-                groups.setdefault(group_key, []).append(req)
-            self._pool.worker_setup = (
-                setup if self._pool.effective_start_method() == "spawn" else []
-            )
-            jobs = [
-                Job(
-                    key=f"batch|{digest}|seed={seed}|warm={warm}",
-                    fn=_simulate_batch_job,
-                    args=([r.config for r in grp], digest, seed, warm),
+        for job in jobs:
+            result = results[job.key]
+            values = _values(result) if result.ok else [None] * len(members[job.key])
+            for key, stats in zip(members[job.key], values):
+                outcomes[key] = EvalOutcome(
+                    key=key, stats=stats, error=result.error,
+                    attempts=result.attempts, timeouts=result.timeouts,
+                    crashes=result.crashes, waited_s=result.waited_s,
                 )
-                for (digest, seed, warm), grp in groups.items()
-            ]
-            group_of = {job.key: grp for job, grp in zip(jobs, groups.values())}
-
-            def _checkpoint(result) -> None:
-                # Journal each group the moment its job finishes, so a run
-                # killed mid-batch keeps every finished group.
-                if not result.ok:
-                    return
-                for req, stats in zip(group_of[result.key], result.value):
-                    results[req.key] = stats
-                    self.counters.simulations += 1
-                    self.last_sources[req.key] = "simulated"
-                    stats_dict = stats.to_dict()
-                    if self.journal is not None:
-                        self.journal.put(req.key, stats_dict)
-                    if self.cache is not None and req.key in cache_keys:
-                        self.cache.put(cache_keys[req.key], stats_dict)
-
-            pool_results = self._run_jobs(jobs, _checkpoint)
-            for job in jobs:
-                if not pool_results[job.key].ok:
-                    raise pool_results[job.key].error
-        return results
-
-    def evaluate_many_detailed(
-        self, requests: "list[EvaluationRequest]"
-    ) -> "dict[str, EvalOutcome]":
-        """Like :meth:`evaluate_many`, but failures stay per-request.
-
-        Every request gets an :class:`EvalOutcome` — a failed one carries
-        its terminal error instead of raising out of the whole batch, so a
-        caller serving many independent clients (the evaluation service)
-        can fail one job without poisoning its neighbours.
-        """
-        from repro.sim.stats import HierarchyStats
-
-        outcomes: "dict[str, EvalOutcome]" = {}
-        todo: "list[EvaluationRequest]" = []
-        self.last_sources = {}
-        cache_keys: "dict[str, str]" = {}
-        batch_span = obs_trace.span("runtime.evaluate_many", requests=len(requests))
-        batch_span.__enter__()
-        for req in requests:
-            if req.key in outcomes or any(t.key == req.key for t in todo):
-                continue  # duplicate request in one batch
-            if self.journal is not None and req.key in self.journal:
-                outcomes[req.key] = EvalOutcome(
-                    key=req.key,
-                    stats=HierarchyStats.from_dict(self.journal.get(req.key)),
-                    source="journal",
-                )
-                self.counters.journal_hits += 1
-                self.last_sources[req.key] = "journal"
-                continue
-            if self.cache is not None:
-                ckey = evaluation_cache_key(req.trace, req.config, req.seed, req.warm)
-                cache_keys[req.key] = ckey
-                cached = self.cache.get(ckey)
-                if cached is not None:
-                    outcomes[req.key] = EvalOutcome(
-                        key=req.key,
-                        stats=HierarchyStats.from_dict(cached),
-                        source="cache",
-                    )
-                    self.counters.cache_hits += 1
-                    self.last_sources[req.key] = "cache"
-                    if self.journal is not None:
-                        # Re-journal so later batches in this run hit the
-                        # journal without re-deriving the cache key.
-                        self.journal.put(req.key, cached)
-                    continue
-            todo.append(req)
-        n_cache = sum(1 for s in self.last_sources.values() if s == "cache")
-        if obs_metrics.metrics_enabled():
-            reg = obs_metrics.get_registry()
-            reg.counter("runtime.requests").inc(len(requests))
-            reg.counter("runtime.journal_hits").inc(len(outcomes) - n_cache)
-            reg.counter("runtime.cache_hits").inc(n_cache)
-        try:
-            if todo:
-                # Ship each distinct trace once per process, not once per
-                # job: register parent-side (covers inline execution and
-                # fork workers, which inherit the store) and, under spawn,
-                # once per worker via the pool's setup messages.
-                seen_digests: "set[str]" = set()
-                setup: "list[tuple]" = []
-                for req in todo:
-                    digest = req.trace.content_digest()
-                    if digest not in seen_digests:
-                        seen_digests.add(digest)
-                        trace_store.register(req.trace, digest)
-                        setup.append((trace_store.register, (req.trace, digest)))
-                self._pool.worker_setup = (
-                    setup
-                    if self._pool.effective_start_method() == "spawn"
-                    else []
-                )
-                jobs = [
-                    Job(
-                        key=req.key,
-                        fn=self.job_fn if self.job_fn is not None else _simulate_job,
-                        args=(req.config, req.trace.content_digest(), req.seed,
-                              req.warm, self.faults, req.key),
-                        pass_attempt=self.faults is not None or self.job_fn is not None,
-                    )
-                    for req in todo
-                ]
-
-                def _checkpoint(result) -> None:
-                    # Fires per terminal job result, *during* the batch — a run
-                    # killed mid-batch keeps everything finished so far.
-                    if result.ok:
-                        self.counters.simulations += 1
-                        if obs_metrics.metrics_enabled():
-                            obs_metrics.get_registry().counter(
-                                "runtime.simulations"
-                            ).inc()
-                        stats_dict = result.value.to_dict()
-                        if self.journal is not None:
-                            self.journal.put(result.key, stats_dict)
-                        if self.cache is not None and result.key in cache_keys:
-                            self.cache.put(cache_keys[result.key], stats_dict)
-
-                results = self._run_jobs(jobs, _checkpoint)
-                for req in todo:
-                    result = results[req.key]
-                    outcomes[req.key] = EvalOutcome(
-                        key=req.key,
-                        stats=result.value if result.ok else None,
-                        error=result.error,
-                        source="simulated",
-                        attempts=result.attempts,
-                        timeouts=result.timeouts,
-                        crashes=result.crashes,
-                        waited_s=result.waited_s,
-                    )
-                    if result.ok:
-                        self.last_sources[req.key] = "simulated"
-        finally:
-            batch_span.set(
-                journal_hits=len(requests) - len(todo) - n_cache,
-                cache_hits=n_cache,
-                simulated=len(todo),
-            )
-            batch_span.__exit__(None, None, None)
-        return outcomes

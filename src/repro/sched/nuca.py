@@ -172,39 +172,32 @@ def profile_benchmarks(
     Each benchmark's L1 sizes are measured together, so they share one
     perfect-L1 pass.  With a *runtime*, the whole (benchmark x L1 size)
     grid goes through the supervised evaluation pool
-    (:meth:`EvaluationRuntime.evaluate_all`) — one job per benchmark,
+    (:meth:`EvaluationRuntime.evaluate`) — one job per benchmark,
     parallel across workers, with per-job retries, and checkpointed to the
     runtime's journal so an interrupted profiling run resumes where it
     stopped.  Under fault injection or a custom job body every grid point
     is its own scalar job.
     """
     db = BenchmarkProfileDB(machine=machine, n_mem=n_mem, seed=seed)
+    sizes = machine.distinct_l1_sizes
+    configs = [machine.config_for_l1(l1_size) for l1_size in sizes]
+    traces = [profile.trace(n_mem, seed=seed) for profile in benchmarks]
     if runtime is not None:
         from repro.runtime.evaluate import EvaluationRequest
 
-        requests = []
-        slots: "list[tuple[str, int, str]]" = []
-        for profile in benchmarks:
-            trace = profile.trace(n_mem, seed=seed)
-            for l1_size in machine.distinct_l1_sizes:
-                config = machine.config_for_l1(l1_size)
-                key = (
-                    f"{profile.name}|n_mem={n_mem}|seed={seed}|warm={warm}"
-                    f"|{config.cache_key()}"
-                )
-                slots.append((profile.name, l1_size, key))
-                requests.append(EvaluationRequest(
-                    key=key, config=config, trace=trace, seed=seed, warm=warm
-                ))
-        measured = runtime.evaluate_all(requests)
-        for name, l1_size, key in slots:
-            db.stats[(name, l1_size)] = measured[key]
-        return db
-    sizes = machine.distinct_l1_sizes
-    configs = [machine.config_for_l1(l1_size) for l1_size in sizes]
-    for profile in benchmarks:
-        trace = profile.trace(n_mem, seed=seed)
-        pairs = simulate_and_measure_batch(configs, trace, seed=seed, warm=warm)
-        for l1_size, (_, stats) in zip(sizes, pairs):
-            db.stats[(profile.name, l1_size)] = stats
+        outcomes = runtime.evaluate([
+            EvaluationRequest(config=config, trace=trace, seed=seed, warm=warm)
+            for trace in traces for config in configs
+        ])
+        stats = [outcome.result() for outcome in outcomes]
+    else:
+        stats = [
+            measured
+            for trace in traces
+            for _, measured in simulate_and_measure_batch(
+                configs, trace, seed=seed, warm=warm
+            )
+        ]
+    slots = [(profile.name, l1_size) for profile in benchmarks for l1_size in sizes]
+    db.stats.update(zip(slots, stats))
     return db

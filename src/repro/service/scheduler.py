@@ -277,7 +277,7 @@ class JobScheduler:
             try:
                 outcomes = await asyncio.wait_for(
                     asyncio.to_thread(
-                        self.runtime.evaluate_many_detailed, requests
+                        self.runtime.evaluate, requests, isolate=True
                     ),
                     timeout=self.config.batch_deadline_s,
                 )
@@ -299,8 +299,7 @@ class JobScheduler:
                 span.set(deadline_exceeded=True)
                 return
             ok = 0
-            for record in batch:
-                outcome = outcomes[record.request.key]
+            for record, outcome in zip(batch, outcomes):
                 record.attempts = outcome.attempts
                 record.source = outcome.source
                 if outcome.ok:

@@ -26,7 +26,6 @@ from typing import TYPE_CHECKING
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.runtime.errors import ConfigError
-from repro.runtime.evalcache import evaluation_cache_key
 from repro.runtime.evaluate import EvaluationRequest, EvaluationRuntime
 from repro.service.protocol import (
     MAX_LINE_BYTES,
@@ -242,11 +241,7 @@ class EvaluationServer:
         # The runtime keys on evaluation identity, not the client's id:
         # identical design points dedupe and survive restarts.
         request = EvaluationRequest(
-            key=evaluation_cache_key(trace, spec.config, spec.seed, spec.warm),
-            config=spec.config,
-            trace=trace,
-            seed=spec.seed,
-            warm=spec.warm,
+            config=spec.config, trace=trace, seed=spec.seed, warm=spec.warm
         )
         record = JobRecord(
             job_id=spec.job_id, client=spec.client, request=request

@@ -75,6 +75,7 @@ from repro.sim.engine import (
     SimulationResult,
     batch_eligible,
     build_simulation_result,
+    require_batch_eligible,
 )
 from repro.sim.params import MachineConfig
 from repro.util.validation import check_int
@@ -99,13 +100,7 @@ class BatchHierarchySimulator:
         configs = list(configs)
         if not configs:
             raise ConfigError("batch simulation needs at least one config")
-        bad = [c.name for c in configs if not batch_eligible(c)]
-        if bad:
-            raise ConfigError(
-                "engine='batch' requires no prefetcher, no L1 bypass and LRU "
-                f"L1/L2; ineligible configs: {bad} (use engine='auto' per "
-                "config, or repro.sim.stats.dispatch_plan() to split the batch)"
-            )
+        require_batch_eligible(configs)
         self.configs = configs
         self.seed = seed
         self.n_lanes = L = len(configs)

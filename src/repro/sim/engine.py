@@ -91,6 +91,18 @@ def batch_eligible(config: MachineConfig) -> bool:
     )
 
 
+def require_batch_eligible(configs: "list[MachineConfig]") -> None:
+    """Raise :class:`ConfigError` naming every *configs* entry the kernel
+    cannot run (the ``engine="batch"`` contract)."""
+    bad = [c.name for c in configs if not batch_eligible(c)]
+    if bad:
+        raise ConfigError(
+            "engine='batch' requires no prefetcher, no L1 bypass and LRU "
+            f"L1/L2; ineligible configs: {bad} (use engine='auto' per "
+            "config, or repro.sim.stats.dispatch_plan() to split the batch)"
+        )
+
+
 @dataclass
 class SimulationResult:
     """Everything one simulation run produced."""

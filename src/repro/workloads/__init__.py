@@ -1,7 +1,6 @@
 """Synthetic SPEC-like workload generation (the SPEC CPU2006 substitute)."""
 
 from repro.workloads.locality import (
-    HISTOGRAM_VERSION,
     LocalityProfile,
     ReuseHistogram,
     profile_trace,
@@ -43,7 +42,6 @@ __all__ = [
     "BENCHMARKS",
     "BenchmarkProfile",
     "Burst",
-    "HISTOGRAM_VERSION",
     "IntervalDetector",
     "KernelSpec",
     "LocalityProfile",

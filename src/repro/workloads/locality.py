@@ -13,13 +13,12 @@ Histograms", arXiv:1907.05068; docs/MODEL.md section 10).
 Distances are computed line-granular with the Fenwick-tree (binary
 indexed tree) last-occurrence algorithm — O(M log M) for M accesses, one
 pass, no materialized LRU stack.  The per-access loop is plain Python by
-design: it runs **once per trace content digest** (results are cached by
-:mod:`repro.runtime.histogram_store`), never per configuration, so the
+design: it runs once per trace and line size (callers such as the
+explorer keep the profile), never per configuration, so the
 vectorization guideline's "measure first" bar is not met by the extra
 complexity of a numpy phase-splitting variant.
 
-Everything here is pure: no I/O, no ambient state.  The disk cache lives
-in :mod:`repro.runtime.histogram_store`.
+Everything here is pure: no I/O, no ambient state.
 """
 
 from __future__ import annotations
@@ -31,18 +30,11 @@ import numpy as np
 from repro.workloads.trace import Trace
 
 __all__ = [
-    "HISTOGRAM_VERSION",
     "ReuseHistogram",
     "LocalityProfile",
     "reuse_histogram",
     "profile_trace",
 ]
-
-#: Bump when the histogram/profile definition changes incompatibly;
-#: part of the :mod:`repro.runtime.histogram_store` cache key, so stale
-#: entries are invalidated the same way engine bumps invalidate the
-#: evaluation cache.
-HISTOGRAM_VERSION = 1
 
 
 def _stack_distances(lines: "list[int]") -> np.ndarray:
@@ -105,7 +97,6 @@ class ReuseHistogram:
     line_bytes: int
     warm: bool
     trace_digest: str
-    version: int = HISTOGRAM_VERSION
     #: Suffix sums of ``counts``, built lazily for O(log K) queries.
     _tail: "np.ndarray | None" = field(default=None, repr=False, compare=False)
 
@@ -139,33 +130,6 @@ class ReuseHistogram:
         idx = int(np.searchsorted(self.distances, capacity_lines, side="left"))
         survivors = int(self._tail_sums()[idx])
         return (survivors + self.cold) / self.n_accesses
-
-    def to_dict(self) -> dict:
-        """JSON-serializable form, round-tripped by :meth:`from_dict`."""
-        return {
-            "distances": self.distances.tolist(),
-            "counts": self.counts.tolist(),
-            "cold": self.cold,
-            "n_accesses": self.n_accesses,
-            "line_bytes": self.line_bytes,
-            "warm": self.warm,
-            "trace_digest": self.trace_digest,
-            "version": self.version,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ReuseHistogram":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            distances=np.asarray(data["distances"], dtype=np.int64),
-            counts=np.asarray(data["counts"], dtype=np.int64),
-            cold=int(data["cold"]),
-            n_accesses=int(data["n_accesses"]),
-            line_bytes=int(data["line_bytes"]),
-            warm=bool(data["warm"]),
-            trace_digest=str(data["trace_digest"]),
-            version=int(data["version"]),
-        )
 
 
 def reuse_histogram(
@@ -240,27 +204,6 @@ class LocalityProfile:
     def warm(self) -> bool:
         """Whether the histogram models the post-warmup steady state."""
         return self.histogram.warm
-
-    def to_dict(self) -> dict:
-        """JSON-serializable form, round-tripped by :meth:`from_dict`."""
-        return {
-            "histogram": self.histogram.to_dict(),
-            "f_mem": self.f_mem,
-            "n_instructions": self.n_instructions,
-            "dep_frac_mem": self.dep_frac_mem,
-            "dep_frac_compute": self.dep_frac_compute,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "LocalityProfile":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            histogram=ReuseHistogram.from_dict(data["histogram"]),
-            f_mem=float(data["f_mem"]),
-            n_instructions=int(data["n_instructions"]),
-            dep_frac_mem=float(data["dep_frac_mem"]),
-            dep_frac_compute=float(data["dep_frac_compute"]),
-        )
 
 
 def profile_trace(

@@ -21,6 +21,12 @@ def _trace(n: int = 400, seed: int = 3, name: str = "t") -> Trace:
     )
 
 
+def _one(rt: EvaluationRuntime, req: EvaluationRequest):
+    """Evaluate one request and return its outcome."""
+    [outcome] = rt.evaluate([req])
+    return outcome
+
+
 class TestKeyDerivation:
     def test_key_ignores_trace_name(self):
         cfg = MachineConfig()
@@ -166,76 +172,78 @@ class TestCorruptQuarantine:
         """End to end: a corrupted shard is re-simulated, re-cached, and the
         recomputed entry is bit-identical to the original measurement."""
         trace = _trace()
-        req = EvaluationRequest(key="k", config=MachineConfig(), trace=trace)
+        req = EvaluationRequest(config=MachineConfig(), trace=trace)
         first = EvaluationRuntime(pool=PoolConfig(max_workers=0),
                                   cache=tmp_path / "c")
-        clean = first.evaluate(req)
-        ckey = evaluation_cache_key(trace, req.config, req.seed, req.warm)
-        shard = first.cache._path(ckey)
+        first_outcome = _one(first, req)
+        clean = first_outcome.result()
+        shard = first.cache._path(first_outcome.key)
         shard.write_text('{"engine_')  # chaos: torn shard on disk
 
         second = EvaluationRuntime(pool=PoolConfig(max_workers=0),
                                    cache=tmp_path / "c")
-        recomputed = second.evaluate(req)
+        recomputed = _one(second, req).result()
         assert second.counters.simulations == 1  # treated as a miss
         assert second.cache.quarantined == 1
         assert recomputed.to_dict() == clean.to_dict()
         # The fresh result was re-cached; a third run hits again.
         third = EvaluationRuntime(pool=PoolConfig(max_workers=0),
                                   cache=tmp_path / "c")
-        third.evaluate(req)
+        _one(third, req)
         assert third.counters.cache_hits == 1
 
 
 class TestRuntimeIntegration:
     def test_second_run_hits_cache_with_zero_simulations(self, tmp_path):
+        # Both job splits share one cache namespace (the batch kernel is
+        # bit-identical to the scalar engines): either split fills it and
+        # either split recalls from it.
         trace = _trace()
         reqs = [
-            EvaluationRequest(key=f"k{i}", config=MachineConfig(), trace=trace, seed=i)
+            EvaluationRequest(config=MachineConfig(), trace=trace, seed=i)
             for i in range(3)
         ]
-        first = EvaluationRuntime(pool=PoolConfig(max_workers=0),
-                                  cache=tmp_path / "c")
-        out1 = first.evaluate_many(reqs)
-        assert first.counters.simulations == 3
+        for fill, recall in [(False, True), (True, False)]:
+            cache = tmp_path / f"c-{fill}"
+            first = EvaluationRuntime(pool=PoolConfig(max_workers=0), cache=cache)
+            out1 = first.evaluate(reqs, isolate=fill)
+            assert first.counters.simulations == 3
 
-        second = EvaluationRuntime(pool=PoolConfig(max_workers=0),
-                                   cache=tmp_path / "c")
-        out2 = second.evaluate_many(reqs)
-        assert second.counters.simulations == 0
-        assert second.counters.cache_hits == 3
-        assert second.last_sources == {f"k{i}": "cache" for i in range(3)}
-        for key in out1:
-            assert out1[key].to_dict() == out2[key].to_dict()
+            second = EvaluationRuntime(pool=PoolConfig(max_workers=0), cache=cache)
+            out2 = second.evaluate(reqs, isolate=recall)
+            assert second.counters.simulations == 0
+            assert second.counters.cache_hits == 3
+            assert [o.source for o in out2] == ["cache"] * 3
+            for a, b in zip(out1, out2):
+                assert a.result().to_dict() == b.result().to_dict()
 
     def test_cache_hits_are_rejournaled(self, tmp_path):
         trace = _trace()
-        req = EvaluationRequest(key="k", config=MachineConfig(), trace=trace)
-        EvaluationRuntime(pool=PoolConfig(max_workers=0),
-                          cache=tmp_path / "c").evaluate(req)
+        req = EvaluationRequest(config=MachineConfig(), trace=trace)
+        _one(EvaluationRuntime(pool=PoolConfig(max_workers=0),
+                               cache=tmp_path / "c"), req)
         rt = EvaluationRuntime(pool=PoolConfig(max_workers=0),
                                cache=tmp_path / "c",
                                journal=tmp_path / "j.jsonl")
-        rt.evaluate(req)
+        outcome = _one(rt, req)
         assert rt.counters.cache_hits == 1
-        assert req.key in rt.journal  # cache hit landed in the journal
-        rt.evaluate_many([req])
-        assert rt.counters.journal_hits >= 1
+        assert outcome.key in rt.journal  # cache hit landed in the journal
+        assert _one(rt, req).source == "journal"
+        assert rt.counters.journal_hits == 1
 
     def test_journal_takes_precedence_over_cache(self, tmp_path):
         trace = _trace()
-        req = EvaluationRequest(key="k", config=MachineConfig(), trace=trace)
+        req = EvaluationRequest(config=MachineConfig(), trace=trace)
         rt = EvaluationRuntime(pool=PoolConfig(max_workers=0),
                                cache=tmp_path / "c",
                                journal=tmp_path / "j.jsonl")
-        rt.evaluate(req)
+        _one(rt, req)
         rt2 = EvaluationRuntime(pool=PoolConfig(max_workers=0),
                                 cache=tmp_path / "c",
                                 journal=tmp_path / "j.jsonl")
-        rt2.evaluate(req)
+        assert _one(rt2, req).source == "journal"
         assert rt2.counters.journal_hits == 1
         assert rt2.counters.cache_hits == 0
-        assert rt2.last_sources["k"] == "journal"
 
 
 class TestExplorerReuse:
@@ -278,12 +286,11 @@ class TestHypothesisByteIdentical:
         trace = _trace(n, seed=seed)
         config = MachineConfig().with_knobs(mshr_count=mshr)
         cache_dir = tmp_path_factory.mktemp("evalcache")
-        req = EvaluationRequest(key="k", config=config, trace=trace,
-                                seed=0, warm=warm)
-        fresh = EvaluationRuntime(pool=PoolConfig(max_workers=0),
-                                  cache=cache_dir).evaluate(req)
+        req = EvaluationRequest(config=config, trace=trace, seed=0, warm=warm)
+        fresh = _one(EvaluationRuntime(pool=PoolConfig(max_workers=0),
+                                       cache=cache_dir), req).result()
         recalled_rt = EvaluationRuntime(pool=PoolConfig(max_workers=0),
                                         cache=cache_dir)
-        recalled = recalled_rt.evaluate(req)
+        recalled = _one(recalled_rt, req).result()
         assert recalled_rt.counters.cache_hits == 1
         assert recalled.to_dict() == fresh.to_dict()

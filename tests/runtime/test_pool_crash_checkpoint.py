@@ -13,15 +13,18 @@ that window:
   result still lands in the journal exactly once.
 
 Both are integration tests against real processes and real SIGKILL, not
-monkeypatched stand-ins.
+monkeypatched stand-ins.  The killed supervisor runs in its own session,
+so the test can reap its orphaned pool worker afterwards.
 """
 
 import os
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
+from repro.runtime.evalcache import evaluation_cache_key
 from repro.runtime.evaluate import EvaluationRequest, EvaluationRuntime
 from repro.runtime.journal import CheckpointJournal
 from repro.runtime.pool import PoolConfig, RetryPolicy
@@ -41,6 +44,7 @@ N_JOBS = 4
 #: argv: <journal_path>
 KILLED_RUN_SCRIPT = """
 import os, signal, sys
+from repro.runtime.evalcache import evaluation_cache_key
 from repro.runtime.evaluate import EvaluationRequest, EvaluationRuntime
 from repro.runtime.journal import CheckpointJournal
 from repro.runtime.pool import PoolConfig
@@ -53,9 +57,17 @@ TRACE_SEED = {seed}
 N_JOBS = {n_jobs}
 
 
+trace = Trace.from_memory_addresses(
+    working_set_addresses(TRACE_ACCESSES, footprint_bytes=64 * 1024,
+                          seed=TRACE_SEED),
+    compute_per_access=1, name="ckpt", seed=TRACE_SEED,
+)
+LAST_KEY = evaluation_cache_key(trace, MachineConfig(), N_JOBS - 1, True)
+
+
 class DyingJournal(CheckpointJournal):
     def put(self, key, value):
-        if key == "job-" + str(N_JOBS - 1):
+        if key == LAST_KEY:
             # The worker's result for this job has been received (we are in
             # the on_result checkpoint callback) but not yet flushed: this
             # is precisely the crash window under test.
@@ -63,21 +75,15 @@ class DyingJournal(CheckpointJournal):
         super().put(key, value)
 
 
-trace = Trace.from_memory_addresses(
-    working_set_addresses(TRACE_ACCESSES, footprint_bytes=64 * 1024,
-                          seed=TRACE_SEED),
-    compute_per_access=1, name="ckpt", seed=TRACE_SEED,
-)
 requests = [
-    EvaluationRequest(key="job-" + str(i), config=MachineConfig(),
-                      trace=trace, seed=i)
+    EvaluationRequest(config=MachineConfig(), trace=trace, seed=i)
     for i in range(N_JOBS)
 ]
 runtime = EvaluationRuntime(
     pool=PoolConfig(max_workers=1, timeout_s=120),
     journal=DyingJournal(sys.argv[1]),
 )
-runtime.evaluate_many(requests)
+runtime.evaluate(requests)
 raise SystemExit("unreachable: the journal must have killed this process")
 """
 
@@ -92,10 +98,30 @@ def _trace():
 
 def _requests(trace):
     return [
-        EvaluationRequest(key=f"job-{i}", config=MachineConfig(),
-                          trace=trace, seed=i)
+        EvaluationRequest(config=MachineConfig(), trace=trace, seed=i)
         for i in range(N_JOBS)
     ]
+
+
+def _key(trace, seed):
+    return evaluation_cache_key(trace, MachineConfig(), seed, True)
+
+
+def _live_group_members(pgid):
+    """Pids of the process group *pgid* that are neither gone nor zombies."""
+    live = []
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            stat = (entry / "stat").read_text()
+        except OSError:
+            continue  # exited while we looked
+        # Fields after the parenthesised command: state, ppid, pgrp, ...
+        state, _ppid, pgrp = stat.rsplit(")", 1)[1].split()[:3]
+        if int(pgrp) == pgid and state != "Z":
+            live.append(int(entry.name))
+    return live
 
 
 class TestSupervisorDeathMidCheckpoint:
@@ -109,37 +135,52 @@ class TestSupervisorDeathMidCheckpoint:
         # Capture into files, not pipes: the forked pool worker inherits the
         # supervisor's stdout/stderr, so after the SIGKILL a pipe would stay
         # open until the orphaned worker noticed — run() would block on EOF.
+        # The orphaned pool worker stays in the script's session, so the
+        # whole group can be killed once the run is over.
         stderr_path = tmp_path / "stderr.txt"
         with stderr_path.open("wb") as stderr_fh:
-            proc = subprocess.run(
+            proc = subprocess.Popen(
                 [sys.executable, "-c", script, str(journal_path)],
                 stdout=subprocess.DEVNULL, stderr=stderr_fh,
-                env=env, timeout=300,
+                env=env, start_new_session=True,
             )
+            try:
+                returncode = proc.wait(timeout=300)
+            finally:
+                try:
+                    os.killpg(proc.pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+        deadline = time.monotonic() + 10.0
+        while _live_group_members(proc.pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert _live_group_members(proc.pid) == []
         # The run died by SIGKILL, not by finishing or erroring out.
-        assert proc.returncode == -signal.SIGKILL, stderr_path.read_text()
+        assert returncode == -signal.SIGKILL, stderr_path.read_text()
 
         # With one worker, jobs complete in submission order: every job but
         # the last was flushed before the kill; the last one's result died
         # with the supervisor.
+        trace = _trace()
         survived = CheckpointJournal(journal_path)
-        assert sorted(survived.keys()) == [f"job-{i}" for i in range(N_JOBS - 1)]
+        assert sorted(survived.keys()) == sorted(
+            _key(trace, i) for i in range(N_JOBS - 1)
+        )
         assert survived.dropped_lines == 0  # each line was flushed whole
 
         # Exact resume: only the lost job is recomputed.
-        trace = _trace()
         resumed = EvaluationRuntime(
             pool=PoolConfig(max_workers=1, timeout_s=120), journal=journal_path
         )
-        out = resumed.evaluate_many(_requests(trace))
+        out = resumed.evaluate(_requests(trace))
         assert resumed.counters.journal_hits == N_JOBS - 1
         assert resumed.counters.simulations == 1
-        assert resumed.last_sources[f"job-{N_JOBS - 1}"] == "simulated"
+        assert [o.source for o in out] == ["journal"] * (N_JOBS - 1) + ["simulated"]
 
         # And the recomputed batch is bit-identical to a clean direct run.
-        clean = EvaluationRuntime().evaluate_many(_requests(trace))
-        for key in clean:
-            assert out[key].to_dict() == clean[key].to_dict(), key
+        clean = EvaluationRuntime().evaluate(_requests(trace))
+        for a, b in zip(out, clean):
+            assert a.result().to_dict() == b.result().to_dict(), a.key
 
 
 def _kill_worker_once(marker_path, config, trace, seed):
@@ -183,7 +224,8 @@ class TestWorkerDeathMidJob:
 
         def checkpoint(result):
             if result.ok:
-                journal.put(result.key, result.value.to_dict())
+                seed = 0 if result.key == "victim" else 1
+                journal.put(_key(trace, seed), result.value.to_dict())
 
         results = pool.run(jobs, on_result=checkpoint)
         assert results["victim"].ok and results["bystander"].ok
@@ -193,24 +235,15 @@ class TestWorkerDeathMidJob:
         # Exactly one journal line per job — the crashed attempt did not
         # checkpoint anything, the retry checkpointed once.
         reloaded = CheckpointJournal(journal.path)
-        assert sorted(reloaded.keys()) == ["bystander", "victim"]
+        assert sorted(reloaded.keys()) == sorted([_key(trace, 0), _key(trace, 1)])
         lines = [ln for ln in journal.path.read_text().splitlines() if ln]
         assert len(lines) == 2
 
         # A resumed runtime replays both from the journal: zero simulations.
+        requests = _requests(trace)[:2]
         resumed = EvaluationRuntime(journal=journal.path)
-        out = resumed.evaluate_many([
-            EvaluationRequest(key="victim", config=MachineConfig(),
-                              trace=trace, seed=0),
-            EvaluationRequest(key="bystander", config=MachineConfig(),
-                              trace=trace, seed=1),
-        ])
+        out = resumed.evaluate(requests)
         assert resumed.counters.simulations == 0
-        clean = EvaluationRuntime().evaluate_many([
-            EvaluationRequest(key="victim", config=MachineConfig(),
-                              trace=trace, seed=0),
-            EvaluationRequest(key="bystander", config=MachineConfig(),
-                              trace=trace, seed=1),
-        ])
-        for key in clean:
-            assert out[key].to_dict() == clean[key].to_dict(), key
+        clean = EvaluationRuntime().evaluate(requests)
+        for a, b in zip(out, clean):
+            assert a.result().to_dict() == b.result().to_dict(), a.key

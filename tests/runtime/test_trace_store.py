@@ -98,7 +98,7 @@ class TestRuntimeIntegration:
     def test_inline_runtime_registers_parent_side(self):
         t = _trace()
         rt = EvaluationRuntime(pool=PoolConfig(max_workers=0))
-        rt.evaluate(EvaluationRequest(key="k", config=MachineConfig(), trace=t))
+        rt.evaluate([EvaluationRequest(config=MachineConfig(), trace=t)])
         assert trace_store.is_registered(t.content_digest())
         assert rt.counters.simulations == 1
 
@@ -108,11 +108,11 @@ class TestRuntimeIntegration:
         if rt._pool.effective_start_method() != "fork":
             pytest.skip("platform has no fork start method")
         reqs = [
-            EvaluationRequest(key=f"k{i}", config=MachineConfig(), trace=t, seed=i)
+            EvaluationRequest(config=MachineConfig(), trace=t, seed=i)
             for i in range(3)
         ]
-        out = rt.evaluate_many(reqs)
-        assert len(out) == 3
+        out = rt.evaluate(reqs)
+        assert all(outcome.ok for outcome in out)
         assert rt.counters.simulations == 3
         # Fork inherits the parent store: no per-worker setup shipping.
         assert rt._pool.worker_setup == []
@@ -122,10 +122,8 @@ class TestRuntimeIntegration:
         rt = EvaluationRuntime(
             pool=PoolConfig(max_workers=1, start_method="spawn")
         )
-        out = rt.evaluate(
-            EvaluationRequest(key="k", config=MachineConfig(), trace=t)
-        )
-        assert out.to_dict() == _simulate_job(
+        [out] = rt.evaluate([EvaluationRequest(config=MachineConfig(), trace=t)])
+        assert out.result().to_dict() == _simulate_job(
             MachineConfig(), t, 0, True, None, "k"
         ).to_dict()
         # The spawn path populated the setup list for worker construction.

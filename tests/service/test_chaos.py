@@ -3,7 +3,7 @@
 import asyncio
 
 from repro.runtime.errors import WorkerCrashed
-from repro.runtime.evalcache import EvaluationCache, evaluation_cache_key
+from repro.runtime.evalcache import EvaluationCache
 from repro.runtime.evaluate import EvaluationRequest, EvaluationRuntime
 from repro.runtime.journal import CheckpointJournal
 from repro.runtime.pool import PoolConfig, RetryPolicy
@@ -22,12 +22,13 @@ def _trace(n=200, seed=17):
 
 def _requests(trace, n):
     return [
-        EvaluationRequest(
-            key=evaluation_cache_key(trace, MachineConfig(), i, True),
-            config=MachineConfig(), trace=trace, seed=i,
-        )
+        EvaluationRequest(config=MachineConfig(), trace=trace, seed=i)
         for i in range(n)
     ]
+
+
+def _dicts(runtime, requests):
+    return [outcome.result().to_dict() for outcome in runtime.evaluate(requests)]
 
 
 class TestWorkerChaos:
@@ -39,10 +40,7 @@ class TestWorkerChaos:
         )
         clean = EvaluationRuntime(pool=PoolConfig(max_workers=0))
         reqs = _requests(trace, 2)
-        a = chaotic.evaluate_many(reqs)
-        b = clean.evaluate_many(reqs)
-        for key in b:
-            assert a[key].to_dict() == b[key].to_dict()
+        assert _dicts(chaotic, reqs) == _dicts(clean, reqs)
 
     def test_certain_crash_exhausts_retries_with_taxonomy(self):
         trace = _trace(120)
@@ -52,8 +50,7 @@ class TestWorkerChaos:
                                               backoff_base=0.01)),
             job_fn=make_chaos_job_fn(ChaosConfig(crash_rate=1.0, seed=3)),
         )
-        outcomes = runtime.evaluate_many_detailed(_requests(trace, 1))
-        (outcome,) = outcomes.values()
+        (outcome,) = runtime.evaluate(_requests(trace, 1))
         assert not outcome.ok
         assert isinstance(outcome.error, WorkerCrashed)
         assert outcome.crashes == 2  # initial attempt + one retry
@@ -68,14 +65,12 @@ class TestWorkerChaos:
                                               backoff_base=0.01)),
             job_fn=make_chaos_job_fn(ChaosConfig(crash_rate=0.4, seed=2)),
         )
-        survived = chaotic.evaluate_many(reqs)
+        survived = _dicts(chaotic, reqs)
         # The seeded draws must actually kill at least one worker — a chaos
         # test that injects nothing proves nothing.
         assert chaotic.counters.worker_restarts >= 1
         clean = EvaluationRuntime(pool=PoolConfig(max_workers=0))
-        baseline = clean.evaluate_many(reqs)
-        for key in baseline:
-            assert survived[key].to_dict() == baseline[key].to_dict()
+        assert survived == _dicts(clean, reqs)
 
 
 class TestStoreChaos:
@@ -84,7 +79,7 @@ class TestStoreChaos:
         cache = EvaluationCache(tmp_path / "c")
         runtime = EvaluationRuntime(pool=PoolConfig(max_workers=0), cache=cache)
         reqs = _requests(trace, 2)
-        baseline = runtime.evaluate_many(reqs)
+        baseline = _dicts(runtime, reqs)
         chaos = StoreChaos(
             ChaosConfig(cache_corrupt_rate=1.0, seed=5), cache=cache
         )
@@ -95,12 +90,11 @@ class TestStoreChaos:
         recovered_rt = EvaluationRuntime(
             pool=PoolConfig(max_workers=0), cache=EvaluationCache(tmp_path / "c")
         )
-        recovered = recovered_rt.evaluate_many(reqs)
+        recovered = _dicts(recovered_rt, reqs)
         assert recovered_rt.cache.quarantined == 1
         assert recovered_rt.counters.simulations == 1
         assert recovered_rt.counters.cache_hits == 1
-        for key in baseline:
-            assert recovered[key].to_dict() == baseline[key].to_dict()
+        assert recovered == baseline
 
     def test_journal_truncation_drops_only_the_tail(self, tmp_path):
         journal = CheckpointJournal(tmp_path / "j.jsonl")
@@ -181,10 +175,9 @@ class TestServiceUnderWorkerChaos:
             from repro.sim.params import table1_config
 
             for i, reply in enumerate(replies):
-                direct = EvaluationRuntime().evaluate(EvaluationRequest(
-                    key="direct", config=table1_config("A"), trace=trace,
-                    seed=i,
-                ))
-                assert reply["stats"] == direct.to_dict()
+                direct = _dicts(EvaluationRuntime(), [EvaluationRequest(
+                    config=table1_config("A"), trace=trace, seed=i,
+                )])
+                assert [reply["stats"]] == direct
 
         asyncio.run(main())

@@ -7,7 +7,6 @@ with ``asyncio.run``.
 import asyncio
 
 from repro.runtime.errors import WorkerCrashed
-from repro.runtime.evalcache import evaluation_cache_key
 from repro.runtime.evaluate import EvaluationRequest, EvaluationRuntime, _simulate_job
 from repro.runtime.pool import PoolConfig, RetryPolicy
 from repro.service.admission import AdmissionConfig
@@ -28,10 +27,7 @@ def _trace(n=200, seed=7):
 
 def _record(job_id, trace, *, client="c1", seed=0):
     config = MachineConfig()
-    request = EvaluationRequest(
-        key=evaluation_cache_key(trace, config, seed, True),
-        config=config, trace=trace, seed=seed,
-    )
+    request = EvaluationRequest(config=config, trace=trace, seed=seed)
     return JobRecord(job_id=job_id, client=client, request=request)
 
 

@@ -70,11 +70,10 @@ class TestEndToEnd:
             for i, label in enumerate(["A", "B", "C"]):
                 reply = replies[label]
                 assert reply["status"] == JobStatus.DONE
-                direct = EvaluationRuntime().evaluate(EvaluationRequest(
-                    key="direct", config=table1_config(label),
-                    trace=trace, seed=i,
-                ))
-                assert reply["stats"] == direct.to_dict(), label
+                [direct] = EvaluationRuntime().evaluate([EvaluationRequest(
+                    config=table1_config(label), trace=trace, seed=i,
+                )])
+                assert reply["stats"] == direct.result().to_dict(), label
 
         asyncio.run(main())
 
@@ -250,11 +249,10 @@ class TestDisconnectAndDrain:
                 ) as second:
                     reply = await second.wait("orphan", timeout_s=60)
                     assert reply["status"] == JobStatus.DONE
-                    direct = EvaluationRuntime().evaluate(EvaluationRequest(
-                        key="direct", config=table1_config("B"),
-                        trace=trace, seed=3,
-                    ))
-                    assert reply["stats"] == direct.to_dict()
+                    [direct] = EvaluationRuntime().evaluate([EvaluationRequest(
+                        config=table1_config("B"), trace=trace, seed=3,
+                    )])
+                    assert reply["stats"] == direct.result().to_dict()
 
         asyncio.run(main())
 

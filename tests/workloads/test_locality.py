@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from repro.workloads.locality import (
     LocalityProfile,
-    ReuseHistogram,
     profile_trace,
     reuse_histogram,
 )
@@ -127,15 +126,6 @@ class TestWarmConvention:
 
 
 class TestHistogramPlumbing:
-    def test_round_trip(self):
-        hist = reuse_histogram(_trace_from_lines([1, 2, 1, 3, 2, 1]))
-        again = ReuseHistogram.from_dict(hist.to_dict())
-        assert np.array_equal(hist.distances, again.distances)
-        assert np.array_equal(hist.counts, again.counts)
-        assert hist.trace_digest == again.trace_digest
-        for capacity in (0, 1, 2, 4, 100):
-            assert hist.miss_fraction(capacity) == again.miss_fraction(capacity)
-
     def test_line_bytes_must_be_power_of_two(self):
         trace = _trace_from_lines([1, 2, 3])
         with pytest.raises(ValueError):
@@ -160,10 +150,3 @@ class TestLocalityProfile:
         assert profile.dep_frac_mem == pytest.approx(2 / 6)
         assert profile.n_instructions == trace.n_instructions
         assert profile.trace_digest == trace.content_digest()
-
-    def test_round_trip(self):
-        profile = profile_trace(_trace_from_lines([5, 6, 5, 7, 6]))
-        again = LocalityProfile.from_dict(profile.to_dict())
-        assert again.f_mem == profile.f_mem
-        assert again.dep_frac_mem == profile.dep_frac_mem
-        assert np.array_equal(again.histogram.counts, profile.histogram.counts)
