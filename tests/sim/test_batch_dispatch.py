@@ -296,4 +296,4 @@ class TestDispatch:
     def test_engine_batch_still_refuses_ineligible_configs(self, width):
         configs = _core_grid()[:width] + _ineligible_twins()[:1]
         with pytest.raises(ConfigError, match="prefetch"):
-            simulate_and_measure_batch(configs, _trace(n=50), require_eligible=True)
+            sweep_configs(configs, _trace(n=50), engine="batch")
