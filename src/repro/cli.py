@@ -53,6 +53,7 @@ from __future__ import annotations
 import argparse
 import sys
 from collections.abc import Sequence
+from contextlib import nullcontext
 
 __all__ = ["main", "build_parser"]
 
@@ -367,7 +368,8 @@ def _cmd_walk(args: argparse.Namespace) -> int:
     )
     algo = LPMAlgorithm(delta_percent=args.delta, delta_slack_fraction=0.5,
                         max_steps=10)
-    result = algo.run(backend, allow_deprovision=not args.no_trim)
+    with runtime or nullcontext():
+        result = algo.run(backend, allow_deprovision=not args.no_trim)
     print(format_run_result(result))
     print(f"\nsimulations spent: {backend.log.evaluations}")
     if backend.log.predicted:
@@ -409,9 +411,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(f"engine: {args.engine} ({len(configs)} configs: "
               f"{len(plan.kernel)} kernel lanes, {len(plan.scalar)} scalar, "
               f"{len(plan.ineligible)} ineligible)")
-    result = sweep_configs(configs, trace, seed=0, runtime=runtime,
-                           engine=args.engine, fidelity=args.fidelity,
-                           top_k=args.top_k, margin=args.margin)
+    with runtime or nullcontext():
+        result = sweep_configs(configs, trace, seed=0, runtime=runtime,
+                               engine=args.engine, fidelity=args.fidelity,
+                               top_k=args.top_k, margin=args.margin)
     rows = [
         (label, st.apc1, st.apc2, st.mr1_conventional, st.ipc)
         for label, st in zip(result.labels, result.stats)
@@ -454,10 +457,11 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
             pool=PoolConfig(max_workers=args.workers), journal=args.journal,
             cache=args.eval_cache,
         )
-    db = profile_benchmarks(
-        machine, [get_benchmark(n) for n in SELECTED_16],
-        n_mem=args.accesses, seed=args.seed, runtime=runtime,
-    )
+    with runtime or nullcontext():
+        db = profile_benchmarks(
+            machine, [get_benchmark(n) for n in SELECTED_16],
+            n_mem=args.accesses, seed=args.seed, runtime=runtime,
+        )
     if runtime is not None and runtime.counters.journal_hits:
         print(f"resumed {runtime.counters.journal_hits} profiles from "
               f"{args.journal} ({runtime.counters.simulations} simulated)")
@@ -735,7 +739,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
 
-    asyncio.run(serve())
+    with runtime:
+        asyncio.run(serve())
     return 0
 
 

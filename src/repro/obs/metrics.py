@@ -228,7 +228,7 @@ def metrics_enabled() -> bool:
 def set_metrics_enabled(enabled: bool) -> None:
     """Turn metric collection on or off globally."""
     global _enabled
-    _enabled = bool(enabled)
+    _enabled = bool(enabled)  # repro: noqa[RACE001] -- per-process switch: a pool worker sets only its own copy, mirroring the supervisor's value that every job message carries (pool._sync_metrics)
 
 
 # -- reporters --------------------------------------------------------------

@@ -19,19 +19,27 @@ journaled, so an interrupted exploration or profiling run resumes without
 re-simulating finished design points; the ``counters`` attribute reports
 exactly how much work was real versus recovered.
 
-Two further layers keep repeated work cheap:
+Further layers keep repeated work cheap:
 
 * **Worker-resident traces** — traces are registered once per process in
   :mod:`repro.runtime.trace_store` and job payloads carry the content
   digest, so per-job pickle size no longer scales with trace length.
+* **Perfect-pass memo** — pool workers live as long as the runtime, and
+  each keeps a :class:`~repro.sim.stats.PerfectPassMemo` for its lifetime
+  (inline runs share one owned by the runtime), so a perfect-L1 CPI_exe
+  pass an earlier job already ran is not run again.
 * **Persistent evaluation cache** — an optional
   :class:`~repro.runtime.evalcache.EvaluationCache` (``cache=`` kwarg)
   recalls measurements across runs and processes.
+
+:meth:`EvaluationRuntime.close` (or a ``with`` block) stops the workers;
+an un-closed runtime stops them when it is garbage-collected.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -43,12 +51,17 @@ from repro.runtime.faults import FaultConfig, FaultInjector
 from repro.runtime.guards import ensure_finite_stats
 from repro.runtime.journal import CheckpointJournal
 from repro.runtime.pool import EvaluationPool, Job, PoolConfig
+from repro.sim.stats import (
+    HierarchyStats,
+    PerfectPassMemo,
+    simulate_and_measure,
+    simulate_and_measure_batch,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from collections.abc import Callable
 
     from repro.sim.params import MachineConfig
-    from repro.sim.stats import HierarchyStats
     from repro.workloads.trace import Trace
 
 __all__ = [
@@ -125,6 +138,7 @@ def _simulate_job(
     faults: "FaultConfig | None",
     fault_label: str,
     _attempt: int = 1,
+    _state: "PerfectPassMemo | None" = None,
 ) -> "HierarchyStats":
     """Worker-side job body: simulate, (optionally) inject faults, validate.
 
@@ -134,13 +148,15 @@ def _simulate_job(
     The fault injector is seeded per ``(job, attempt)``, so a retry of a
     corrupted measurement draws fresh randomness while the clean
     measurement itself stays bit-identical (the simulator is deterministic
-    under its seed).
+    under its seed).  *_state* is the pool's per-process perfect-pass memo.
     """
-    from repro.sim.stats import simulate_and_measure
-
     if isinstance(trace, str):
         trace = trace_store.resolve(trace)
     fn = simulate_and_measure
+    if _state is not None:
+        # Bound before fault injection, so a truncated trace is looked up
+        # under its own digest.
+        fn = partial(simulate_and_measure, memo=_state)
     if faults is not None and faults.total_rate > 0.0:
         fn = FaultInjector(faults, fault_label, _attempt).wrap_simulate(fn)
     _, stats = fn(config, trace, seed=seed, warm=warm)
@@ -153,19 +169,18 @@ def _simulate_batch_job(
     trace: "Trace | str",
     seed: int,
     warm: bool,
+    _state: "PerfectPassMemo | None" = None,
 ) -> "list[HierarchyStats]":
     """Worker-side batch job body: one :func:`simulate_and_measure_batch`.
 
-    Module-level so it pickles across process boundaries; *trace* follows
-    the :func:`_simulate_job` digest convention.  The batch's dispatch plan
-    decides kernel or scalar per config and shares the perfect-L1 pass, so
-    the caller never has to split the batch itself.
+    Module-level so it pickles across process boundaries; *trace* and
+    *_state* follow the :func:`_simulate_job` conventions.  The batch's
+    dispatch plan decides kernel or scalar per config and shares the
+    perfect-L1 pass, so the caller never has to split the batch itself.
     """
-    from repro.sim.stats import simulate_and_measure_batch
-
     if isinstance(trace, str):
         trace = trace_store.resolve(trace)
-    pairs = simulate_and_measure_batch(configs, trace, seed=seed, warm=warm)
+    pairs = simulate_and_measure_batch(configs, trace, seed=seed, warm=warm, memo=_state)
     stats_list = []
     for _, stats in pairs:
         ensure_finite_stats(stats, expected_instructions=trace.n_instructions)
@@ -200,7 +215,19 @@ class EvaluationRuntime:
         #: without touching the journal/cache layering above it.
         self.job_fn = job_fn
         self.counters = RuntimeCounters()
-        self._pool = EvaluationPool(self.pool_config)
+        self._pool = EvaluationPool(self.pool_config, worker_state=PerfectPassMemo)
+        #: Trace digests already added to the pool's worker setup.
+        self._shipped: "set[str]" = set()
+
+    def close(self) -> None:
+        """Stop the pool's workers (idempotent; a later call restarts them)."""
+        self._pool.close()
+
+    def __enter__(self) -> "EvaluationRuntime":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close()
 
     def evaluate(
         self, requests: "list[EvaluationRequest]", *, isolate: bool = False
@@ -221,8 +248,6 @@ class EvaluationRuntime:
         and retry budget.  Results are bit-identical either way.  Failures
         stay per-request: :meth:`EvalOutcome.result` raises them.
         """
-        from repro.sim.stats import HierarchyStats
-
         keys = [
             evaluation_cache_key(req.trace, req.config, req.seed, req.warm)
             for req in requests
@@ -270,18 +295,15 @@ class EvaluationRuntime:
     ) -> None:
         """Run the journal/cache misses in *todo* on the pool."""
         # Ship each distinct trace once per process, not once per job:
-        # register parent-side (covers inline execution and fork workers,
-        # which inherit the store) and, under spawn, once per worker via
-        # the pool's setup messages.
+        # register parent-side (covers inline execution and workers forked
+        # later, which inherit the store) and add it to the pool's worker
+        # setup, which reaches each live worker once.
         traces = {req.trace.content_digest(): req.trace for req in todo.values()}
         for digest, trace in traces.items():
             trace_store.register(trace, digest)
-        self._pool.worker_setup = (
-            [(trace_store.register, (trace, digest))
-             for digest, trace in traces.items()]
-            if self._pool.effective_start_method() == "spawn"
-            else []
-        )
+            if digest not in self._shipped and self._pool.effective_start_method():
+                self._pool.worker_setup.append((trace_store.register, (trace, digest)))
+                self._shipped.add(digest)
 
         chaos = self.faults is not None or self.job_fn is not None
         jobs: "list[Job]" = []
@@ -295,6 +317,7 @@ class EvaluationRuntime:
                     args=(req.config, req.trace.content_digest(), req.seed,
                           req.warm, self.faults, key),
                     pass_attempt=chaos,
+                    pass_state=self.job_fn is None,
                 ))
                 members[key] = [key]
         else:
@@ -308,6 +331,7 @@ class EvaluationRuntime:
                     key=job_key,
                     fn=_simulate_batch_job,
                     args=([todo[k].config for k in group_keys], digest, seed, warm),
+                    pass_state=True,
                 ))
                 members[job_key] = group_keys
 

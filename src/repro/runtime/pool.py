@@ -17,6 +17,16 @@ of picklable jobs across worker processes under supervision:
   :class:`~repro.runtime.errors.WorkerCrashed` failure, and a fresh worker
   takes its slot.
 
+**Worker lifetime.**  Workers are started lazily by the first supervised
+:meth:`~EvaluationPool.run` (never at construction) and then live as long
+as the pool: later calls reuse them, so a caller issuing many small
+batches pays one process start, not one per batch.  A worker killed for a
+crash or a timeout is replaced by a fresh process, which starts with empty
+per-process state.  :meth:`~EvaluationPool.close` stops the workers; so
+does garbage collection of the pool and interpreter exit.  One ``run()``
+at a time owns the live workers: a caller that arrives while another call
+still runs (another thread) gets workers of its own for that call only.
+
 ``max_workers=0`` selects the *inline* mode: same retry/backoff semantics,
 executed in-process with no pickling or process overhead (timeouts are not
 enforceable inline and are ignored).  This is the default, so library code
@@ -29,7 +39,9 @@ from __future__ import annotations
 import heapq
 import random
 import signal
+import threading
 import time
+import weakref
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from multiprocessing import connection as mp_connection
@@ -45,9 +57,9 @@ __all__ = ["RetryPolicy", "PoolConfig", "Job", "JobResult", "EvaluationPool"]
 
 #: Sentinel job key marking a fire-and-forget worker setup message: the
 #: worker runs the callable and sends no reply (so setup never occupies the
-#: supervisor's result accounting).  Sent to every worker right after it
-#: starts — including crash replacements — before any job can reach it
-#: (the pipe is FIFO).
+#: supervisor's result accounting).  Each entry of
+#: :attr:`EvaluationPool.worker_setup` reaches each worker once, ahead of
+#: the next job assigned to it (the pipe is FIFO).
 _SETUP_KEY = "__pool_worker_setup__"
 
 
@@ -105,6 +117,10 @@ class Job:
     #: stochastic stages (e.g. fault injection) draw fresh randomness per
     #: retry instead of failing identically forever.
     pass_attempt: bool = False
+    #: When set, the pool passes ``_state=<obj>``: the object the pool's
+    #: ``worker_state`` factory built for the process running the attempt
+    #: (one per worker, for the worker's lifetime; one per pool inline).
+    pass_state: bool = False
 
 
 @dataclass
@@ -173,9 +189,25 @@ def _worker_snapshot() -> "dict | None":
     return registry.snapshot_and_reset()
 
 
-def _worker_main(conn) -> None:
-    """Worker loop: receive ``(key, fn, args, kwargs)``, send
-    ``(kind, payload, metrics_snapshot)``."""
+def _sync_metrics(enabled: bool) -> None:
+    """Follow the supervisor's metrics switch inside a worker.
+
+    A worker outlives the call that started it, so the switch it inherited
+    (or defaulted to) may be stale: every job message carries the
+    supervisor's current value.  Turning metrics on starts the worker's
+    registry from the merge identity, so shipped snapshots count each
+    attempt once.
+    """
+    if enabled == obs_metrics.metrics_enabled():
+        return
+    obs_metrics.set_metrics_enabled(enabled)
+    if enabled:
+        obs_metrics.get_registry().reset()
+
+
+def _worker_main(conn, state_factory: "Callable[[], object] | None") -> None:
+    """Worker loop: receive ``(key, fn, args, kwargs, pass_state,
+    metrics_on)``, send ``(kind, payload, metrics_snapshot)``."""
     # A terminal Ctrl-C delivers SIGINT to the whole foreground process
     # group; leave interrupt handling (and worker teardown) to the
     # supervisor rather than spraying one traceback per worker.
@@ -184,6 +216,7 @@ def _worker_main(conn) -> None:
     # from the merge identity so shipped snapshots count each attempt once.
     if obs_metrics.metrics_enabled():
         obs_metrics.get_registry().reset()
+    state = state_factory() if state_factory is not None else None
     while True:
         try:
             msg = conn.recv()
@@ -191,7 +224,7 @@ def _worker_main(conn) -> None:
             return
         if msg is None:
             return
-        key, fn, args, kwargs = msg
+        key, fn, args, kwargs, pass_state, metrics_on = msg
         if key == _SETUP_KEY:
             # Fire-and-forget setup (e.g. trace-store registration); a
             # failure here surfaces later as job errors, which the
@@ -201,6 +234,9 @@ def _worker_main(conn) -> None:
             except Exception:  # repro: noqa[ERR001] -- no reply channel for setup; dependent jobs fail loudly instead
                 pass
             continue
+        _sync_metrics(metrics_on)
+        if pass_state:
+            kwargs["_state"] = state
         try:
             with obs_trace.span("pool.attempt", key=key):
                 payload = ("ok", fn(*args, **kwargs), _worker_snapshot())
@@ -220,22 +256,41 @@ def _worker_main(conn) -> None:
 class _Worker:
     """One supervised worker process with a private duplex pipe."""
 
-    __slots__ = ("proc", "conn", "state", "deadline")
+    __slots__ = ("proc", "conn", "state", "deadline", "shipped")
 
-    def __init__(self, ctx, setup: "Sequence[tuple[Callable, tuple]]" = ()) -> None:
+    def __init__(
+        self,
+        ctx,
+        setup: "list[tuple[Callable, tuple]]",
+        state_factory: "Callable[[], object] | None",
+    ) -> None:
         self.conn, child = ctx.Pipe(duplex=True)
-        self.proc = ctx.Process(target=_worker_main, args=(child,), daemon=True)
+        self.proc = ctx.Process(
+            target=_worker_main, args=(child, state_factory), daemon=True
+        )
         self.proc.start()
         child.close()
         self.state: "_JobState | None" = None
         self.deadline: "float | None" = None
-        for fn, args in setup:
-            self.conn.send((_SETUP_KEY, fn, args, {}))
+        #: How many leading :attr:`EvaluationPool.worker_setup` entries this
+        #: worker already has.  A forked child inherits every entry added
+        #: before it started (the caller applied each one in this process
+        #: first); a spawned child inherits none.
+        self.shipped = len(setup) if ctx.get_start_method() == "fork" else 0
+
+    def ship(self, setup: "list[tuple[Callable, tuple]]") -> int:
+        """Send the setup entries this worker lacks; returns how many."""
+        pending = setup[self.shipped:]
+        for fn, args in pending:
+            self.conn.send((_SETUP_KEY, fn, args, {}, False, False))
+        self.shipped += len(pending)
+        return len(pending)
 
     def assign(self, state: _JobState, timeout_s: "float | None") -> None:
-        self.conn.send(
-            (state.job.key, state.job.fn, state.job.args, state.attempt_kwargs())
-        )
+        self.conn.send((
+            state.job.key, state.job.fn, state.job.args, state.attempt_kwargs(),
+            state.job.pass_state, obs_metrics.metrics_enabled(),
+        ))
         self.state = state
         self.deadline = (time.monotonic() + timeout_s) if timeout_s else None
 
@@ -258,26 +313,98 @@ class _Worker:
         self.conn.close()
 
 
+def _stop_workers(workers: "list[_Worker]") -> None:
+    """Stop every worker in *workers* (killing any mid-job) and empty it.
+
+    A plain function over the list, not a method, so the pool's
+    garbage-collection finalizer holds no reference to the pool itself.
+    """
+    while workers:
+        worker = workers.pop()
+        worker.stop(kill=worker.state is not None)
+
+
 class EvaluationPool:
     """Run a batch of :class:`Job`\\ s under the configured supervision.
 
-    Counters (``retries``, ``timeouts``, ``worker_restarts``) accumulate
-    across :meth:`run` calls on the same pool instance, so a caller issuing
-    several batches can report one totals line at the end.
+    Counters (``retries``, ``timeouts``, ``worker_starts``,
+    ``worker_restarts``) accumulate across :meth:`run` calls on the same
+    pool instance, so a caller issuing several batches can report one
+    totals line at the end.
+
+    *worker_state* is an optional zero-argument factory (picklable under
+    ``spawn``) for per-process state that outlives single jobs, such as a
+    memo: each worker calls it once when it starts, inline mode calls it
+    once per pool, and jobs with ``pass_state=True`` receive the result as
+    ``_state=``.
     """
 
-    def __init__(self, config: "PoolConfig | None" = None) -> None:
+    def __init__(
+        self,
+        config: "PoolConfig | None" = None,
+        *,
+        worker_state: "Callable[[], object] | None" = None,
+    ) -> None:
         self.config = config if config is not None else PoolConfig()
         self.retries = 0
         self.timeouts = 0
+        self.worker_starts = 0
         self.worker_restarts = 0
-        #: ``(fn, args)`` pairs sent to every worker as fire-and-forget
-        #: setup messages right after it starts (crash replacements
-        #: included).  Callers use this to make per-process state — e.g.
-        #: the trace store — resident once per worker instead of once per
-        #: job.  Only needed under ``spawn``; forked workers inherit the
-        #: parent's process state (see :meth:`effective_start_method`).
+        #: Setup messages sent to workers (each entry once per worker).
+        self.setup_sent = 0
+        #: Append-only ``(fn, args)`` entries each worker runs once, as
+        #: fire-and-forget setup messages ahead of its next job — crash
+        #: replacements and workers started before an entry was added
+        #: included.  Callers use this to make per-process state (the
+        #: trace store) resident once per worker instead of once per job.
+        #: Apply each entry in this process before adding it: a worker
+        #: forked afterwards inherits it and is not sent it.
         self.worker_setup: "list[tuple[Callable, tuple]]" = []
+        self._worker_state = worker_state
+        self._inline_state: object = None
+        #: The live workers, reused by every run() that owns the pool.
+        self._workers: "list[_Worker]" = []
+        self._lock = threading.Lock()
+        self._running = False
+        self._close_pending = False
+        # Stops the workers when the pool is garbage-collected or the
+        # interpreter exits, for callers that never call close().
+        weakref.finalize(self, _stop_workers, self._workers)
+
+    # -- lifecycle ----------------------------------------------------------
+    def close(self) -> None:
+        """Stop the live workers (idempotent).
+
+        A :meth:`run` in progress on another thread keeps its workers
+        until it returns and stops them then.  The pool stays usable: a
+        later run starts fresh workers.
+        """
+        with self._lock:
+            if self._running:
+                self._close_pending = True
+            else:
+                _stop_workers(self._workers)
+
+    def __enter__(self) -> "EvaluationPool":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close()
+
+    def _claim(self) -> bool:
+        """Take ownership of the live workers for one run, if free."""
+        with self._lock:
+            if self._running:
+                return False
+            self._running = True
+            return True
+
+    def _unclaim(self) -> None:
+        with self._lock:
+            if self._close_pending:
+                _stop_workers(self._workers)
+                self._close_pending = False
+            self._running = False
 
     # -- public API ---------------------------------------------------------
     def run(
@@ -290,11 +417,15 @@ class EvaluationPool:
         """Execute *jobs*; returns ``{key: JobResult}``.
 
         ``on_error="raise"`` re-raises the last error of the first job that
-        exhausted its retries (after all workers shut down cleanly);
+        exhausted its retries (once every job is terminal);
         ``on_error="keep"`` returns failed jobs with ``result.error`` set.
         ``on_result`` is invoked the moment each job reaches a terminal
         result (success or final failure) — callers use it to checkpoint
         completed work before the batch as a whole finishes.
+
+        Safe to call from several threads at once: the first caller owns
+        the live workers (and the inline state), and a caller that arrives
+        while it runs gets its own for the duration of its call.
         """
         if on_error not in ("raise", "keep"):
             raise ConfigError(f"on_error must be 'raise' or 'keep', got {on_error!r}")
@@ -307,10 +438,21 @@ class EvaluationPool:
             _JobState(job, random.Random(derive_seed(self.config.seed, "backoff", job.key)))
             for job in jobs
         ]
-        if self.config.max_workers <= 0:
-            results = self._run_inline(states, on_result)
-        else:
-            results = self._run_supervised(states, on_result)
+        owner = self._claim()
+        try:
+            if self.config.max_workers <= 0:
+                results = self._run_inline(states, on_result, owner)
+            elif owner:
+                results = self._run_supervised(states, on_result, self._workers)
+            else:
+                workers: "list[_Worker]" = []
+                try:
+                    results = self._run_supervised(states, on_result, workers)
+                finally:
+                    _stop_workers(workers)
+        finally:
+            if owner:
+                self._unclaim()
         if on_error == "raise":
             for state in states:  # deterministic order: first submitted first
                 result = results[state.job.key]
@@ -354,16 +496,25 @@ class EvaluationPool:
         self,
         states: "list[_JobState]",
         on_result: "Callable[[JobResult], None] | None",
+        owner: bool,
     ) -> dict[str, JobResult]:
         results: dict[str, JobResult] = {}
         policy = self.config.retry
+        shared = None
+        if self._worker_state is not None:
+            if owner and self._inline_state is None:
+                self._inline_state = self._worker_state()
+            shared = self._inline_state if owner else self._worker_state()
         for state in states:
             while True:
+                kwargs = state.attempt_kwargs()
+                if state.job.pass_state:
+                    kwargs["_state"] = shared
                 try:
                     with obs_trace.span(
                         "pool.attempt", key=state.job.key, attempt=state.failures + 1
                     ):
-                        value = state.job.fn(*state.job.args, **state.attempt_kwargs())
+                        value = state.job.fn(*state.job.args, **kwargs)
                 except Exception as exc:  # repro: noqa[ERR001] -- supervision boundary: the error becomes the job's typed result (or is re-raised by run()); KeyboardInterrupt still propagates
                     state.failures += 1
                     state.last_error = exc
@@ -395,9 +546,10 @@ class EvaluationPool:
     def effective_start_method(self) -> "str | None":
         """The start method supervised workers will use (None when inline).
 
-        Callers deciding whether to ship :attr:`worker_setup` payloads can
-        skip them for ``fork`` (children inherit parent process state) and
-        inline mode (jobs run in the registering process).
+        Callers can skip :attr:`worker_setup` entries for inline pools,
+        whose jobs run in the registering process.  Every supervised pool
+        needs them, ``fork`` included: a worker lives across calls, so it
+        may have started before the state an entry sets up existed.
         """
         if self.config.max_workers <= 0:
             return None
@@ -439,15 +591,35 @@ class EvaluationPool:
         seq[0] += 1
         heapq.heappush(ready_heap, (now + delay, seq[0], state))
 
+    def _start_worker(self, ctx) -> _Worker:
+        return _Worker(ctx, self.worker_setup, self._worker_state)
+
+    def _replace(self, workers: "list[_Worker]", i: int, ctx) -> None:
+        """Kill ``workers[i]`` and put a fresh process in its slot."""
+        workers[i].stop(kill=True)
+        workers[i] = self._start_worker(ctx)
+        self.worker_restarts += 1
+
     def _run_supervised(
         self,
         states: "list[_JobState]",
         on_result: "Callable[[JobResult], None] | None",
+        workers: "list[_Worker]",
     ) -> dict[str, JobResult]:
+        """Supervise *states* on *workers*, starting any that are missing.
+
+        *workers* outlives the call: idle workers stay alive for the next
+        run, and only a worker still mid-job when the loop exits (an
+        exception escaped, e.g. ``KeyboardInterrupt``) is killed.
+        """
         ctx = get_context(self._start_method())
-        n_workers = min(self.config.max_workers, max(len(states), 1))
-        setup = tuple(self.worker_setup)
-        workers = [_Worker(ctx, setup) for _ in range(n_workers)]
+        while len(workers) < min(self.config.max_workers, len(states)):
+            workers.append(self._start_worker(ctx))
+            self.worker_starts += 1
+            if obs_metrics.metrics_enabled():
+                obs_metrics.get_registry().counter("pool.worker_starts").inc()
+            if obs_trace.tracing_enabled():
+                obs_trace.event("pool.worker_start", pid=workers[-1].proc.pid)
         results: dict[str, JobResult] = {}
         ready_heap: list = []
         seq = [0]
@@ -464,15 +636,18 @@ class EvaluationPool:
                         continue
                     if not ready_heap or ready_heap[0][0] > now:
                         break
+                    if not worker.proc.is_alive():
+                        # Died while idle: no job to charge, just a new slot.
+                        self._replace(workers, i, ctx)
+                        worker = workers[i]
                     _, _, state = heapq.heappop(ready_heap)
                     try:
+                        self.setup_sent += worker.ship(self.worker_setup)
                         worker.assign(state, self.config.timeout_s)
                     except (BrokenPipeError, OSError):
                         # Worker died between jobs; replace it and charge
                         # the attempt as a crash.
-                        worker.stop(kill=True)
-                        workers[i] = _Worker(ctx, setup)
-                        self.worker_restarts += 1
+                        self._replace(workers, i, ctx)
                         self._fail_attempt(
                             state,
                             WorkerCrashed(
@@ -527,9 +702,7 @@ class EvaluationPool:
                     if not worker.proc.is_alive():
                         state = worker.release()
                         exitcode = worker.proc.exitcode
-                        worker.stop(kill=True)
-                        workers[i] = _Worker(ctx, setup)
-                        self.worker_restarts += 1
+                        self._replace(workers, i, ctx)
                         self._fail_attempt(
                             state,
                             WorkerCrashed(
@@ -540,9 +713,7 @@ class EvaluationPool:
                         )
                     elif worker.deadline is not None and now >= worker.deadline:
                         state = worker.release()
-                        worker.stop(kill=True)
-                        workers[i] = _Worker(ctx, setup)
-                        self.worker_restarts += 1
+                        self._replace(workers, i, ctx)
                         self._fail_attempt(
                             state,
                             EvaluationTimeout(
@@ -553,6 +724,7 @@ class EvaluationPool:
                             now, ready_heap, seq, results, on_result,
                         )
         finally:
-            for worker in workers:
-                worker.stop(kill=worker.state is not None)
+            for worker in [w for w in workers if w.state is not None]:
+                workers.remove(worker)
+                worker.stop(kill=True)
         return results

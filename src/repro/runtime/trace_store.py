@@ -11,12 +11,14 @@ How the store is populated depends on the pool mode:
 
 * **inline** (``max_workers=0``) — jobs run in the registering process; the
   parent-side :func:`register` is all that is needed.
-* **fork workers** — children inherit the parent's store at ``fork()``;
-  registration in the parent before the batch covers every worker,
-  including crash replacements (which are forked fresh from the parent).
-* **spawn workers** — nothing is inherited, so the pool ships each trace
-  once per worker as a setup message (:attr:`EvaluationPool.worker_setup`)
-  that calls :func:`register` worker-side.
+* **workers** — pool workers live as long as their pool, so a worker may
+  have started before a trace was registered: parent-side registration
+  alone does not reach it, fork or not.  The runtime therefore also adds
+  each trace once to :attr:`EvaluationPool.worker_setup`, and the pool
+  sends it to each live worker once, as a setup message that calls
+  :func:`register` worker-side.  A worker forked after the entry was added
+  inherits the parent's store and is sent nothing; a spawned one is sent
+  every entry.
 
 The store is deliberately module-level (plain dict, no locking): each
 process has exactly one, worker processes are single-threaded, and the

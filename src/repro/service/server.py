@@ -117,10 +117,12 @@ class EvaluationServer:
         self.scheduler.start()
 
     async def stop(self) -> None:
-        """Drain the scheduler, answer waiters, close the socket."""
+        """Drain the scheduler, stop the runtime's workers, close the socket."""
         if self.scheduler is None:  # never started
             return
         await self.scheduler.drain(timeout_s=self.config.drain_timeout_s)
+        # Joining worker processes blocks; keep it off the event loop.
+        await asyncio.to_thread(self.runtime.close)
         if self._server is not None:
             self._server.close()
             try:

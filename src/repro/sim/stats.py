@@ -24,6 +24,7 @@ Measurement conventions (DESIGN.md section 5):
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import NamedTuple
@@ -32,6 +33,7 @@ from repro.core.analyzer import LayerMeasurement, measure_layer
 from repro.core.lpm import LPMRReport
 from repro.core.stall import StallModel
 from repro.lint.contracts import satisfies
+from repro.obs import metrics as obs_metrics
 from repro.sim.engine import (
     HierarchySimulator,
     SimulationResult,
@@ -45,7 +47,9 @@ __all__ = [
     "BATCH_MIN_LANES",
     "DispatchPlan",
     "HierarchyStats",
+    "PERFECT_MEMO_ENTRIES",
     "PERFECT_PASS_KNOBS",
+    "PerfectPassMemo",
     "dispatch_plan",
     "measure_hierarchy",
     "perfect_projection",
@@ -282,6 +286,60 @@ def perfect_projection(config: MachineConfig) -> tuple:
     return _perfect_knobs(config)
 
 
+#: Entries a :class:`PerfectPassMemo` keeps before evicting the least
+#: recently used one (a float and a short key each: well under 1 MB).
+PERFECT_MEMO_ENTRIES = 4096
+
+
+class PerfectPassMemo:
+    """Bounded memo of perfect-L1 CPI_exe values across calls.
+
+    Keyed on the content digest of the trace actually simulated and the
+    config's :func:`perfect_projection`.  Nothing else can move the
+    result: the pass never touches cache, DRAM or RNG state (every access
+    hits in ``l1_hit_time``), so neither the simulator seed nor warm-up is
+    part of the key, and a memo held in memory cannot outlive the code
+    that filled it.  ``tests/sim/test_batch_dispatch.py`` fails if the
+    pass starts reading anything outside the key.
+
+    A memo is an object its owner passes in explicitly — one per
+    evaluation runtime for inline runs, one per pool worker for the
+    worker's lifetime — never module state, so callers that pass none
+    (the default) hash and look up nothing.  Only batch-eligible configs
+    consult it; ineligible ones keep a perfect pass of their own.
+    """
+
+    def __init__(self) -> None:
+        self._cpis: "OrderedDict[tuple[str, tuple], float]" = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._cpis)
+
+    def recall(self, trace: Trace, projections: "list[tuple]") -> "dict[tuple, float]":
+        """The remembered CPI_exe of each of *projections* on *trace*."""
+        digest = trace.content_digest()
+        found: "dict[tuple, float]" = {}
+        for projection in projections:
+            key = (digest, projection)
+            cpi = self._cpis.get(key)
+            if cpi is not None:
+                self._cpis.move_to_end(key)
+                found[projection] = cpi
+        if obs_metrics.metrics_enabled():
+            reg = obs_metrics.get_registry()
+            reg.counter("sim.perfect_memo.hits").inc(len(found))
+            reg.counter("sim.perfect_memo.misses").inc(len(projections) - len(found))
+        return found
+
+    def remember(self, trace: Trace, cpis: "dict[tuple, float]") -> None:
+        """Store CPI_exe per projection for *trace*, evicting the oldest."""
+        digest = trace.content_digest()
+        for projection, cpi in cpis.items():
+            self._cpis[(digest, projection)] = cpi
+        while len(self._cpis) > PERFECT_MEMO_ENTRIES:
+            self._cpis.popitem(last=False)
+
+
 #: Narrowest group of batch-eligible configs that runs on the vectorized
 #: kernel; narrower groups take the scalar fast path.  The kernel's cost
 #: per instruction is nearly flat in the lane count, so it only wins once
@@ -341,16 +399,21 @@ def simulate_and_measure(
     *,
     seed: int = 0,
     warm: bool = True,
+    memo: "PerfectPassMemo | None" = None,
 ) -> tuple[SimulationResult, HierarchyStats]:
     """Convenience path: perfect run for CPI_exe, real run, analyzer pass.
 
     ``warm=True`` touches the trace's addresses functionally first, so the
     measured window reflects steady-state locality rather than cold-start
     compulsory misses (the paper samples long-running SPEC regions).
+    A *memo* serves the perfect pass of a batch-eligible config from an
+    earlier call; the result is bit-identical either way.
     """
-    return _measure_real(
-        config, trace, _perfect_cpi(config, trace, seed), seed=seed, warm=warm
-    )
+    if memo is not None and batch_eligible(config):
+        cpi = _shared_perfect_cpis([config], trace, seed, memo)[perfect_projection(config)]
+    else:
+        cpi = _perfect_cpi(config, trace, seed)
+    return _measure_real(config, trace, cpi, seed=seed, warm=warm)
 
 
 def simulate_and_measure_batch(
@@ -359,6 +422,7 @@ def simulate_and_measure_batch(
     *,
     seed: int = 0,
     warm: bool = True,
+    memo: "PerfectPassMemo | None" = None,
 ) -> "list[tuple[SimulationResult, HierarchyStats]]":
     """:func:`simulate_and_measure` for N configs sharing one trace.
 
@@ -366,33 +430,44 @@ def simulate_and_measure_batch(
     group of batch-eligible configs shares one vectorized kernel call,
     everything else takes the scalar engine.  Either way the perfect-L1
     pass runs once per distinct :func:`perfect_projection` among the
-    eligible configs; ineligible configs keep a perfect pass of their
-    own.  Every engine is bit-identical, so the results equal N
-    :func:`simulate_and_measure` calls, in input order.
+    eligible configs (none at all for those a *memo* remembers);
+    ineligible configs keep a perfect pass of their own.  Every engine is
+    bit-identical, so the results equal N :func:`simulate_and_measure`
+    calls, in input order.
     """
     plan = dispatch_plan(configs)
-    return _measure_planned(configs, trace, plan, seed=seed, warm=warm)
+    return _measure_planned(configs, trace, plan, seed=seed, warm=warm, memo=memo)
 
 
 def _shared_perfect_cpis(
-    configs: "list[MachineConfig]", trace: Trace, seed: int
+    configs: "list[MachineConfig]",
+    trace: Trace,
+    seed: int,
+    memo: "PerfectPassMemo | None" = None,
 ) -> "dict[tuple, float]":
     """CPI_exe per distinct :func:`perfect_projection` of eligible *configs*.
 
-    One perfect pass per projection: all in one kernel call when there are
-    at least :data:`BATCH_MIN_LANES` of them, else one scalar run each.
+    Projections the *memo* remembers cost nothing; the rest run one
+    perfect pass each: all in one kernel call when there are at least
+    :data:`BATCH_MIN_LANES` of them, else one scalar run each.
     """
     firsts: "dict[tuple, MachineConfig]" = {}
     for config in configs:
         firsts.setdefault(perfect_projection(config), config)
-    if len(firsts) < BATCH_MIN_LANES:
-        return {key: _perfect_cpi(config, trace, seed) for key, config in firsts.items()}
-    from repro.sim.batch import BatchHierarchySimulator
+    known = memo.recall(trace, list(firsts)) if memo is not None and firsts else {}
+    todo = {key: config for key, config in firsts.items() if key not in known}
+    if len(todo) < BATCH_MIN_LANES:
+        fresh = {key: _perfect_cpi(config, trace, seed) for key, config in todo.items()}
+    else:
+        from repro.sim.batch import BatchHierarchySimulator
 
-    perfect = BatchHierarchySimulator(list(firsts.values()), seed=seed).run(
-        trace, perfect=True
-    )
-    return {key: res.cpi for key, res in zip(firsts, perfect)}
+        perfect = BatchHierarchySimulator(list(todo.values()), seed=seed).run(
+            trace, perfect=True
+        )
+        fresh = {key: res.cpi for key, res in zip(todo, perfect)}
+    if memo is not None:
+        memo.remember(trace, fresh)
+    return {**known, **fresh}
 
 
 def _measure_planned(
@@ -402,11 +477,12 @@ def _measure_planned(
     *,
     seed: int,
     warm: bool,
+    memo: "PerfectPassMemo | None" = None,
 ) -> "list[tuple[SimulationResult, HierarchyStats]]":
     """Measure *configs* where *plan* puts them, sharing perfect passes."""
     ineligible = set(plan.ineligible)
     cpi_exe = _shared_perfect_cpis(
-        [c for i, c in enumerate(configs) if i not in ineligible], trace, seed
+        [c for i, c in enumerate(configs) if i not in ineligible], trace, seed, memo
     )
     out: "list[tuple[SimulationResult, HierarchyStats] | None]" = [None] * len(configs)
     if plan.kernel:

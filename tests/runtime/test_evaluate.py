@@ -283,10 +283,10 @@ class TestBatchCheckpointing:
         bad = other.content_digest()
         real_job = evaluate._simulate_batch_job
 
-        def failing_job(configs, digest, seed, warm):
+        def failing_job(configs, digest, *args, **kwargs):
             if digest == bad:
                 raise MeasurementError("injected group failure")
-            return real_job(configs, digest, seed, warm)
+            return real_job(configs, digest, *args, **kwargs)
 
         monkeypatch.setattr(evaluate, "_simulate_batch_job", failing_job)
         path = tmp_path / "j.jsonl"

@@ -114,8 +114,29 @@ class TestRuntimeIntegration:
         out = rt.evaluate(reqs)
         assert all(outcome.ok for outcome in out)
         assert rt.counters.simulations == 3
-        # Fork inherits the parent store: no per-worker setup shipping.
-        assert rt._pool.worker_setup == []
+        # Workers forked after the registration inherit the parent store:
+        # the setup entry exists but is never sent.
+        assert len(rt._pool.worker_setup) == 1
+        assert rt._pool.setup_sent == 0
+
+    def test_fork_workers_started_earlier_receive_new_traces_once(self):
+        rt = EvaluationRuntime(pool=PoolConfig(max_workers=2))
+        if rt._pool.effective_start_method() != "fork":
+            pytest.skip("platform has no fork start method")
+        with rt:
+            first = [EvaluationRequest(config=MachineConfig(), trace=_trace(), seed=i)
+                     for i in range(2)]
+            assert all(o.ok for o in rt.evaluate(first))
+            assert rt._pool.setup_sent == 0
+            # A trace registered after both workers started reaches each
+            # of them once, however many jobs use it.
+            later = _trace(300)
+            for seeds in ((0, 1), (2, 3)):
+                out = rt.evaluate([EvaluationRequest(config=MachineConfig(), trace=later,
+                                                     seed=s) for s in seeds])
+                assert all(o.ok for o in out)
+            assert rt._pool.setup_sent == 2
+            assert rt._pool.worker_starts == 2 and rt._pool.worker_restarts == 0
 
     def test_spawn_workers_receive_setup_messages(self):
         t = _trace(200)

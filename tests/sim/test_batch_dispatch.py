@@ -144,20 +144,26 @@ class TestPerfectProjectionSoundness:
         assert paths == leaves - set(PERFECT_PASS_KNOBS)
         assert set(PERFECT_PASS_KNOBS) <= leaves
 
-    @given(random_trace(), eligible_machine())
+    @given(random_trace(), eligible_machine(), st.integers(min_value=1, max_value=2**31 - 1))
     @settings(max_examples=20, deadline=None)
-    def test_perfect_pass_ignores_every_other_field(self, trace, base):
+    def test_perfect_pass_ignores_every_other_field(self, trace, base, seed):
         want = HierarchySimulator(base, seed=0).run(trace, perfect=True)
+        # The simulator seed is outside the projection too: PerfectPassMemo
+        # serves one seed's pass to every other seed.
+        got = HierarchySimulator(base, seed=seed).run(trace, perfect=True)
+        assert (got.cpi, got.total_cycles) == (want.cpi, want.total_cycles), (
+            "the perfect pass reads the simulator seed: key PerfectPassMemo on it"
+        )
         perturbed = _perturbations(base)
         for path, config in perturbed:
             assert perfect_projection(config) == perfect_projection(base), path
-            got = HierarchySimulator(config, seed=0).run(trace, perfect=True)
+            got = HierarchySimulator(config, seed=seed).run(trace, perfect=True)
             assert (got.cpi, got.total_cycles) == (want.cpi, want.total_cycles), (
                 f"the perfect pass reads {path!r}: widen PERFECT_PASS_KNOBS"
             )
         # The kernel's perfect lanes share the same projection contract.
         lanes = [base] + [c for _, c in perturbed if batch_eligible(c)]
-        kernel = BatchHierarchySimulator(lanes, seed=0).run(trace, perfect=True)
+        kernel = BatchHierarchySimulator(lanes, seed=seed).run(trace, perfect=True)
         for config, got in zip(lanes, kernel):
             assert (got.cpi, got.total_cycles) == (want.cpi, want.total_cycles), (
                 config.cache_key()
