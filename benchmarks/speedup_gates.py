@@ -1,0 +1,151 @@
+"""Speedup gates: the optimized paths must stay faster than what they replace.
+
+Three ratios of two paths timed back to back in one process.  The ratio
+does not depend on the host the way an absolute throughput does, so CI
+gates on it.  Each gate also checks that the fast path computes the same
+thing, since a speedup for a wrong answer means nothing.
+
+* fast / reference issue loop on 403.gcc, with identical access records;
+* batch kernel / 64 scalar fast-path runs on the ``lpm-batch-gate``
+  slice, with every lane identical;
+* multi-fidelity / engine-only sweep of the same slice, whose escalated
+  frontier must reach the engine-only optimum with at least 20x fewer
+  engine simulations.
+
+Each floor is at least 80% of the ratio first recorded for that gate.
+Run by path (``python -m pytest benchmarks/speedup_gates.py -q``); each
+test prints its ratio.
+"""
+
+from __future__ import annotations
+
+import math
+import time
+
+import numpy as np
+
+from repro.analysis.sweep import sweep_configs
+from repro.sim import DEFAULT_MACHINE, HierarchySimulator
+from repro.sim.batch import BatchHierarchySimulator
+from repro.workloads.generators import working_set_addresses
+from repro.workloads.spec import get_benchmark
+from repro.workloads.trace import Trace
+
+#: 0.8 x the 1.583x fast/reference ratio first recorded at 10,000 accesses.
+ENGINE_FLOOR = 1.267
+#: Absolute floor for one kernel call over 64 scalar runs.
+BATCH_FLOOR = 4.0
+#: 0.8 x the 3.841x multi-fidelity/engine-only ratio first recorded.
+SURROGATE_FLOOR = 3.073
+#: Minimum configurations per engine escalation in the multi-fidelity sweep.
+MIN_SIM_REDUCTION = 20.0
+
+#: Access-record fields every identity check compares.
+IDENTITY_FIELDS = (
+    "l1_hit_start", "l1_hit_end", "l1_miss_start", "l1_miss_end",
+    "l2_hit_start", "l2_hit_end", "l2_miss_start", "l2_miss_end",
+    "mem_start", "mem_end",
+)
+
+
+def _best_of(rounds, fn):
+    """(fastest wall seconds over *rounds* calls of *fn*, its result)."""
+    best, best_result = math.inf, None
+    for _ in range(rounds):
+        t0 = time.perf_counter()
+        result = fn()
+        elapsed = time.perf_counter() - t0
+        if elapsed < best:
+            best, best_result = elapsed, result
+    return best, best_result
+
+
+def _same_accesses(a, b) -> bool:
+    return all(
+        np.array_equal(getattr(a.accesses, name), getattr(b.accesses, name))
+        for name in IDENTITY_FIELDS
+    )
+
+
+def _gate_workload(accesses: int = 10_000):
+    """The compute-heavy ``lpm-batch-gate`` trace and its 64-config slice.
+
+    A 12 KB working set with 8 compute ops per access: the high-locality
+    regime where the config axis dominates run time.  The slice is the
+    Table I cross-product of issue width x IW size x ROB size.
+    """
+    addrs = working_set_addresses(accesses, footprint_bytes=12 * 1024, seed=7)
+    trace = Trace.from_memory_addresses(
+        addrs, compute_per_access=8, load_fraction=0.7,
+        name="lpm-batch-gate", seed=7,
+    )
+    configs = [
+        DEFAULT_MACHINE.with_knobs(issue_width=iw, iw_size=w, rob_size=rob,
+                                   name=f"c{iw}-{w}-{rob}")
+        for iw in (2, 4, 6, 8)
+        for w in (32, 64, 96, 128)
+        for rob in (48, 96, 128, 192)
+    ]
+    return trace, configs
+
+
+def _report(capsys, line: str) -> None:
+    with capsys.disabled():
+        print(f"\n{line}")
+
+
+def test_fast_engine_over_reference(capsys):
+    trace = get_benchmark("403.gcc").trace(4_000, seed=1)
+
+    def run(engine):
+        return lambda: HierarchySimulator(DEFAULT_MACHINE, seed=0, engine=engine).run(trace)
+
+    t_fast, fast = _best_of(5, run("fast"))
+    t_ref, ref = _best_of(5, run("reference"))
+    speedup = t_ref / t_fast
+    _report(capsys, f"fast/reference: {speedup:.3f}x (floor {ENGINE_FLOOR}x)")
+    assert _same_accesses(fast, ref)
+    assert speedup >= ENGINE_FLOOR
+
+
+def test_batch_kernel_over_scalar(capsys):
+    trace, configs = _gate_workload()
+
+    def scalar():
+        results = []
+        for config in configs:
+            sim = HierarchySimulator(config, seed=0, engine="fast")
+            sim.warm_caches(trace)
+            results.append(sim.run(trace))
+        return results
+
+    def batch():
+        sim = BatchHierarchySimulator(configs, seed=0)
+        sim.warm_caches(trace)
+        return sim.run(trace)
+
+    t_scalar, scalar_results = _best_of(3, scalar)
+    t_batch, batch_results = _best_of(3, batch)
+    speedup = t_scalar / t_batch
+    _report(capsys, f"batch/scalar: {speedup:.3f}x over {len(configs)} configs "
+                    f"(floor {BATCH_FLOOR}x)")
+    assert len(batch_results) == len(configs)
+    assert all(_same_accesses(s, b) for s, b in zip(scalar_results, batch_results))
+    assert speedup >= BATCH_FLOOR
+
+
+def test_multi_fidelity_over_engine_only(capsys):
+    trace, configs = _gate_workload()
+    t_engine, engine = _best_of(3, lambda: sweep_configs(configs, trace, seed=0))
+    t_multi, multi = _best_of(3, lambda: sweep_configs(
+        configs, trace, seed=0, fidelity="multi", top_k=8, margin=0.05))
+    speedup = t_engine / t_multi
+    escalated = [s for s, src in zip(multi.stats, multi.sources) if src != "predicted"]
+    reduction = len(configs) / max(len(escalated), 1)
+    _report(capsys, f"multi-fidelity/engine-only: {speedup:.3f}x, "
+                    f"{len(escalated)} of {len(configs)} configs simulated "
+                    f"(floors {SURROGATE_FLOOR}x, {MIN_SIM_REDUCTION:.0f}x fewer)")
+    assert escalated
+    assert min(s.cpi for s in escalated) == min(s.cpi for s in engine.stats)
+    assert reduction >= MIN_SIM_REDUCTION
+    assert speedup >= SURROGATE_FLOOR

@@ -27,10 +27,6 @@ Python:
     Measure, then print the bottleneck diagnosis and the recommended
     techniques from the paper's "technique pool".
 
-``python -m repro bench run|compare``
-    Fast-vs-reference engine throughput A/B; ``compare`` gates the speedup
-    ratio against ``benchmarks/baseline_engine_perf.json``.
-
 ``python -m repro serve --port 0 --workers 2``
     Run the evaluation service (docs/ROBUSTNESS.md, "Service layer"):
     concurrent clients submit (trace, config) jobs over a line-delimited
@@ -156,7 +152,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     prof = sub.add_parser(
         "profile", parents=[obs],
-        help="per-phase timing profile of the simulate-and-measure pipeline",
+        help="per-phase timing profile of the simulate-and-measure pipeline, "
+             "read from its trace spans",
     )
     prof.add_argument("--benchmark", default="403.gcc")
     prof.add_argument("--config", default="default",
@@ -174,56 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
     diag.add_argument("--config", default="A")
     diag.add_argument("--accesses", type=int, default=20_000)
     diag.add_argument("--seed", type=int, default=7)
-
-    bench = sub.add_parser(
-        "bench",
-        help="engine throughput A/B: fast-vs-reference or batch-vs-scalar "
-             "(run / compare)",
-    )
-    bench_sub = bench.add_subparsers(dest="bench_command", required=True)
-    bcommon = argparse.ArgumentParser(add_help=False)
-    bcommon.add_argument("--kind", choices=("engine", "batch", "surrogate"),
-                         default="engine",
-                         help="'engine' = fast vs reference on one config; "
-                              "'batch' = batch kernel vs N scalar fast "
-                              "paths on a Table I knob slice; 'surrogate' = "
-                              "tier-0 multi-fidelity sweep vs engine-only on "
-                              "the same slice (speedup + frontier agreement)")
-    bcommon.add_argument("--benchmark", default="403.gcc",
-                         help="SPEC profile for --kind engine (--kind "
-                              "batch/surrogate always use the synthetic "
-                              "lpm-batch-gate workload)")
-    bcommon.add_argument("--accesses", type=int, default=10_000)
-    bcommon.add_argument("--configs", type=int, default=64, dest="n_configs",
-                         help="design-space slice size for --kind batch")
-    bcommon.add_argument("--rounds", type=int, default=3,
-                         help="timing repetitions; each engine keeps its best")
-    brun = bench_sub.add_parser(
-        "run", parents=[bcommon],
-        help="measure both engines and print/record the speedup ratio",
-    )
-    brun.add_argument("--json", default=None, metavar="PATH", dest="json_path",
-                      help="also write the JSON record to PATH (use as the "
-                           "committed baseline)")
-    bcmp = bench_sub.add_parser(
-        "compare", parents=[bcommon],
-        help="A/B the current tree against a recorded baseline; exit 1 on "
-             "regression past the tolerance",
-    )
-    bcmp.add_argument("--baseline", default=None, metavar="PATH",
-                      help="baseline record (default: benchmarks/"
-                           "baseline_engine_perf.json or "
-                           "baseline_batch_perf.json per --kind)")
-    bcmp.add_argument("--tolerance", type=float, default=0.2,
-                      help="allowed fractional speedup regression "
-                           "(default 0.2 = 20%%)")
-    bcmp.add_argument("--min-speedup", type=float, default=0.0,
-                      dest="min_speedup",
-                      help="absolute speedup floor on top of the relative "
-                           "tolerance (e.g. 4.0 for the batch gate)")
-    bcmp.add_argument("--out", default=None, metavar="PATH",
-                      help="write the comparison record to PATH; default: "
-                           "the next free BENCH_<n>.json beside the baseline")
 
     serve = sub.add_parser(
         "serve", parents=[obs, cache_p],
@@ -622,67 +569,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    import json
-    from pathlib import Path
-
-    from repro.obs.bench import (
-        compare_benchmarks,
-        format_bench_record,
-        measure_batch_throughput,
-        measure_engine_throughput,
-    )
-
-    if args.kind == "batch":
-        record = measure_batch_throughput(
-            n_configs=args.n_configs, accesses=args.accesses,
-            rounds=args.rounds,
-        )
-    elif args.kind == "surrogate":
-        from repro.obs.bench import measure_surrogate_throughput
-
-        record = measure_surrogate_throughput(
-            n_configs=args.n_configs, accesses=args.accesses,
-            rounds=args.rounds,
-        )
-    else:
-        record = measure_engine_throughput(
-            args.benchmark, accesses=args.accesses, rounds=args.rounds
-        )
-    if args.bench_command == "run":
-        print(format_bench_record(record))
-        if args.json_path is not None:
-            Path(args.json_path).write_text(
-                json.dumps(record, indent=2, sort_keys=True) + "\n"
-            )
-            print(f"\nwrote {args.json_path}")
-        return 0 if record["identical"] else 2
-    baseline_default = {
-        "batch": "benchmarks/baseline_batch_perf.json",
-        "surrogate": "benchmarks/baseline_surrogate_perf.json",
-    }.get(args.kind, "benchmarks/baseline_engine_perf.json")
-    baseline_path = Path(args.baseline or baseline_default)
-    baseline = json.loads(baseline_path.read_text())
-    ok, lines = compare_benchmarks(record, baseline, tolerance=args.tolerance,
-                                   min_speedup=args.min_speedup)
-    print(format_bench_record(record))
-    print()
-    print("\n".join(lines))
-    out = args.out
-    if out is None:
-        n = 1
-        while (baseline_path.parent / f"BENCH_{n}.json").exists():
-            n += 1
-        out = baseline_path.parent / f"BENCH_{n}.json"
-    Path(out).write_text(json.dumps(
-        {"current": record, "baseline": baseline,
-         "tolerance": args.tolerance, "ok": ok},
-        indent=2, sort_keys=True,
-    ) + "\n")
-    print(f"\nwrote {out}")
-    return 0 if ok else 1
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
     import signal
@@ -814,7 +700,6 @@ _COMMANDS = {
     "sweep": _cmd_sweep,
     "schedule": _cmd_schedule,
     "profile": _cmd_profile,
-    "bench": _cmd_bench,
     "serve": _cmd_serve,
     "submit": _cmd_submit,
     "surrogate": _cmd_surrogate,

@@ -7,10 +7,8 @@ Three composable pieces (see ``docs/OBSERVABILITY.md``):
 * **metrics** (:mod:`repro.obs.metrics`) — a counter/gauge/histogram
   registry whose snapshots merge across pool workers as a commutative
   monoid;
-* **profiling** (:mod:`repro.obs.profile`) — opt-in per-phase timings of
-  the simulate-and-measure pipeline, replacing hand-run cProfile sessions;
-* **benchmarking** (:mod:`repro.obs.bench`) — the fast-vs-reference engine
-  throughput A/B used by ``python -m repro bench`` and the CI perf gate.
+* **profiling** (:mod:`repro.obs.profile`) — per-phase timings of the
+  simulate-and-measure pipeline, read back from its spans.
 
 Everything is disabled by default and instrumented call sites guard on
 :func:`tracing_enabled` / :func:`metrics_enabled`, so the hot paths pay
@@ -18,13 +16,6 @@ one boolean check per *run* (never per instruction) when observability is
 off.
 """
 
-from repro.obs.bench import (
-    compare_benchmarks,
-    format_bench_record,
-    measure_batch_throughput,
-    measure_engine_throughput,
-    measure_surrogate_throughput,
-)
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     EMPTY_SNAPSHOT,
@@ -43,8 +34,6 @@ from repro.obs.profile import (
     ProfileReport,
     format_profile_report,
     profile_run,
-    profiling_enabled,
-    set_profiling_enabled,
 )
 from repro.obs.trace import (
     NOOP_SPAN,
@@ -73,8 +62,6 @@ __all__ = [
     "format_metrics_json",
     "ProfileReport",
     "profile_run",
-    "profiling_enabled",
-    "set_profiling_enabled",
     "format_profile_report",
     "Span",
     "Tracer",
@@ -85,9 +72,4 @@ __all__ = [
     "span",
     "event",
     "read_trace",
-    "measure_batch_throughput",
-    "measure_engine_throughput",
-    "measure_surrogate_throughput",
-    "compare_benchmarks",
-    "format_bench_record",
 ]

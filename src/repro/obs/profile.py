@@ -1,36 +1,35 @@
-"""Opt-in profiling hooks: per-phase timings and µs/instruction.
+"""``repro profile``: the simulate-and-measure pipeline, read from its spans.
 
-``docs/PERFORMANCE.md``'s "measure first" rule used to be serviced by
-hand-run ``cProfile`` sessions; this module makes the measurement a
-first-class, reproducible artifact.  :func:`profile_run` executes the
-standard ``simulate_and_measure`` pipeline with wall-clock (monotonic
-``perf_counter``) timings around each phase:
+:func:`profile_run` runs :func:`repro.sim.stats.simulate_and_measure`
+under a tracer and reads back the spans the pipeline already emits
+(``docs/OBSERVABILITY.md``), so the profile and the trace are one
+instrument.  Each phase is one span:
 
 ``warmup``
-    Functional cache warming (``HierarchySimulator.warm_caches``).
+    ``engine.warm`` — functional cache warming.
 ``cpi_exe``
-    The perfect-L1 run that measures pure compute capability.
+    ``sim.run`` with ``perfect=True`` — the perfect-L1 pass that measures
+    pure compute capability.
 ``issue_loop``
-    The per-instruction dispatch/execute/retire loop — the hot loop.
-``fill_drain``
-    Post-loop record assembly: draining the interval lists into the numpy
-    ``AccessRecords`` / ``InstructionRecords`` arrays.
+    ``sim.run`` of the real run — the per-instruction issue loop plus the
+    assembly of its access and instruction records.
 ``analysis``
-    The vectorized C-AMAT analyzer pass (``measure_hierarchy``).
+    ``analysis.measure`` — the vectorized C-AMAT analyzer pass.
 
-The ``issue_loop`` / ``fill_drain`` split lives inside
-:meth:`~repro.sim.engine.HierarchySimulator.run`, guarded by
-:func:`profiling_enabled` so the engine pays two clock reads per *run*
-(not per instruction) only while a profile is being taken, and nothing at
-all otherwise.
+With a tracer already installed (``--trace PATH``) the spans land in its
+file as usual; otherwise a temporary one is installed for the call.
 """
 
 from __future__ import annotations
 
+import json
+import os
+import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from time import perf_counter
 from typing import TYPE_CHECKING, Iterator
+
+from repro.obs import trace as obs_trace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.params import MachineConfig
@@ -40,35 +39,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "ProfileReport",
     "profile_run",
-    "profiling_enabled",
-    "set_profiling_enabled",
     "format_profile_report",
 ]
 
-_PHASES = ("warmup", "cpi_exe", "issue_loop", "fill_drain", "analysis")
-
-_enabled = False
-
-
-def profiling_enabled() -> bool:
-    """Whether the engine should record phase timings (fast-path guard)."""
-    return _enabled
-
-
-def set_profiling_enabled(enabled: bool) -> None:
-    """Turn engine phase timing on or off globally."""
-    global _enabled
-    _enabled = bool(enabled)
-
-
-@contextmanager
-def _profiling() -> Iterator[None]:
-    previous = _enabled
-    set_profiling_enabled(True)
-    try:
-        yield
-    finally:
-        set_profiling_enabled(previous)
+_PHASES = ("warmup", "cpi_exe", "issue_loop", "analysis")
 
 
 @dataclass
@@ -89,21 +63,17 @@ class ProfileReport:
         return sum(self.phases.values())
 
     @property
-    def simulate_s(self) -> float:
-        """Time in the real-run engine (issue loop + record drain)."""
-        return self.phases.get("issue_loop", 0.0) + self.phases.get("fill_drain", 0.0)
-
-    @property
     def us_per_instruction(self) -> float:
-        """Engine cost per simulated instruction, in microseconds."""
+        """Issue-loop cost per simulated instruction, in microseconds."""
         if not self.n_instructions:
             return 0.0
-        return self.simulate_s / self.n_instructions * 1e6
+        return self.phases.get("issue_loop", 0.0) / self.n_instructions * 1e6
 
     @property
     def instructions_per_s(self) -> float:
-        """Engine throughput in simulated instructions per wall second."""
-        return self.n_instructions / self.simulate_s if self.simulate_s > 0 else 0.0
+        """Issue-loop throughput in simulated instructions per wall second."""
+        seconds = self.phases.get("issue_loop", 0.0)
+        return self.n_instructions / seconds if seconds > 0 else 0.0
 
     def phase_share(self, name: str) -> float:
         """Phase time as a fraction of the total pipeline time."""
@@ -125,6 +95,38 @@ class ProfileReport:
         }
 
 
+@contextmanager
+def _installed_tracer() -> Iterator[obs_trace.Tracer]:
+    """The installed tracer, or a temporary one for the block."""
+    tracer = obs_trace.get_tracer()
+    if tracer is not None:
+        yield tracer
+        return
+    with tempfile.TemporaryDirectory(prefix="repro-profile-") as tmp:
+        tracer = obs_trace.configure_tracing(os.path.join(tmp, "profile.jsonl"))
+        assert tracer is not None
+        try:
+            yield tracer
+        finally:
+            obs_trace.configure_tracing(None)
+
+
+def _phase(record: dict) -> "str | None":
+    """The profile phase a span record times, if any."""
+    name = record["name"]
+    if name == "sim.run":
+        return "cpi_exe" if (record.get("attrs") or {}).get("perfect") else "issue_loop"
+    return {"engine.warm": "warmup", "analysis.measure": "analysis"}.get(name)
+
+
+def _spans_since(path: str, offset: int) -> "list[dict]":
+    """Span records written to *path* after byte *offset*."""
+    with open(path, encoding="utf-8") as fh:
+        fh.seek(offset)
+        records = [json.loads(line) for line in fh if line.strip()]
+    return [r for r in records if r["kind"] == "span"]
+
+
 def profile_run(
     config: "MachineConfig",
     trace: "Trace",
@@ -133,57 +135,36 @@ def profile_run(
     warm: bool = True,
     rounds: int = 1,
 ) -> "tuple[HierarchyStats, ProfileReport]":
-    """Run the full measurement pipeline with per-phase wall timings.
+    """Run ``simulate_and_measure`` *rounds* times; time it from its spans.
 
-    Mirrors :func:`repro.sim.stats.simulate_and_measure` exactly (same
-    stats out), adding phase timing around each stage.  With ``rounds > 1``
-    every phase keeps its *minimum* observed time — the standard way to
-    strip scheduler noise from a single-threaded benchmark.
+    The stats are those of :func:`~repro.sim.stats.simulate_and_measure`
+    itself.  With ``rounds > 1`` every phase keeps its *minimum* span
+    duration — the standard way to strip scheduler noise from a
+    single-threaded measurement.
     """
-    from repro.obs import trace as obs_trace
-    from repro.sim.engine import HierarchySimulator
-    from repro.sim.stats import measure_hierarchy
+    from repro.sim.stats import simulate_and_measure
 
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
-    best: "dict[str, float]" = {}
-    stats = None
-    with _profiling(), obs_trace.span(
-        "profile.run", trace=trace.name, config=config.name, rounds=rounds
-    ):
-        for _ in range(rounds):
-            timings: "dict[str, float]" = {}
-
-            t0 = perf_counter()
-            perfect_sim = HierarchySimulator(config, seed=seed)
-            perfect = perfect_sim.run(trace, perfect=True)
-            timings["cpi_exe"] = perf_counter() - t0
-
-            sim = HierarchySimulator(config, seed=seed)
-            t0 = perf_counter()
-            if warm:
-                sim.warm_caches(trace)
-            timings["warmup"] = perf_counter() - t0
-
-            result = sim.run(trace)
-            timings["issue_loop"] = result.component_stats.get("phase_issue_loop_s", 0.0)
-            timings["fill_drain"] = result.component_stats.get("phase_fill_drain_s", 0.0)
-
-            t0 = perf_counter()
-            stats = measure_hierarchy(result, cpi_exe=perfect.cpi)
-            timings["analysis"] = perf_counter() - t0
-
-            for phase in _PHASES:
-                t = timings.get(phase, 0.0)
-                if phase not in best or t < best[phase]:
-                    best[phase] = t
-    assert stats is not None
+    with _installed_tracer() as tracer:
+        offset = os.path.getsize(tracer.path) if os.path.exists(tracer.path) else 0
+        with obs_trace.span(
+            "profile.run", trace=trace.name, config=config.name, rounds=rounds
+        ):
+            for _ in range(rounds):
+                result, stats = simulate_and_measure(config, trace, seed=seed, warm=warm)
+        records = _spans_since(tracer.path, offset)
+    durations: "dict[str, list[float]]" = {phase: [] for phase in _PHASES}
+    for record in records:
+        phase = _phase(record)
+        if phase is not None:
+            durations[phase].append(float(record["duration_s"]))
     report = ProfileReport(
         trace_name=trace.name,
         config_name=config.name,
         n_instructions=result.instructions.n_instructions,
         n_accesses=result.accesses.n_accesses,
-        phases=best,
+        phases={phase: min(d, default=0.0) for phase, d in durations.items()},
         rounds=rounds,
     )
     return stats, report

@@ -61,13 +61,11 @@ ineligible configs.  The three-way equivalence suite
 from __future__ import annotations
 
 import heapq
-from time import perf_counter
 
 import numpy as np
 
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
-from repro.obs.profile import profiling_enabled
 from repro.runtime.errors import ConfigError
 from repro.sim.cache import FunctionalCache
 from repro.sim.engine import (
@@ -584,9 +582,6 @@ class BatchHierarchySimulator:
         executed = [n] * L
         mem_executed = [n_mem_total] * L
 
-        profile_phases = profiling_enabled()
-        t_loop_start = perf_counter() if profile_phases else 0.0
-
         mem_i = 0
         for i in range(n):
             # --- dispatch: bandwidth + ROB + (memory) window slots -------
@@ -979,8 +974,6 @@ class BatchHierarchySimulator:
             np.add(l1_hs, h1_arr[None, :], out=l1_he)
             np.multiply(l1_he, l1_miss, out=l1_ms)
 
-        t_loop_end = perf_counter() if profile_phases else 0.0
-
         # Fold the locally accumulated clocks and counters back into the
         # shared component objects so per-lane statistics match the
         # reference loop exactly.  Port wait and L1 hit/miss counts are
@@ -1048,9 +1041,6 @@ class BatchHierarchySimulator:
                 "dram_row_hit_rate": sim.dram.row_hit_rate,
                 "dram_mean_bank_wait": sim.dram.mean_bank_wait,
             }
-            if profile_phases:
-                stats["phase_issue_loop_s"] = t_loop_end - t_loop_start
-                stats["phase_fill_drain_s"] = perf_counter() - t_loop_end
             ex = executed[lane]
             me = mem_executed[lane]
             (r_l2_hs, r_l2_he, r_l2_ms, r_l2_me, r_l2_miss, r_l2_sec,

@@ -34,14 +34,12 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from time import perf_counter
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
-from repro.obs.profile import profiling_enabled
 from repro.sim.cache import FunctionalCache
 from repro.sim.dram import DRAMModel
 from repro.sim.mshr import MSHRFile
@@ -334,12 +332,13 @@ class HierarchySimulator:
         if self._batch is not None:
             self._batch.warm_caches(trace)
             return
-        addresses = trace.memory_addresses
-        caches = [self.l1_cache, self.l2_cache]
-        if self.l3_cache is not None:
-            caches.append(self.l3_cache)
-        for cache in caches:
-            cache.warm_lookup_array(addresses)
+        with obs_trace.span("engine.warm", trace=trace.name, config=self.config.name):
+            addresses = trace.memory_addresses
+            caches = [self.l1_cache, self.l2_cache]
+            if self.l3_cache is not None:
+                caches.append(self.l3_cache)
+            for cache in caches:
+                cache.warm_lookup_array(addresses)
 
     # ------------------------------------------------------------------
     def reconfigure(self, config: MachineConfig) -> None:
@@ -586,11 +585,6 @@ class HierarchySimulator:
         mem_i = 0  # memory-access row index
         memory_access = self._memory_access  # local binding for the hot loop
 
-        # Opt-in phase timing (repro.obs.profile): two clock reads per run,
-        # and only while a profile is being taken.
-        profile_phases = profiling_enabled()
-        t_loop_start = perf_counter() if profile_phases else 0.0
-
         executed = n
         for i in range(n):
             # --- dispatch: bandwidth + ROB + (for memory) window slots ----
@@ -680,8 +674,6 @@ class HierarchySimulator:
             retire[i] = r
             recent_retires.append(r)
 
-        t_loop_end = perf_counter() if profile_phases else 0.0
-
         # Save the pipeline state so a later run(resume=True) continues
         # without an artificial drain at the quantum boundary.
         self._pipe = {
@@ -725,9 +717,6 @@ class HierarchySimulator:
                 l1_bypassed_fills=self.bypass.bypassed,
                 l1_bypass_rate=self.bypass.bypass_rate,
             )
-        if profile_phases:
-            stats["phase_issue_loop_s"] = t_loop_end - t_loop_start
-            stats["phase_fill_drain_s"] = perf_counter() - t_loop_end
         return build_simulation_result(
             config=cfg,
             trace_name=trace.name,
@@ -942,9 +931,6 @@ class HierarchySimulator:
         cache_misses = 0
 
         mem_i = 0  # memory-access row index
-        profile_phases = profiling_enabled()
-        t_loop_start = perf_counter() if profile_phases else 0.0
-
         executed = n
         for i in range(n):
             # --- dispatch: bandwidth + ROB + (for memory) window slots ----
@@ -1227,8 +1213,6 @@ class HierarchySimulator:
             retire_l.append(r)
             recent_retires.append(r)
 
-        t_loop_end = perf_counter() if profile_phases else 0.0
-
         # Fold the locally accumulated counters back into the shared
         # scheduler/cache objects so component statistics (and any direct
         # inspection of them) match the reference loop exactly.
@@ -1285,9 +1269,6 @@ class HierarchySimulator:
             "dram_row_hit_rate": self.dram.row_hit_rate,
             "dram_mean_bank_wait": self.dram.mean_bank_wait,
         }
-        if profile_phases:
-            stats["phase_issue_loop_s"] = t_loop_end - t_loop_start
-            stats["phase_fill_drain_s"] = perf_counter() - t_loop_end
         return build_simulation_result(
             config=cfg,
             trace_name=trace.name,

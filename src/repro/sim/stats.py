@@ -34,6 +34,7 @@ from repro.core.lpm import LPMRReport
 from repro.core.stall import StallModel
 from repro.lint.contracts import satisfies
 from repro.obs import metrics as obs_metrics
+from repro.obs import trace as obs_trace
 from repro.sim.engine import (
     HierarchySimulator,
     SimulationResult,
@@ -233,42 +234,43 @@ class HierarchyStats:
 @satisfies("stats_layers", "lpmr_definitions", "report_bounds")
 def measure_hierarchy(result: SimulationResult, cpi_exe: float) -> HierarchyStats:
     """Run the C-AMAT analyzer over a simulation's records."""
-    acc = result.accesses
-    l1 = measure_layer(acc.l1_hit_start, acc.l1_hit_end, acc.l1_miss_start, acc.l1_miss_end)
-    l2 = measure_layer(acc.l2_hit_start, acc.l2_hit_end, acc.l2_miss_start, acc.l2_miss_end)
-    mem = measure_layer(
-        acc.mem_start, acc.mem_end,
-        acc.mem_start, acc.mem_start,  # main memory has no miss phase
-    ) if acc.n_mem_accesses else measure_layer([], [], [], [])
-    l3 = None
-    mr2_request = acc.mem_per_l2_access
-    mr3_conventional = 0.0
-    mr3_request = 0.0
-    if acc.has_l3:
-        l3 = measure_layer(
-            acc.l3_hit_start, acc.l3_hit_end, acc.l3_miss_start, acc.l3_miss_end
-        ) if acc.n_l3_accesses else measure_layer([], [], [], [])
-        mr2_request = acc.l3_per_l2_access
-        mr3_conventional = acc.l3_miss_rate
-        mr3_request = acc.mem_per_l3_access
-    n_instr = result.instructions.n_instructions
-    n_mem_ops = acc.n_accesses
-    return HierarchyStats(
-        l1=l1,
-        l2=l2,
-        mem=mem,
-        cpi=result.cpi,
-        cpi_exe=cpi_exe,
-        f_mem=safe_ratio(n_mem_ops, n_instr),
-        n_instructions=n_instr,
-        mr1_conventional=acc.l1_miss_rate,
-        mr1_request=acc.l2_per_l1_access,
-        mr2_conventional=acc.l2_miss_rate,
-        mr2_request=mr2_request,
-        l3=l3,
-        mr3_conventional=mr3_conventional,
-        mr3_request=mr3_request,
-    )
+    with obs_trace.span("analysis.measure", trace=result.trace_name, config=result.config.name):
+        acc = result.accesses
+        l1 = measure_layer(acc.l1_hit_start, acc.l1_hit_end, acc.l1_miss_start, acc.l1_miss_end)
+        l2 = measure_layer(acc.l2_hit_start, acc.l2_hit_end, acc.l2_miss_start, acc.l2_miss_end)
+        mem = measure_layer(
+            acc.mem_start, acc.mem_end,
+            acc.mem_start, acc.mem_start,  # main memory has no miss phase
+        ) if acc.n_mem_accesses else measure_layer([], [], [], [])
+        l3 = None
+        mr2_request = acc.mem_per_l2_access
+        mr3_conventional = 0.0
+        mr3_request = 0.0
+        if acc.has_l3:
+            l3 = measure_layer(
+                acc.l3_hit_start, acc.l3_hit_end, acc.l3_miss_start, acc.l3_miss_end
+            ) if acc.n_l3_accesses else measure_layer([], [], [], [])
+            mr2_request = acc.l3_per_l2_access
+            mr3_conventional = acc.l3_miss_rate
+            mr3_request = acc.mem_per_l3_access
+        n_instr = result.instructions.n_instructions
+        n_mem_ops = acc.n_accesses
+        return HierarchyStats(
+            l1=l1,
+            l2=l2,
+            mem=mem,
+            cpi=result.cpi,
+            cpi_exe=cpi_exe,
+            f_mem=safe_ratio(n_mem_ops, n_instr),
+            n_instructions=n_instr,
+            mr1_conventional=acc.l1_miss_rate,
+            mr1_request=acc.l2_per_l1_access,
+            mr2_conventional=acc.l2_miss_rate,
+            mr2_request=mr2_request,
+            l3=l3,
+            mr3_conventional=mr3_conventional,
+            mr3_request=mr3_request,
+        )
 
 
 #: The knobs the perfect-L1 CPI_exe pass reads besides the trace, as dotted

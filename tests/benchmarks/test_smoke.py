@@ -58,7 +58,6 @@ ASSERT_TOLERANT = {
     "bench_model_validation",
     "bench_online_adaptation",
     "bench_partition",
-    "bench_surrogate_speedup",
     "bench_table1_lpmr_configs",
     "bench_three_level",
     "bench_timed_corun",

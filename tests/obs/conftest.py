@@ -3,7 +3,6 @@
 import pytest
 
 from repro.obs import metrics as obs_metrics
-from repro.obs import profile as obs_profile
 from repro.obs import trace as obs_trace
 
 
@@ -13,4 +12,3 @@ def reset_obs_state():
     obs_trace.configure_tracing(None)
     obs_metrics.set_metrics_enabled(False)
     obs_metrics.get_registry().reset()
-    obs_profile.set_profiling_enabled(False)
