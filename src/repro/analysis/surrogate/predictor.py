@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.core.lpm import LPMRReport
+from repro.core.lpm import CPI_EXE_FLOOR, MAX_OVERLAP, LPMRReport
 from repro.lint.contracts import satisfies
 from repro.runtime.errors import ConfigError
 from repro.sim.params import MachineConfig
@@ -42,10 +42,6 @@ from repro.util.validation import safe_ratio
 from repro.workloads.locality import LocalityProfile
 
 __all__ = ["SurrogatePrediction", "predict", "predict_many", "select_frontier"]
-
-#: Overlap predictions are capped strictly below 1, matching the
-#: measurement path's convention (repro.sim.stats).
-_MAX_OVERLAP = 1.0 - 1e-9
 
 
 def _clamp01(x: float) -> float:
@@ -163,7 +159,7 @@ def predict(profile: LocalityProfile, config: MachineConfig) -> SurrogatePredict
         f_mem * profile.dep_frac_mem * h1
         + (1.0 - f_mem) * profile.dep_frac_compute * alu_latency
     )
-    cpi_exe = max(1.0 / w, dep_path, 1e-12)
+    cpi_exe = max(1.0 / w, dep_path, CPI_EXE_FLOOR)
 
     # Little's-law concurrency estimates, clamped by hardware resources.
     demand = safe_ratio(f_mem, cpi_exe)  # accesses per cycle at full speed
@@ -232,7 +228,7 @@ def predict(profile: LocalityProfile, config: MachineConfig) -> SurrogatePredict
         overlap = 1.0 - (cpi - cpi_exe) / active_per_instr
     else:
         overlap = 0.0
-    overlap = min(max(overlap, 0.0), _MAX_OVERLAP)
+    overlap = min(max(overlap, 0.0), MAX_OVERLAP)
     eta = _clamp01(safe_ratio(1.0, c_m1))
     return SurrogatePrediction(
         lpmr1=camat1 * demand,

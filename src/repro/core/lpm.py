@@ -46,7 +46,18 @@ __all__ = [
     "threshold_t2",
     "LPMRReport",
     "MatchingThresholds",
+    "MAX_OVERLAP",
+    "CPI_EXE_FLOOR",
 ]
+
+#: Overlap ratios are capped strictly below 1 so the Eq. (14)/(15)
+#: thresholds stay finite; a measured 1.0 means "no observable stall".
+#: Both the measurement path and the tier-0 surrogate clamp to this.
+MAX_OVERLAP = 1.0 - 1e-9
+
+#: Smallest CPI_exe fed to the LPMR ratios and the stall model, which
+#: divide by it; keeps a degenerate (empty) run finite.
+CPI_EXE_FLOOR = 1e-12
 
 
 def request_rate(ipc_exe: float, f_mem: float, *miss_rates: float) -> float:

@@ -72,10 +72,6 @@ class Violation:
     rule: str
     severity: Severity = field(compare=False)
     message: str = field(compare=False)
-    #: Optional structured payload (interval bounds, units, drift values)
-    #: surfaced as ``detail`` in JSON and ``properties`` in SARIF.  Must
-    #: be JSON-safe: the value-analysis rules stringify infinities.
-    detail: "dict[str, object] | None" = field(default=None, compare=False)
 
     def format(self) -> str:
         """``path:line:col: RULE [severity] message`` — editor-clickable."""
@@ -86,7 +82,7 @@ class Violation:
 
     def to_dict(self) -> dict[str, object]:
         """JSON-serializable form for the ``--json`` reporter."""
-        data: dict[str, object] = {
+        return {
             "path": self.path,
             "line": self.line,
             "col": self.col,
@@ -94,9 +90,6 @@ class Violation:
             "severity": self.severity.value,
             "message": self.message,
         }
-        if self.detail is not None:
-            data["detail"] = dict(self.detail)
-        return data
 
 
 class ModuleContext:

@@ -24,15 +24,9 @@ package sees the program:
   (:mod:`~repro.lint.program.rules`) plus SUP001, the eager rejection of
   unjustified suppressions, and the baseline workflow
   (:mod:`~repro.lint.program.baseline`) for graded adoption (the ASYNC
-  rules are never baselined);
-* a **value-analysis tier** (:mod:`~repro.lint.program.values`): interval
-  abstract interpretation with widening/narrowing and branch refinement
-  plus a unit-kind lattice over the model vocabulary, feeding the
-  **VAL / UNIT / DRIFT rule packs**
-  (:mod:`~repro.lint.program.rules_values`) — possible zero divisions,
-  possibly-negative gathers (the PR-8 hetero-ROB bug shape), dimension
-  mismatches, and cross-implementation model-constant drift (DRIFT001 is
-  never baselined).
+  rules are never baselined).
+
+Numeric safety is left to the per-file NUM rules.
 
 Run it with ``python -m repro lint --program``; see
 ``docs/STATIC_ANALYSIS.md`` for the architecture and rule reference.
@@ -61,25 +55,12 @@ from repro.lint.program.dataflow import (
 from repro.lint.program.driver import ProgramLintResult, run_program_lint
 from repro.lint.program.locks import LockAnalysis
 from repro.lint.program.rules import PROGRAM_RULES, ProgramRule
-# Importing the pack registers VAL001/VAL002/UNIT001/DRIFT001.
-from repro.lint.program.rules_values import (
-    ModelConstantDrift,
-    PossibleZeroDivision,
-    PossiblyNegativeIndex,
-    UnitMismatch,
-)
 from repro.lint.program.symbols import (
     FunctionInfo,
     GlobalVar,
     ModuleInfo,
     ProgramModel,
     build_program,
-)
-from repro.lint.program.values import (
-    AbstractValue,
-    Interval,
-    ValueAnalysis,
-    extract_model_constants,
 )
 
 __all__ = [
@@ -101,14 +82,6 @@ __all__ = [
     "FunctionEffects",
     "PROGRAM_RULES",
     "ProgramRule",
-    "Interval",
-    "AbstractValue",
-    "ValueAnalysis",
-    "extract_model_constants",
-    "PossibleZeroDivision",
-    "PossiblyNegativeIndex",
-    "UnitMismatch",
-    "ModelConstantDrift",
     "Baseline",
     "fingerprint_violation",
     "load_baseline",

@@ -34,12 +34,8 @@ __all__ = [
     "write_baseline",
 ]
 
-#: Rules that may never be baselined (eager-failure semantics).  DRIFT001
-#: joins the set because grandfathered cross-implementation constant
-#: drift is precisely the divergence the rule exists to prevent.
-NEVER_BASELINED = frozenset({
-    "SUP001", "ASYNC001", "ASYNC002", "ASYNC003", "ASYNC004", "DRIFT001",
-})
+#: Rules that may never be baselined (eager-failure semantics).
+NEVER_BASELINED = frozenset({"SUP001", "ASYNC001", "ASYNC002", "ASYNC003", "ASYNC004"})
 
 #: On-disk schema version, bumped if the fingerprint recipe changes.
 _BASELINE_VERSION = 1

@@ -34,7 +34,6 @@ from repro.lint.program.dataflow import (
 )
 from repro.lint.program.locks import LockAnalysis
 from repro.lint.program.symbols import FunctionInfo, ModuleInfo, ProgramModel
-from repro.lint.program.values import ValueAnalysis
 
 __all__ = ["ProgramContext", "ProgramRule", "PROGRAM_RULES", "register_program"]
 
@@ -54,9 +53,6 @@ class ProgramContext:
     contexts: "ExecutionContexts | None" = None
     #: Lock discovery and order graph (same lazy contract).
     locks: "LockAnalysis | None" = None
-    #: Interval/unit abstract interpretation (same lazy contract; shared
-    #: by the VAL/UNIT rule packs so the fixpoint runs once per lint).
-    values: "ValueAnalysis | None" = None
 
     def module_for(self, func: FunctionInfo) -> ModuleInfo:
         """The module that defines *func*."""
@@ -79,12 +75,6 @@ class ProgramContext:
         if self.locks is None:
             self.locks = LockAnalysis(self.model, self.graph)
         return self.locks
-
-    def value_analysis(self) -> ValueAnalysis:
-        """The interval/unit abstract interpretation, built on first use."""
-        if self.values is None:
-            self.values = ValueAnalysis(self.model, self.graph)
-        return self.values
 
 
 def _chain_text(refs: "list[str]") -> str:

@@ -29,7 +29,7 @@ SARIF_SCHEMA_URI = (
 SARIF_VERSION = "2.1.0"
 
 #: Reported as ``tool.driver.version``; bump alongside rule-set changes.
-TOOL_VERSION = "1.2.0"
+TOOL_VERSION = "1.3.0"
 
 
 def _level(severity: Severity) -> str:
@@ -75,7 +75,7 @@ def sarif_document(
     rule_index = {str(meta["id"]): i for i, meta in enumerate(rules_meta)}
 
     def result(violation: Violation, state: str) -> "dict[str, object]":
-        out: "dict[str, object]" = {
+        return {
             "ruleId": violation.rule,
             "ruleIndex": rule_index.get(violation.rule, -1),
             "level": _level(violation.severity),
@@ -93,9 +93,6 @@ def sarif_document(
                 }
             ],
         }
-        if violation.detail is not None:
-            out["properties"] = dict(violation.detail)
-        return out
 
     results = [result(v, "new") for v in violations]
     results.extend(result(v, "unchanged") for v in baselined)

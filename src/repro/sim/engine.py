@@ -347,18 +347,25 @@ class HierarchySimulator:
         Models runtime reconfiguration (Case Study I's substrate): SRAM
         contents, DRAM row-buffer state and all resource timing survive;
         the port/bank schedulers and MSHR capacities are re-provisioned.
-        Cache *geometries* must be unchanged (the Table I knobs never
-        resize the caches).  In-flight timing at the boundary is carried by
-        the next :meth:`run` call's ``start_cycle``.
+        Cache *geometries* (including whether an L3 exists), the DRAM
+        timing and the prefetch/bypass units are built once by
+        :meth:`reset` and must be unchanged (the Table I knobs touch none
+        of them).  In-flight timing at the boundary is carried by the next
+        :meth:`run` call's ``start_cycle``.
         """
         if self._batch is not None:
             raise ConfigError(
                 "engine='batch' does not support reconfigure(); use the "
                 "auto/fast/reference engines for online reconfiguration"
             )
-        if config.l1 != self.config.l1 or config.l2 != self.config.l2:
-            raise ConfigError("reconfigure() cannot change cache geometry")
         old = self.config
+        if (config.l1, config.l2, config.l3) != (old.l1, old.l2, old.l3):
+            raise ConfigError("reconfigure() cannot change cache geometry")
+        for name in ("dram", "prefetch", "l1_bypass"):
+            if getattr(config, name) != getattr(old, name):
+                raise ConfigError(
+                    f"reconfigure() cannot change {name}; build a new simulator"
+                )
         self.config = config
         if config.l1_ports != old.l1_ports:
             self.l1_ports = PortScheduler(config.l1_ports)
@@ -369,6 +376,10 @@ class HierarchySimulator:
         # present() stalls while occupancy >= capacity).
         self.l1_mshrs.capacity = config.mshr_count
         self.l2_mshrs.capacity = config.l2_mshr_count
+        if config.l3 is not None:
+            if config.l3_banks != old.l3_banks:
+                self.l3_banks = BankScheduler(config.l3_banks)
+            self.l3_mshrs.capacity = config.l3_mshr_count
 
     def run(
         self,

@@ -30,7 +30,7 @@ from operator import attrgetter
 from typing import NamedTuple
 
 from repro.core.analyzer import LayerMeasurement, measure_layer
-from repro.core.lpm import LPMRReport
+from repro.core.lpm import CPI_EXE_FLOOR, MAX_OVERLAP, LPMRReport
 from repro.core.stall import StallModel
 from repro.lint.contracts import satisfies
 from repro.obs import metrics as obs_metrics
@@ -57,10 +57,6 @@ __all__ = [
     "simulate_and_measure",
     "simulate_and_measure_batch",
 ]
-
-#: Overlap ratios are capped strictly below 1 so threshold formulas stay
-#: finite; a measured 1.0 means "no observable stall at all".
-_MAX_OVERLAP = 1.0 - 1e-9
 
 
 @dataclass(frozen=True)
@@ -101,7 +97,7 @@ class HierarchyStats:
             return 0.0
         stall_cycles = self.stall_per_instruction * self.n_instructions
         ratio = 1.0 - stall_cycles / active
-        return min(max(ratio, 0.0), _MAX_OVERLAP)
+        return min(max(ratio, 0.0), MAX_OVERLAP)
 
     @property
     def eta_combined(self) -> float:
@@ -147,7 +143,7 @@ class HierarchyStats:
         """Processor-side parameter bundle for the stall formulas."""
         return StallModel(
             f_mem=min(self.f_mem, 1.0),
-            cpi_exe=max(self.cpi_exe, 1e-12),
+            cpi_exe=max(self.cpi_exe, CPI_EXE_FLOOR),
             overlap_ratio_cm=self.overlap_ratio_cm,
         )
 
@@ -164,7 +160,7 @@ class HierarchyStats:
             mr1=self.mr1_request,
             mr2=self.mr2_request,
             f_mem=min(self.f_mem, 1.0),
-            cpi_exe=max(self.cpi_exe, 1e-12),
+            cpi_exe=max(self.cpi_exe, CPI_EXE_FLOOR),
             overlap_ratio_cm=self.overlap_ratio_cm,
             eta_combined=self.eta_combined,
             hit_time1=max(self.l1.hit_time, 1e-12),

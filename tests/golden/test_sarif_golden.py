@@ -32,19 +32,6 @@ CASES = {
         FIXTURES / "async",
         "ASYNC001,ASYNC002,ASYNC003,ASYNC004,RACE003",
     ),
-    # The whole value fixture tree under the interval/unit rules: each
-    # seeded package fires exactly its rule (the *_clean twins stay
-    # quiet), pinning the detail -> SARIF properties rendering.  DRIFT001
-    # gets its own case over one package pair because its readings merge
-    # across every matching module in the analyzed tree.
-    "lint_program_value_bad": (
-        FIXTURES / "value",
-        "VAL001,VAL002,UNIT001",
-    ),
-    "lint_program_drift_bad": (
-        FIXTURES / "value" / "drift_bad",
-        "DRIFT001",
-    ),
 }
 
 

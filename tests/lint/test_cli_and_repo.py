@@ -72,11 +72,6 @@ class TestCLIExitCodes:
         assert proc.returncode == 0
         assert "DET001" in proc.stdout and "CTR001" in proc.stdout
 
-    def test_list_rules_includes_value_packs(self):
-        proc = run_cli("--list-rules")
-        for rule in ("VAL001", "VAL002", "UNIT001", "DRIFT001"):
-            assert rule in proc.stdout
-
 
 class TestSeededFixtureCoverage:
     def test_every_seeded_rule_fires(self):

@@ -2,21 +2,13 @@
 
 Both reporters draw from ``LintResult.summary()`` — these tests pin the
 contract so a field added to one output cannot silently miss the other.
-The value-pack tests extend the same contract across all three program
-outputs: the rule/message/location triple must agree between text, JSON
-and SARIF, and the structured ``detail`` payload (interval bounds, unit
-pairs, drift readings) must reach JSON ``detail`` and SARIF
-``properties`` byte-identically.
 """
 
 import json
 import textwrap
-from pathlib import Path
 
 from repro.lint.engine import run_lint
-from repro.lint.program import run_program_lint
-from repro.lint.reporters import format_json, format_program_text, format_text
-from repro.lint.sarif import sarif_document, validate_sarif
+from repro.lint.reporters import format_json, format_text
 
 
 def seeded_tree(tmp_path):
@@ -80,74 +72,4 @@ def test_violation_lines_match_to_dict(tmp_path):
     text_lines = format_text(result).splitlines()
     for raw, violation in zip(payload["violations"], result.violations):
         assert raw == violation.to_dict()
-        assert violation.format() in text_lines
-
-
-# ---------------------------------------------------------------------------
-# Value-pack parity: text / JSON / SARIF must carry the same findings,
-# including the structured detail payloads.
-# ---------------------------------------------------------------------------
-
-VALUE_FIXTURES = Path(__file__).parent / "fixtures" / "value"
-VALUE_RULES = ["VAL001", "VAL002", "UNIT001", "DRIFT001"]
-
-
-def value_pack_result():
-    paths = [
-        VALUE_FIXTURES / pkg
-        for pkg in ("val001_bad", "val002_bad", "unit001_bad", "drift_bad")
-    ]
-    result = run_program_lint(paths, rules=VALUE_RULES)
-    # One of each VAL/UNIT finding plus both DRIFT siblings.
-    assert sorted({v.rule for v in result.violations}) == [
-        "DRIFT001", "UNIT001", "VAL001", "VAL002",
-    ]
-    return result
-
-
-def test_value_pack_json_and_sarif_fields_match():
-    result = value_pack_result()
-    doc = sarif_document(result.violations)
-    assert validate_sarif(doc) == []
-    sarif_results = doc["runs"][0]["results"]
-    assert len(sarif_results) == len(result.violations)
-    for violation, raw in zip(result.violations, sarif_results):
-        payload = violation.to_dict()
-        assert raw["ruleId"] == payload["rule"] == violation.rule
-        assert raw["message"]["text"] == payload["message"]
-        loc = raw["locations"][0]["physicalLocation"]
-        assert loc["artifactLocation"]["uri"].endswith(
-            payload["path"].replace("\\", "/").lstrip("/")
-        )
-        assert loc["region"]["startLine"] == payload["line"]
-        # The structured payload crosses both formats byte-identically.
-        assert violation.detail is not None
-        assert payload["detail"] == raw["properties"] == violation.detail
-
-
-def test_value_pack_detail_payload_shapes():
-    by_rule = {}
-    for violation in value_pack_result().violations:
-        by_rule.setdefault(violation.rule, violation)
-    assert by_rule["VAL001"].detail.keys() == {
-        "function", "denominator", "interval",
-    }
-    assert by_rule["VAL002"].detail.keys() == {
-        "function", "index", "interval", "gather_shape",
-    }
-    assert {"function", "kind", "left_unit", "right_unit", "expression"} <= (
-        by_rule["UNIT001"].detail.keys()
-    )
-    assert {"role", "implementation", "values", "siblings"} <= (
-        by_rule["DRIFT001"].detail.keys()
-    )
-    # Detail payloads must round-trip through JSON (inf renders as "inf").
-    for violation in value_pack_result().violations:
-        assert json.loads(json.dumps(violation.detail)) == violation.detail
-
-
-def test_value_pack_text_lines_match_violations():
-    result = value_pack_result()
-    text_lines = format_program_text(result).splitlines()
-    for violation in result.violations:
         assert violation.format() in text_lines

@@ -67,11 +67,24 @@ class TestRaiseSites:
 
     def test_reconfigure_geometry_change(self):
         from repro.sim.engine import HierarchySimulator
-        from repro.sim.params import DEFAULT_MACHINE
+        from repro.sim.params import DEFAULT_MACHINE, CacheGeometry, DRAMTiming
+        from repro.sim.prefetch import BypassConfig, PrefetchConfig
 
         sim = HierarchySimulator(DEFAULT_MACHINE)
         with pytest.raises(ConfigError):
             sim.reconfigure(DEFAULT_MACHINE.with_knobs(l1_size_bytes=64 * 1024))
+        # Units that reset() builds once cannot be switched on, off or
+        # retimed at an interval boundary: the change would be ignored.
+        for changed in (
+            DEFAULT_MACHINE.with_(prefetch=PrefetchConfig()),
+            DEFAULT_MACHINE.with_(l1_bypass=BypassConfig()),
+            DEFAULT_MACHINE.with_(l3=CacheGeometry(1024 * 1024, associativity=16)),
+            DEFAULT_MACHINE.with_(dram=DRAMTiming(n_banks=4)),
+        ):
+            with pytest.raises(ConfigError):
+                sim.reconfigure(changed)
+            assert sim.config is DEFAULT_MACHINE
+            assert sim.prefetcher is None and sim.bypass is None
 
     def test_design_space_off_ladder_point(self):
         from repro.reconfig.space import DesignPoint, DesignSpace

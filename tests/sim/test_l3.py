@@ -139,3 +139,7 @@ class TestThreeLevelMeasurement:
         sim.reconfigure(cfg.with_knobs(mshr_count=16))
         res = sim.run(mcf_trace)
         assert res.accesses.l3_miss_rate < 0.05
+        # The L3 resources are re-provisioned like their L2 twins.
+        sim.reconfigure(cfg.with_(l3_banks=2, l3_mshr_count=4))
+        assert sim.l3_banks.n_banks == 2
+        assert sim.l3_mshrs.capacity == 4

@@ -1,9 +1,12 @@
 """Unit tests for the measurement glue in repro.sim.stats."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.core.analyzer import measure_layer
+from repro.core.lpm import CPI_EXE_FLOOR, MAX_OVERLAP
 from repro.sim.stats import HierarchyStats, measure_hierarchy, simulate_and_measure
 from repro.sim import DEFAULT_MACHINE, HierarchySimulator
 from repro.workloads.trace import Trace
@@ -109,3 +112,25 @@ class TestMeasureHierarchy:
         tr = Trace.from_memory_addresses(addrs, compute_per_access=2)
         _, st = simulate_and_measure(DEFAULT_MACHINE, tr)
         assert 0 < st.cpi_exe <= st.cpi
+
+
+class TestSharedModelConstants:
+    """The overlap cap and the CPI_exe floor reach every consumer."""
+
+    @pytest.fixture(scope="class")
+    def measured(self):
+        addrs = (np.arange(800, dtype=np.int64) % 500) * 64
+        tr = Trace.from_memory_addresses(addrs, compute_per_access=2)
+        return simulate_and_measure(DEFAULT_MACHINE, tr)[1]
+
+    def test_zero_stall_overlap_is_the_cap(self, measured):
+        no_stall = replace(measured, cpi=measured.cpi_exe)
+        assert no_stall.stall_per_instruction == 0.0
+        assert no_stall.overlap_ratio_cm == MAX_OVERLAP < 1.0
+        assert no_stall.stall_model.overlap_ratio_cm == MAX_OVERLAP
+        assert no_stall.lpmr_report().overlap_ratio_cm == MAX_OVERLAP
+
+    def test_zero_cpi_exe_is_floored(self, measured):
+        degenerate = replace(measured, cpi_exe=0.0)
+        assert degenerate.stall_model.cpi_exe == CPI_EXE_FLOOR
+        assert degenerate.lpmr_report().cpi_exe == CPI_EXE_FLOOR
