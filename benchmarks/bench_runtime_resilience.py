@@ -40,8 +40,18 @@ def _timed(fn):
     return out, time.perf_counter() - start
 
 
+#: Rounds of the direct/inline/resumed comparison; each mode's time is its
+#: best round, so one slow round on a loaded host cannot trip a bound.
+ROUNDS = 3
+
+
 def run_modes(trace, journal_path):
     timings, results = {}, {}
+    journaled_rt = EvaluationRuntime(journal=journal_path)
+    results["journaled"], timings["journaled"] = _timed(
+        lambda: _evaluate(journaled_rt, trace)
+    )
+    resumed = []
 
     def direct():
         return [
@@ -49,28 +59,29 @@ def run_modes(trace, journal_path):
             for req in _requests(trace)
         ]
 
-    results["direct"], timings["direct"] = _timed(direct)
-    results["inline"], timings["inline"] = _timed(
-        lambda: _evaluate(EvaluationRuntime(), trace)
-    )
-    journaled_rt = EvaluationRuntime(journal=journal_path)
-    results["journaled"], timings["journaled"] = _timed(
-        lambda: _evaluate(journaled_rt, trace)
-    )
-    resumed_rt = EvaluationRuntime(journal=journal_path)
-    results["resumed"], timings["resumed"] = _timed(
-        lambda: _evaluate(resumed_rt, trace)
-    )
+    def inline():
+        return _evaluate(EvaluationRuntime(), trace)
+
+    def resume():
+        resumed.append(EvaluationRuntime(journal=journal_path))
+        return _evaluate(resumed[-1], trace)
+
+    # The compared modes alternate within each round, so host load drifts
+    # over all three alike.
+    for _ in range(ROUNDS):
+        for mode, fn in (("direct", direct), ("inline", inline), ("resumed", resume)):
+            results[mode], seconds = _timed(fn)
+            timings[mode] = min(timings.get(mode, seconds), seconds)
     pooled_rt = EvaluationRuntime(pool=PoolConfig(max_workers=2, timeout_s=300))
     results["pooled"], timings["pooled"] = _timed(
         lambda: _evaluate(pooled_rt, trace)
     )
-    return results, timings, resumed_rt
+    return results, timings, resumed
 
 
 def test_runtime_resilience_overhead(benchmark, artifact, tmp_path):
     trace = get_benchmark("410.bwaves").trace(BENCH_ACCESSES, seed=SEED)
-    (results, timings, resumed_rt) = benchmark.pedantic(
+    (results, timings, resumed) = benchmark.pedantic(
         run_modes, args=(trace, tmp_path / "bench.jsonl"), rounds=1, iterations=1
     )[0:3]
 
@@ -82,11 +93,12 @@ def test_runtime_resilience_overhead(benchmark, artifact, tmp_path):
     # multiple; the bound is generous so CI noise cannot trip it.
     assert timings["inline"] < timings["direct"] * 1.5
     # A warm journal replays without simulating — an order cheaper.
-    assert resumed_rt.counters.simulations == 0
+    assert [rt.counters.simulations for rt in resumed] == [0] * ROUNDS
     assert timings["resumed"] < timings["direct"] * 0.5
 
     lines = [f"{len(POINTS)}-point batch, {BENCH_ACCESSES} accesses each "
-             f"(410.bwaves, seed {SEED})", ""]
+             f"(410.bwaves, seed {SEED}); direct, inline and resumed are the "
+             f"best of {ROUNDS} alternating rounds", ""]
     lines += [f"{mode:>10}: {timings[mode] * 1e3:8.1f} ms "
               f"({timings[mode] / timings['direct']:5.2f}x direct)"
               for mode in ("direct", "inline", "journaled", "resumed", "pooled")]

@@ -45,11 +45,12 @@ LATENCY_BUDGET_S = 60.0
 #: The full fault matrix.  Rates are the service's default chaos levels;
 #: every seed is pinned so each cell injects the same damage every run.
 #: Worker-side draws key on the job's cache key (which embeds the trace
-#: digest), so the crash/stall seeds are chosen to fire at *both* the full
-#: 6 000-access trace and the smoke harness's scaled-down one.
+#: digest and ``ENGINE_VERSION``), so the crash/stall seeds are chosen to
+#: fire at *both* the full 6 000-access trace and the smoke harness's
+#: scaled-down one, and need re-choosing when the engine version changes.
 CELLS = [
     ("baseline", ChaosConfig(seed=1)),
-    ("worker_crash", ChaosConfig(crash_rate=0.2, seed=4)),
+    ("worker_crash", ChaosConfig(crash_rate=0.2, seed=8)),
     ("worker_stall", ChaosConfig(stall_rate=0.2, stall_s=1.5, seed=3)),
     # Store damage draws once per dispatch round and a short run has few
     # rounds (the first sees empty stores), so these cells run the injector

@@ -226,14 +226,6 @@ class ProgramModel:
         info = self.modules.get(module)
         return info.functions.get(qualname) if info else None
 
-    def module_of(self, path: str) -> "ModuleInfo | None":
-        """The module whose source file is *path*."""
-        resolved = str(Path(path))
-        for info in self.modules.values():
-            if str(Path(info.path)) == resolved:
-                return info
-        return None
-
     # -- import graph -------------------------------------------------------
     def import_graph(self) -> "dict[str, set[str]]":
         """Module -> program-internal modules it imports (re-exports kept)."""

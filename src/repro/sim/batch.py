@@ -573,6 +573,33 @@ class BatchHierarchySimulator:
         # ndarray.__getitem__ for the one row the ROB clamp reads per
         # instruction.
         wret_rows = list(wret_a) if n else []
+        # Mixed ROB sizes: lane j reads flat element (i - rob_j) * L + j of
+        # wret_a, one np.take per instruction instead of a 2-D fancy index.
+        wret_flat = wret_a.reshape(-1)
+        rob_off = lane_idx - rob_arr * L
+        rob_at = np.empty(L, dtype=np.intp)
+        rob_row = np.empty(L, dtype=i64)
+        np_take = np.take
+
+        # Runs of independent compute ops step as one block.  Between two
+        # such ops only the bandwidth step and the ROB clamp act,
+        # ``p_d(i) = max(p_d(i-1) + 1, R(i))`` with ``R(i)`` the lagged
+        # ``w*retire`` row, which unrolls to a running maximum of
+        # ``R(k) - k`` just as retire does.  A block stops at the next
+        # retire flush, so every row it reads is already flushed; quanta
+        # (``stop_cycle``) keep the per-instruction loop.
+        independent = ~trace.is_mem
+        if depends is not None:
+            independent &= ~depends
+        breaks = np.flatnonzero(~independent)
+        run_end_l = (
+            np.append(breaks, n)[np.searchsorted(breaks, np.arange(n))].tolist()
+            if stop_cycle is None else None
+        )
+        skip_to = 0
+        run_rows = np.empty((min(B, n) if n else 1, L), dtype=i64)
+        run_at = np.empty((min(B, n) if n else 1, L), dtype=np.intp)
+        row_base = idx_col * L
 
         stop = stop_cycle
         active = np.ones(L, dtype=bool)
@@ -584,26 +611,53 @@ class BatchHierarchySimulator:
 
         mem_i = 0
         for i in range(n):
+            if i < skip_to:
+                continue
             # --- dispatch: bandwidth + ROB + (memory) window slots -------
             if i == flush_at:
                 _flush_retire(flushed, i)
                 flushed = i
                 flush_at += B
+            if run_end_l is not None and i >= max_rob:
+                end = run_end_l[i]
+                if end > flush_at:
+                    end = flush_at
+                if end - i >= 2:
+                    rows = run_rows[: end - i]
+                    if homo_rob:
+                        np.subtract(wret_a[i - rob0:end - rob0], idx_col[i:end], out=rows)
+                    else:
+                        at = run_at[: end - i]
+                        np_add(row_base[i:end], rob_off, out=at)
+                        np_take(wret_flat, at, out=rows, mode="clip")
+                        np.subtract(rows, idx_col[i:end], out=rows)
+                    np.maximum.accumulate(rows, axis=0, out=rows)
+                    np.subtract(p_d, i - 1, out=tmp)
+                    np_max(rows, tmp, out=rows)
+                    np_add(rows, idx_col[i:end], out=rows)
+                    np_copyto(p_d, rows[-1])
+                    np_fdiv(rows, w_arr, out=dispatch_a[i:end])
+                    np_copyto(d, dispatch_a[end - 1])
+                    if has_dep:
+                        np_add(d, 1, out=last_compute_complete)
+                    skip_to = end
+                    continue
             np_add(p_d, 1, out=p_d)
             if i >= min_rob:
                 if homo_rob:
                     np_max(p_d, wret_rows[i - rob0], out=p_d)
+                elif i >= max_rob:
+                    np_add(rob_off, i * L, out=rob_at)
+                    np_take(wret_flat, rob_at, out=rob_row, mode="clip")
+                    np_max(p_d, rob_row, out=p_d)
                 else:
+                    # Lanes with rob > i have no ROB constraint yet; clamp
+                    # their (negative) gather index to row 0 and mask the
+                    # result away.
                     np.subtract(i, rob_arr, out=tmp)
-                    if i >= max_rob:
-                        np_max(p_d, wret_a[tmp, lane_idx], out=p_d)
-                    else:
-                        # Lanes with rob > i have no ROB constraint yet;
-                        # clamp their (negative) gather index to row 0 and
-                        # mask the result away.
-                        np_le(rob_arr, i, out=b2)
-                        np_max(tmp, 0, out=tmp)
-                        np_max(p_d, wret_a[tmp, lane_idx], out=p_d, where=b2)
+                    np_le(rob_arr, i, out=b2)
+                    np_max(tmp, 0, out=tmp)
+                    np_max(p_d, wret_a[tmp, lane_idx], out=p_d, where=b2)
             mem_op = is_mem_l[i]
             if mem_op:
                 if has_dep and depends_l[i]:

@@ -294,10 +294,68 @@ class FunctionalCache:
         self.evictions = 0
 
     def warm_lookup_array(self, addresses: np.ndarray) -> None:
-        """Warm the cache by touching each address in order (no stats)."""
+        """Warm the cache by touching each address in order (no stats).
+
+        Under ``lru`` the final state is computed directly: a set ends up
+        holding the last ``associativity`` distinct blocks it saw, oldest
+        use first, with the blocks already resident counting as a prefix
+        of the stream.  The other policies replay the stream access by
+        access, so ``random`` draws its victims exactly as a replay does.
+        """
+        if self._policy == "lru":
+            self._warm_lru(np.asarray(addresses, dtype=np.int64))
+            return
         saved = (self.hits, self.misses, self.evictions)
         for addr in addresses:
             a = int(addr)
             if not self.lookup(a):
                 self.insert(a)
         self.hits, self.misses, self.evictions = saved
+
+    def _warm_lru(self, addresses: np.ndarray) -> None:
+        """The state an LRU replay of *addresses* leaves, without replaying.
+
+        ``_sets`` and its per-set dicts are mutated in place (the engine
+        holds them through :meth:`lru_hot_state`); sets keep their
+        first-touch order, as a replay would insert them.
+        """
+        sets = self._sets
+        blocks = addresses >> self._offset_bits
+        if sets:
+            resident = [
+                (tag << self._set_bits) | set_idx
+                for set_idx, s in sets.items() for tag in s
+            ]
+            blocks = np.concatenate((np.array(resident, dtype=np.int64), blocks))
+        n = blocks.size
+        if n == 0:
+            return
+        # First and last use of each distinct block.
+        order = np.argsort(blocks)
+        sorted_blocks = blocks[order]
+        starts = np.flatnonzero(np.r_[True, sorted_blocks[1:] != sorted_blocks[:-1]])
+        distinct = sorted_blocks[starts]
+        first_use = np.minimum.reduceat(order, starts)
+        last_use = np.maximum.reduceat(order, starts)
+        # Grouped by set, newest first: a block survives when it is among
+        # its set's `assoc` most recently used.
+        set_of = distinct & self._set_mask
+        by_set = np.lexsort((n - last_use, set_of))
+        grouped = set_of[by_set]
+        group_start = np.flatnonzero(np.r_[True, grouped[1:] != grouped[:-1]])
+        group_len = np.diff(np.r_[group_start, by_set.size])
+        rank = np.arange(by_set.size) - np.repeat(group_start, group_len)
+        kept = by_set[rank < self._assoc]
+        kept = kept[np.argsort(last_use[kept])]
+        # New sets enter in the order the stream first touches them.
+        set_first_use = np.minimum.reduceat(first_use[by_set], group_start)
+        for set_idx in grouped[group_start][np.argsort(set_first_use)].tolist():
+            s = sets.get(set_idx)
+            if s is None:
+                sets[set_idx] = {}
+            else:
+                s.clear()
+        for set_idx, tag in zip(
+            set_of[kept].tolist(), (distinct[kept] >> self._set_bits).tolist()
+        ):
+            sets[set_idx][tag] = None

@@ -34,6 +34,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -70,7 +71,10 @@ __all__ = ["ENGINE_VERSION", "HierarchySimulator", "SimulationResult", "batch_el
 #: version alone, without auditing which engine produced which entry.
 #: v2: the vectorized batch engine (:mod:`repro.sim.batch`) joined the
 #: fast/reference pair.
-ENGINE_VERSION = 2
+#: v3: the core-only perfect-L1 loop
+#: (:meth:`HierarchySimulator._run_impl_perfect`) feeds CPI_exe into cached
+#: stats for every config.
+ENGINE_VERSION = 3
 
 
 def batch_eligible(config: MachineConfig) -> bool:
@@ -411,6 +415,10 @@ class HierarchySimulator:
         — issue width, ILP chains, ROB — so that the LPMR request rate
         ``IPC_exe * f_mem`` expresses true demand.  If L1 bandwidth limits
         were included here they would cancel out of the matching ratios.
+        On the ``auto`` and ``fast`` engines a perfect run takes the
+        core-only loop (:meth:`_run_impl_perfect`) for every config;
+        ``engine="reference"`` keeps the reference loop's perfect branch
+        as the oracle the equivalence suite compares it to.
 
         With observability enabled (``repro.obs``), the run is wrapped in
         a ``sim.run`` span and per-layer access/hit/miss/MSHR-stall
@@ -419,15 +427,16 @@ class HierarchySimulator:
         fast path costs two boolean checks per run.
         """
         if self._batch is not None:
-            impl = self._run_impl_batch
+            impl = partial(self._run_impl_batch, perfect=perfect)
+        elif perfect and self.engine != "reference":
+            impl = self._run_impl_perfect
         elif self._use_fast_path():
             impl = self._run_impl_fast
         else:
-            impl = self._run_impl
+            impl = partial(self._run_impl, perfect=perfect)
         if not (obs_trace.tracing_enabled() or obs_metrics.metrics_enabled()):
             return impl(
-                trace, perfect=perfect, start_cycle=start_cycle,
-                stop_cycle=stop_cycle, resume=resume,
+                trace, start_cycle=start_cycle, stop_cycle=stop_cycle, resume=resume,
             )
         with obs_trace.span(
             "sim.run", trace=trace.name, config=self.config.name, perfect=perfect,
@@ -436,8 +445,7 @@ class HierarchySimulator:
                 self.l1_mshrs.full_stall_cycles, self.l2_mshrs.full_stall_cycles,
             )
             result = impl(
-                trace, perfect=perfect, start_cycle=start_cycle,
-                stop_cycle=stop_cycle, resume=resume,
+                trace, start_cycle=start_cycle, stop_cycle=stop_cycle, resume=resume,
             )
             span.set(
                 instructions=result.instructions_executed,
@@ -569,29 +577,9 @@ class HierarchySimulator:
         self._l3_rec = tuple([] for _ in range(7))
         self._l2_l3_index = []
 
-        # Issue/retire bandwidth tracking — either fresh from start_cycle
-        # or resumed from the previous quantum's saved pipeline state
-        # (multicore windows; avoids a full pipeline drain per window).
-        check_int("start_cycle", start_cycle, minimum=0)
-        if resume and self._pipe is not None:
-            pipe = self._pipe
-            disp_cycle = max(pipe["disp_cycle"], start_cycle)
-            disp_count = pipe["disp_count"] if disp_cycle == pipe["disp_cycle"] else 0
-            ret_cycle = max(pipe["ret_cycle"], start_cycle - 1)
-            ret_count = pipe["ret_count"] if ret_cycle == pipe["ret_cycle"] else 0
-            last_mem_complete = pipe["last_mem_complete"]
-            last_compute_complete = pipe["last_compute_complete"]
-            lsq = pipe["lsq"]
-            recent_retires: list[int] = pipe["recent_retires"][-rob:]
-        else:
-            disp_cycle = start_cycle
-            disp_count = 0
-            ret_cycle = start_cycle - 1
-            ret_count = 0
-            last_mem_complete = start_cycle      # dependent-load serialization
-            last_compute_complete = start_cycle  # compute ILP dependency chains
-            lsq = []  # completion-time heap of in-flight memory ops
-            recent_retires = []  # retire times of the last `rob` instructions
+        (disp_cycle, disp_count, ret_cycle, ret_count, last_mem_complete,
+         last_compute_complete, lsq, recent_retires) = self._pipe_start(
+            start_cycle, resume, rob)
 
         mem_i = 0  # memory-access row index
         memory_access = self._memory_access  # local binding for the hot loop
@@ -685,18 +673,10 @@ class HierarchySimulator:
             retire[i] = r
             recent_retires.append(r)
 
-        # Save the pipeline state so a later run(resume=True) continues
-        # without an artificial drain at the quantum boundary.
-        self._pipe = {
-            "disp_cycle": disp_cycle,
-            "disp_count": disp_count,
-            "ret_cycle": ret_cycle,
-            "ret_count": ret_count,
-            "last_mem_complete": last_mem_complete,
-            "last_compute_complete": last_compute_complete,
-            "lsq": lsq,
-            "recent_retires": recent_retires[-max(rob, 1):],
-        }
+        self._pipe_save(
+            disp_cycle, disp_count, ret_cycle, ret_count, last_mem_complete,
+            last_compute_complete, lsq, recent_retires, rob,
+        )
 
         if executed < n:
             dispatch = dispatch[:executed]
@@ -707,27 +687,6 @@ class HierarchySimulator:
             l1_ms, l1_me = l1_ms[:mem_i], l1_me[:mem_i]
             l1_miss, l1_sec = l1_miss[:mem_i], l1_sec[:mem_i]
             l1_complete, l2_index = l1_complete[:mem_i], l2_index[:mem_i]
-        stats = {
-            "l1_port_mean_wait": self.l1_ports.mean_wait,
-            "l2_bank_mean_wait": self.l2_banks.mean_wait,
-            "l1_mshr_coalescing": self.l1_mshrs.coalescing_ratio,
-            "l1_mshr_peak": self.l1_mshrs.peak_occupancy,
-            "l2_mshr_peak": self.l2_mshrs.peak_occupancy,
-            "dram_row_hit_rate": self.dram.row_hit_rate,
-            "dram_mean_bank_wait": self.dram.mean_bank_wait,
-        }
-        if self.prefetcher is not None:
-            stats.update(
-                prefetches_issued=self.prefetcher.issued,
-                prefetches_useful=self.prefetcher.useful,
-                prefetches_late=self.prefetcher.late,
-                prefetch_accuracy=self.prefetcher.accuracy,
-            )
-        if self.bypass is not None:
-            stats.update(
-                l1_bypassed_fills=self.bypass.bypassed,
-                l1_bypass_rate=self.bypass.bypass_rate,
-            )
         return build_simulation_result(
             config=cfg,
             trace_name=trace.name,
@@ -741,7 +700,7 @@ class HierarchySimulator:
             l2_miss_start=l2_ms, l2_miss_end=l2_me,
             l2_is_miss=l2_miss, l2_is_secondary=l2_sec,
             mem_index=mem_index, mem_start=mem_s, mem_end=mem_e,
-            component_stats=stats,
+            component_stats=self._component_stats(),
             l3_index=self._l2_l3_index if self.l3_cache is not None else None,
             l3_records=self._l3_rec,
         )
@@ -773,11 +732,208 @@ class HierarchySimulator:
             )
         return eligible
 
+    def _pipe_start(self, start_cycle: int, resume: bool, rob: int) -> tuple:
+        """Issue/retire state a run starts from.
+
+        Either fresh at *start_cycle*, or with *resume*, the state the
+        previous quantum saved (multicore windows; avoids a full pipeline
+        drain per window).  Returns ``(disp_cycle, disp_count, ret_cycle,
+        ret_count, last_mem_complete, last_compute_complete, lsq,
+        recent_retires)``: *lsq* is the completion-time heap of in-flight
+        memory ops, *recent_retires* the retire times of the last ``rob``
+        instructions, and the two ``last_*_complete`` clocks serialize
+        dependent loads and compute ILP chains.
+        """
+        check_int("start_cycle", start_cycle, minimum=0)
+        pipe = self._pipe
+        if not resume or pipe is None:
+            return (start_cycle, 0, start_cycle - 1, 0, start_cycle, start_cycle, [], [])
+        disp_cycle = max(pipe["disp_cycle"], start_cycle)
+        ret_cycle = max(pipe["ret_cycle"], start_cycle - 1)
+        return (
+            disp_cycle,
+            pipe["disp_count"] if disp_cycle == pipe["disp_cycle"] else 0,
+            ret_cycle,
+            pipe["ret_count"] if ret_cycle == pipe["ret_cycle"] else 0,
+            pipe["last_mem_complete"],
+            pipe["last_compute_complete"],
+            pipe["lsq"],
+            pipe["recent_retires"][-rob:],
+        )
+
+    def _pipe_save(
+        self, disp_cycle: int, disp_count: int, ret_cycle: int, ret_count: int,
+        last_mem_complete: int, last_compute_complete: int, lsq: list,
+        recent_retires: list, rob: int,
+    ) -> None:
+        """Save the pipeline state so a later ``run(resume=True)`` continues
+        without an artificial drain at the quantum boundary."""
+        self._pipe = {
+            "disp_cycle": disp_cycle,
+            "disp_count": disp_count,
+            "ret_cycle": ret_cycle,
+            "ret_count": ret_count,
+            "last_mem_complete": last_mem_complete,
+            "last_compute_complete": last_compute_complete,
+            "lsq": lsq,
+            "recent_retires": recent_retires[-max(rob, 1):],
+        }
+
+    def _component_stats(self) -> dict:
+        """Per-component statistics every run reports, as of now."""
+        stats = {
+            "l1_port_mean_wait": self.l1_ports.mean_wait,
+            "l2_bank_mean_wait": self.l2_banks.mean_wait,
+            "l1_mshr_coalescing": self.l1_mshrs.coalescing_ratio,
+            "l1_mshr_peak": self.l1_mshrs.peak_occupancy,
+            "l2_mshr_peak": self.l2_mshrs.peak_occupancy,
+            "dram_row_hit_rate": self.dram.row_hit_rate,
+            "dram_mean_bank_wait": self.dram.mean_bank_wait,
+        }
+        if self.prefetcher is not None:
+            stats.update(
+                prefetches_issued=self.prefetcher.issued,
+                prefetches_useful=self.prefetcher.useful,
+                prefetches_late=self.prefetcher.late,
+                prefetch_accuracy=self.prefetcher.accuracy,
+            )
+        if self.bypass is not None:
+            stats.update(
+                l1_bypassed_fills=self.bypass.bypassed,
+                l1_bypass_rate=self.bypass.bypass_rate,
+            )
+        return stats
+
+    def _run_impl_perfect(
+        self,
+        trace: Trace,
+        *,
+        start_cycle: int,
+        stop_cycle: "int | None",
+        resume: bool,
+    ) -> SimulationResult:
+        """Core-only issue loop for the perfect-L1 pass, on any config.
+
+        A perfect L1 hits every access in ``l1_hit_time`` with no port
+        contention, so the pass never reaches the prefetcher, the bypass
+        detector, a replacement policy or anything below the L1.  What is
+        left is dispatch, the ROB, the window heap and in-order retire:
+        the loop tracks only those and records only dispatch and retire
+        cycles.  Completion times and the L1 record columns follow from
+        the dispatch cycles with numpy after the loop.  The result, the
+        saved pipeline state and the component statistics match
+        :meth:`_run_impl` with ``perfect=True`` bit for bit
+        (``tests/sim/test_engine_equivalence.py``).
+        """
+        cfg = self.config
+        n = trace.n_instructions
+        check_int("n_instructions", n, minimum=0)
+        # One code per instruction: bit 0 memory op, bit 1 dependent.
+        kinds = trace.is_mem.astype(np.int8)
+        if trace.depends is not None:
+            kinds += 2 * trace.depends.astype(np.int8)
+        issue_w = cfg.core.issue_width
+        rob = cfg.core.rob_size
+        iw = cfg.core.iw_size
+        h1 = cfg.l1_hit_time
+        self._l3_rec = tuple([] for _ in range(7))
+        self._l2_l3_index = []
+
+        (disp_cycle, disp_count, ret_cycle, ret_count, last_mem_complete,
+         last_compute_complete, lsq, retired) = self._pipe_start(
+            start_cycle, resume, rob)
+        # `retired` is the ROB window and the retire record at once, padded
+        # in front with cycles that never bind so `retired[-rob]` needs no
+        # length check; this run's retire cycles are its tail from `first`.
+        pad = max(rob - len(retired), 0)
+        retired = [-1] * pad + retired
+        first = len(retired)
+        dispatch_l: list[int] = []
+        stop = math.inf if stop_cycle is None else stop_cycle
+        heappush = heapq.heappush
+        heappop = heapq.heappop
+
+        for kind in kinds.tolist():
+            d = disp_cycle + 1 if disp_count >= issue_w else disp_cycle
+            rr = retired[-rob]
+            if rr > d:
+                d = rr
+            if kind & 1:
+                if kind == 3 and last_mem_complete > d:
+                    d = last_mem_complete
+                while lsq and lsq[0] <= d:
+                    heappop(lsq)
+                if len(lsq) >= iw:
+                    popped = heappop(lsq)
+                    if popped > d:
+                        d = popped
+                    if d >= stop:
+                        heappush(lsq, popped)
+                        break
+                elif d >= stop:
+                    break
+                c = d + h1
+                heappush(lsq, c)
+                last_mem_complete = c
+            else:
+                if kind == 2 and last_compute_complete > d:
+                    d = last_compute_complete
+                if d >= stop:
+                    break
+                c = d + 1
+                last_compute_complete = c
+            if d > disp_cycle:
+                disp_cycle = d
+                disp_count = 1
+            else:
+                disp_count += 1
+            dispatch_l.append(d)
+            # In-order retire with bandwidth.  `ret_cycle` never trails the
+            # previous retire, so clamping to it is the reference's clamp
+            # to the last retire followed by its bandwidth check.
+            if c > ret_cycle:
+                ret_cycle = c
+                ret_count = 1
+            elif ret_count >= issue_w:
+                ret_cycle += 1
+                ret_count = 1
+            else:
+                ret_count += 1
+            retired.append(ret_cycle)
+
+        executed = len(dispatch_l)
+        self._pipe_save(
+            disp_cycle, disp_count, ret_cycle, ret_count, last_mem_complete,
+            last_compute_complete, lsq, retired[pad:], rob,
+        )
+        dispatch = np.array(dispatch_l, dtype=np.int64)
+        is_mem = trace.is_mem[:executed]
+        complete = dispatch + np.where(is_mem, h1, 1)
+        mem_dispatch = dispatch[is_mem]
+        n_mem = mem_dispatch.size
+        i64 = np.int64
+        return build_simulation_result(
+            config=cfg,
+            trace_name=trace.name,
+            executed=executed,
+            dispatch=dispatch, complete=complete,
+            retire=retired[first:], is_mem=is_mem,
+            l1_hit_start=mem_dispatch, l1_hit_end=mem_dispatch + h1,
+            l1_miss_start=np.zeros(n_mem, i64), l1_miss_end=np.zeros(n_mem, i64),
+            l1_is_miss=np.zeros(n_mem, bool), l1_is_secondary=np.zeros(n_mem, bool),
+            l1_complete=mem_dispatch + h1, l2_index=np.full(n_mem, -1, i64),
+            l2_hit_start=(), l2_hit_end=(), l2_miss_start=(), l2_miss_end=(),
+            l2_is_miss=(), l2_is_secondary=(),
+            mem_index=(), mem_start=(), mem_end=(),
+            component_stats=self._component_stats(),
+            l3_index=self._l2_l3_index if self.l3_cache is not None else None,
+            l3_records=self._l3_rec,
+        )
+
     def _run_impl_fast(
         self,
         trace: Trace,
         *,
-        perfect: bool,
         start_cycle: int,
         stop_cycle: "int | None",
         resume: bool,
@@ -848,26 +1004,9 @@ class HierarchySimulator:
         self._l3_rec = tuple([] for _ in range(7))
         self._l2_l3_index = []
 
-        check_int("start_cycle", start_cycle, minimum=0)
-        if resume and self._pipe is not None:
-            pipe = self._pipe
-            disp_cycle = max(pipe["disp_cycle"], start_cycle)
-            disp_count = pipe["disp_count"] if disp_cycle == pipe["disp_cycle"] else 0
-            ret_cycle = max(pipe["ret_cycle"], start_cycle - 1)
-            ret_count = pipe["ret_count"] if ret_cycle == pipe["ret_cycle"] else 0
-            last_mem_complete = pipe["last_mem_complete"]
-            last_compute_complete = pipe["last_compute_complete"]
-            lsq = pipe["lsq"]
-            recent_retires: list[int] = pipe["recent_retires"][-rob:]
-        else:
-            disp_cycle = start_cycle
-            disp_count = 0
-            ret_cycle = start_cycle - 1
-            ret_count = 0
-            last_mem_complete = start_cycle
-            last_compute_complete = start_cycle
-            lsq = []
-            recent_retires = []
+        (disp_cycle, disp_count, ret_cycle, ret_count, last_mem_complete,
+         last_compute_complete, lsq, recent_retires) = self._pipe_start(
+            start_cycle, resume, rob)
 
         # Hot-loop bindings: everything the L1-hit path touches, resolved
         # once.  The LRU set dict is shared engine/cache state, so fills
@@ -979,225 +1118,219 @@ class HierarchySimulator:
 
             # --- execute -------------------------------------------------
             if mem_op:
-                if perfect:
-                    c = d + h1
-                    l1_hs[mem_i] = d
-                    l1_he[mem_i] = c
-                    l1_complete[mem_i] = c
+                addr = address_l[i]
+                # L1 port grant, inline (PortScheduler.acquire).
+                free = port_heap[0]
+                t_port = d if d >= free else free
+                if single_port:
+                    port_heap[0] = t_port + port_occ
                 else:
-                    addr = address_l[i]
-                    # L1 port grant, inline (PortScheduler.acquire).
-                    free = port_heap[0]
-                    t_port = d if d >= free else free
-                    if single_port:
-                        port_heap[0] = t_port + port_occ
+                    heapreplace(port_heap, t_port + port_occ)
+                port_grants += 1
+                port_wait += t_port - d
+                # Lazy fills due before the probe, inline (the fill
+                # queue's apply_until + FunctionalCache.insert for LRU).
+                while fills_heap and fills_heap[0][0] <= t_port:
+                    fb = heappop(fills_heap)[1] >> offset_bits
+                    ft = fb >> set_bits
+                    fi = fb & set_mask
+                    fs = l1_sets.get(fi)
+                    if fs is None:
+                        l1_sets[fi] = {ft: None}
+                    elif ft in fs:
+                        del fs[ft]  # refresh: reinsert at the tail
+                        fs[ft] = None
                     else:
-                        heapreplace(port_heap, t_port + port_occ)
-                    port_grants += 1
-                    port_wait += t_port - d
-                    # Lazy fills due before the probe, inline (the fill
-                    # queue's apply_until + FunctionalCache.insert for LRU).
-                    while fills_heap and fills_heap[0][0] <= t_port:
-                        fb = heappop(fills_heap)[1] >> offset_bits
-                        ft = fb >> set_bits
-                        fi = fb & set_mask
-                        fs = l1_sets.get(fi)
-                        if fs is None:
-                            l1_sets[fi] = {ft: None}
-                        elif ft in fs:
-                            del fs[ft]  # refresh: reinsert at the tail
-                            fs[ft] = None
-                        else:
-                            if len(fs) >= l1_assoc:
-                                del fs[next(iter(fs))]
-                                l1_evict += 1
-                            fs[ft] = None
-                    # LRU probe, inline (FunctionalCache.lookup).
-                    block = addr >> offset_bits
-                    tag = block >> set_bits
-                    s = l1_sets.get(block & set_mask)
-                    hit_end = t_port + h1
-                    if s is not None and tag in s:
-                        del s[tag]  # LRU promotion: reinsert at the tail
-                        s[tag] = None
-                        cache_hits += 1
-                        l1_hs[mem_i] = t_port
-                        l1_he[mem_i] = hit_end
-                        l1_complete[mem_i] = hit_end
-                        c = hit_end
+                        if len(fs) >= l1_assoc:
+                            del fs[next(iter(fs))]
+                            l1_evict += 1
+                        fs[ft] = None
+                # LRU probe, inline (FunctionalCache.lookup).
+                block = addr >> offset_bits
+                tag = block >> set_bits
+                s = l1_sets.get(block & set_mask)
+                hit_end = t_port + h1
+                if s is not None and tag in s:
+                    del s[tag]  # LRU promotion: reinsert at the tail
+                    s[tag] = None
+                    cache_hits += 1
+                    l1_hs[mem_i] = t_port
+                    l1_he[mem_i] = hit_end
+                    l1_complete[mem_i] = hit_end
+                    c = hit_end
+                else:
+                    cache_misses += 1
+                    l1_hs[mem_i] = t_port
+                    l1_he[mem_i] = hit_end
+                    l1_miss[mem_i] = True
+                    # L1 MSHR present, inline (in-order MSHRFile.present):
+                    # clamp to the file's never-rewinding clock, expire
+                    # returned fills, then coalesce or allocate.
+                    arr = hit_end if hit_end >= l1_now else l1_now
+                    while l1_rel and l1_rel[0][0] <= arr:
+                        rel_block = heappop(l1_rel)[1]
+                        f = l1_out.get(rel_block)
+                        if f is not None and f <= arr:
+                            del l1_out[rel_block]
+                    fill = l1_out.get(block)
+                    if fill is not None and fill > arr:
+                        # Secondary miss: ride the outstanding fill.
+                        l1m_secondary += 1
+                        c = fill if fill > hit_end else hit_end
+                        l1_sec[mem_i] = True
+                        l1_ms[mem_i] = hit_end
+                        l1_me[mem_i] = c
+                        l1_complete[mem_i] = c
                     else:
-                        cache_misses += 1
-                        l1_hs[mem_i] = t_port
-                        l1_he[mem_i] = hit_end
-                        l1_miss[mem_i] = True
-                        # L1 MSHR present, inline (in-order MSHRFile.present):
-                        # clamp to the file's never-rewinding clock, expire
-                        # returned fills, then coalesce or allocate.
-                        arr = hit_end if hit_end >= l1_now else l1_now
-                        while l1_rel and l1_rel[0][0] <= arr:
-                            rel_block = heappop(l1_rel)[1]
-                            f = l1_out.get(rel_block)
-                            if f is not None and f <= arr:
-                                del l1_out[rel_block]
-                        fill = l1_out.get(block)
-                        if fill is not None and fill > arr:
-                            # Secondary miss: ride the outstanding fill.
-                            l1m_secondary += 1
-                            c = fill if fill > hit_end else hit_end
-                            l1_sec[mem_i] = True
-                            l1_ms[mem_i] = hit_end
-                            l1_me[mem_i] = c
-                            l1_complete[mem_i] = c
+                        grant = arr
+                        if len(l1_out) >= l1_cap:
+                            # Full: stall until the earliest fill returns.
+                            earliest = l1_rel[0][0]
+                            if earliest > grant:
+                                grant = earliest
+                            while l1_rel and l1_rel[0][0] <= grant:
+                                rel_block = heappop(l1_rel)[1]
+                                f = l1_out.get(rel_block)
+                                if f is not None and f <= grant:
+                                    del l1_out[rel_block]
+                        l1_now = grant
+                        l1m_primary += 1
+                        l1m_stall += grant - arr
+                        # L2 request (in-order miss queue: clamp monotonic).
+                        t_l2 = grant + l1_to_l2
+                        if t_l2 < last_l2_req:
+                            t_l2 = last_l2_req
+                        last_l2_req = t_l2
+                        # L2 bank grant, inline (BankScheduler.acquire).
+                        bank = block & l2_bank_mask
+                        bfree = l2_free[bank]
+                        t_bank = t_l2 if t_l2 >= bfree else bfree
+                        l2_free[bank] = t_bank + l2_occ
+                        l2_grants += 1
+                        l2_wait += t_bank - t_l2
+                        while l2_fills_heap and l2_fills_heap[0][0] <= t_l2:
+                            fb = heappop(l2_fills_heap)[1] >> l2_offset_bits
+                            ft = fb >> l2_set_bits
+                            fi = fb & l2_set_mask
+                            fs = l2_sets.get(fi)
+                            if fs is None:
+                                l2_sets[fi] = {ft: None}
+                            elif ft in fs:
+                                del fs[ft]
+                                fs[ft] = None
+                            else:
+                                if len(fs) >= l2_assoc:
+                                    del fs[next(iter(fs))]
+                                    l2_evict += 1
+                                fs[ft] = None
+                        # L2 LRU probe, inline.
+                        l2_block = addr >> l2_offset_bits
+                        l2_tag = l2_block >> l2_set_bits
+                        s2 = l2_sets.get(l2_block & l2_set_mask)
+                        l2_row = len(l2_hs)
+                        l2_hit_end = t_bank + h2
+                        l2_hs.append(t_bank)
+                        l2_he.append(l2_hit_end)
+                        if s2 is not None and l2_tag in s2:
+                            del s2[l2_tag]
+                            s2[l2_tag] = None
+                            l2_hits_n += 1
+                            l2_ms.append(0)
+                            l2_me.append(0)
+                            l2_miss.append(False)
+                            l2_sec.append(False)
+                            mem_index.append(-1)
+                            l2_l3_append(-1)
+                            data_at_l1 = l2_hit_end + l1_to_l2
+                        elif not l2m_inline:
+                            l2_misses_n += 1
+                            data_at_l1 = l2_miss_walk(
+                                addr, block, l2_hit_end,
+                                l2_ms, l2_me, l2_miss, l2_sec,
+                                mem_index, mem_s, mem_e,
+                            ) + l1_to_l2
                         else:
-                            grant = arr
-                            if len(l1_out) >= l1_cap:
-                                # Full: stall until the earliest fill returns.
-                                earliest = l1_rel[0][0]
-                                if earliest > grant:
-                                    grant = earliest
-                                while l1_rel and l1_rel[0][0] <= grant:
-                                    rel_block = heappop(l1_rel)[1]
-                                    f = l1_out.get(rel_block)
-                                    if f is not None and f <= grant:
-                                        del l1_out[rel_block]
-                            l1_now = grant
-                            l1m_primary += 1
-                            l1m_stall += grant - arr
-                            # L2 request (in-order miss queue: clamp monotonic).
-                            t_l2 = grant + l1_to_l2
-                            if t_l2 < last_l2_req:
-                                t_l2 = last_l2_req
-                            last_l2_req = t_l2
-                            # L2 bank grant, inline (BankScheduler.acquire).
-                            bank = block & l2_bank_mask
-                            bfree = l2_free[bank]
-                            t_bank = t_l2 if t_l2 >= bfree else bfree
-                            l2_free[bank] = t_bank + l2_occ
-                            l2_grants += 1
-                            l2_wait += t_bank - t_l2
-                            while l2_fills_heap and l2_fills_heap[0][0] <= t_l2:
-                                fb = heappop(l2_fills_heap)[1] >> l2_offset_bits
-                                ft = fb >> l2_set_bits
-                                fi = fb & l2_set_mask
-                                fs = l2_sets.get(fi)
-                                if fs is None:
-                                    l2_sets[fi] = {ft: None}
-                                elif ft in fs:
-                                    del fs[ft]
-                                    fs[ft] = None
-                                else:
-                                    if len(fs) >= l2_assoc:
-                                        del fs[next(iter(fs))]
-                                        l2_evict += 1
-                                    fs[ft] = None
-                            # L2 LRU probe, inline.
-                            l2_block = addr >> l2_offset_bits
-                            l2_tag = l2_block >> l2_set_bits
-                            s2 = l2_sets.get(l2_block & l2_set_mask)
-                            l2_row = len(l2_hs)
-                            l2_hit_end = t_bank + h2
-                            l2_hs.append(t_bank)
-                            l2_he.append(l2_hit_end)
-                            if s2 is not None and l2_tag in s2:
-                                del s2[l2_tag]
-                                s2[l2_tag] = None
-                                l2_hits_n += 1
-                                l2_ms.append(0)
-                                l2_me.append(0)
-                                l2_miss.append(False)
-                                l2_sec.append(False)
+                            l2_misses_n += 1
+                            l2_miss.append(True)
+                            # L2 MSHR present, inline (in-order).
+                            arr2 = (
+                                l2_hit_end if l2_hit_end >= l2m_now
+                                else l2m_now
+                            )
+                            while l2m_rel and l2m_rel[0][0] <= arr2:
+                                rb = heappop(l2m_rel)[1]
+                                f2 = l2m_out.get(rb)
+                                if f2 is not None and f2 <= arr2:
+                                    del l2m_out[rb]
+                            fill2 = l2m_out.get(block)
+                            if fill2 is not None and fill2 > arr2:
+                                l2m_secondary += 1
+                                l2_sec.append(True)
                                 mem_index.append(-1)
                                 l2_l3_append(-1)
-                                data_at_l1 = l2_hit_end + l1_to_l2
-                            elif not l2m_inline:
-                                l2_misses_n += 1
-                                data_at_l1 = l2_miss_walk(
-                                    addr, block, l2_hit_end,
-                                    l2_ms, l2_me, l2_miss, l2_sec,
-                                    mem_index, mem_s, mem_e,
-                                ) + l1_to_l2
-                            else:
-                                l2_misses_n += 1
-                                l2_miss.append(True)
-                                # L2 MSHR present, inline (in-order).
-                                arr2 = (
-                                    l2_hit_end if l2_hit_end >= l2m_now
-                                    else l2m_now
-                                )
-                                while l2m_rel and l2m_rel[0][0] <= arr2:
-                                    rb = heappop(l2m_rel)[1]
-                                    f2 = l2m_out.get(rb)
-                                    if f2 is not None and f2 <= arr2:
-                                        del l2m_out[rb]
-                                fill2 = l2m_out.get(block)
-                                if fill2 is not None and fill2 > arr2:
-                                    l2m_secondary += 1
-                                    l2_sec.append(True)
-                                    mem_index.append(-1)
-                                    l2_l3_append(-1)
-                                    mem_ready = (
-                                        fill2 if fill2 > l2_hit_end
-                                        else l2_hit_end
-                                    )
-                                else:
-                                    grant2 = arr2
-                                    if len(l2m_out) >= l2m_cap:
-                                        e2 = l2m_rel[0][0]
-                                        if e2 > grant2:
-                                            grant2 = e2
-                                        while l2m_rel and l2m_rel[0][0] <= grant2:
-                                            rb = heappop(l2m_rel)[1]
-                                            f2 = l2m_out.get(rb)
-                                            if f2 is not None and f2 <= grant2:
-                                                del l2m_out[rb]
-                                    l2m_now = grant2
-                                    l2m_primary += 1
-                                    l2m_stall += grant2 - arr2
-                                    l2_sec.append(False)
-                                    if has_l3:
-                                        l3_row, mem_ready = access_l3(
-                                            addr, block,
-                                            grant2 + cfg.l2_to_l3_delay,
-                                            mem_s, mem_e,
-                                        )
-                                        mem_index.append(-1)
-                                        l2_l3_append(l3_row)
-                                    else:
-                                        t_mem = grant2 + l2_to_mem
-                                        if t_mem < last_mem_req:
-                                            t_mem = last_mem_req
-                                        last_mem_req = t_mem
-                                        dres = dram_access(block, t_mem)
-                                        mem_index.append(len(mem_s))
-                                        mem_s.append(dres.service_start)
-                                        mem_e.append(dres.service_end)
-                                        mem_ready = dres.data_ready + l2_to_mem
-                                        l2_l3_append(-1)
-                                    # L2 fill + MSHR completion, inline.
-                                    heappush(l2_fills_heap, (mem_ready, addr))
-                                    l2m_out[block] = mem_ready
-                                    heappush(l2m_rel, (mem_ready, block))
-                                    occ2 = len(l2m_out)
-                                    if occ2 > l2m_peak:
-                                        l2m_peak = occ2
-                                l2_ms.append(l2_hit_end)
-                                l2_me.append(
-                                    mem_ready if mem_ready > l2_hit_end
+                                mem_ready = (
+                                    fill2 if fill2 > l2_hit_end
                                     else l2_hit_end
                                 )
-                                data_at_l1 = mem_ready + l1_to_l2
-                            l2_index[mem_i] = l2_row
-                            # L1 fill + MSHR completion, inline.
-                            heappush(fills_heap, (data_at_l1, addr))
-                            l1_out[block] = data_at_l1
-                            heappush(l1_rel, (data_at_l1, block))
-                            occ = len(l1_out)
-                            if occ > l1m_peak:
-                                l1m_peak = occ
-                            l1_ms[mem_i] = hit_end
-                            c = data_at_l1 if data_at_l1 > hit_end else hit_end
-                            l1_me[mem_i] = c
-                            l1_complete[mem_i] = c
+                            else:
+                                grant2 = arr2
+                                if len(l2m_out) >= l2m_cap:
+                                    e2 = l2m_rel[0][0]
+                                    if e2 > grant2:
+                                        grant2 = e2
+                                    while l2m_rel and l2m_rel[0][0] <= grant2:
+                                        rb = heappop(l2m_rel)[1]
+                                        f2 = l2m_out.get(rb)
+                                        if f2 is not None and f2 <= grant2:
+                                            del l2m_out[rb]
+                                l2m_now = grant2
+                                l2m_primary += 1
+                                l2m_stall += grant2 - arr2
+                                l2_sec.append(False)
+                                if has_l3:
+                                    l3_row, mem_ready = access_l3(
+                                        addr, block,
+                                        grant2 + cfg.l2_to_l3_delay,
+                                        mem_s, mem_e,
+                                    )
+                                    mem_index.append(-1)
+                                    l2_l3_append(l3_row)
+                                else:
+                                    t_mem = grant2 + l2_to_mem
+                                    if t_mem < last_mem_req:
+                                        t_mem = last_mem_req
+                                    last_mem_req = t_mem
+                                    dres = dram_access(block, t_mem)
+                                    mem_index.append(len(mem_s))
+                                    mem_s.append(dres.service_start)
+                                    mem_e.append(dres.service_end)
+                                    mem_ready = dres.data_ready + l2_to_mem
+                                    l2_l3_append(-1)
+                                # L2 fill + MSHR completion, inline.
+                                heappush(l2_fills_heap, (mem_ready, addr))
+                                l2m_out[block] = mem_ready
+                                heappush(l2m_rel, (mem_ready, block))
+                                occ2 = len(l2m_out)
+                                if occ2 > l2m_peak:
+                                    l2m_peak = occ2
+                            l2_ms.append(l2_hit_end)
+                            l2_me.append(
+                                mem_ready if mem_ready > l2_hit_end
+                                else l2_hit_end
+                            )
+                            data_at_l1 = mem_ready + l1_to_l2
+                        l2_index[mem_i] = l2_row
+                        # L1 fill + MSHR completion, inline.
+                        heappush(fills_heap, (data_at_l1, addr))
+                        l1_out[block] = data_at_l1
+                        heappush(l1_rel, (data_at_l1, block))
+                        occ = len(l1_out)
+                        if occ > l1m_peak:
+                            l1m_peak = occ
+                        l1_ms[mem_i] = hit_end
+                        c = data_at_l1 if data_at_l1 > hit_end else hit_end
+                        l1_me[mem_i] = c
+                        l1_complete[mem_i] = c
                 heappush(lsq, c)
                 last_mem_complete = c
                 mem_i += 1
@@ -1254,16 +1387,10 @@ class HierarchySimulator:
             if not has_l3:
                 self._last_mem_req = last_mem_req
 
-        self._pipe = {
-            "disp_cycle": disp_cycle,
-            "disp_count": disp_count,
-            "ret_cycle": ret_cycle,
-            "ret_count": ret_count,
-            "last_mem_complete": last_mem_complete,
-            "last_compute_complete": last_compute_complete,
-            "lsq": lsq,
-            "recent_retires": recent_retires[-max(rob, 1):],
-        }
+        self._pipe_save(
+            disp_cycle, disp_count, ret_cycle, ret_count, last_mem_complete,
+            last_compute_complete, lsq, recent_retires, rob,
+        )
 
         if executed < n:
             # Quantum bound hit: drop the preallocated rows never reached.
@@ -1271,15 +1398,6 @@ class HierarchySimulator:
             l1_ms, l1_me = l1_ms[:mem_i], l1_me[:mem_i]
             l1_miss, l1_sec = l1_miss[:mem_i], l1_sec[:mem_i]
             l1_complete, l2_index = l1_complete[:mem_i], l2_index[:mem_i]
-        stats = {
-            "l1_port_mean_wait": self.l1_ports.mean_wait,
-            "l2_bank_mean_wait": self.l2_banks.mean_wait,
-            "l1_mshr_coalescing": self.l1_mshrs.coalescing_ratio,
-            "l1_mshr_peak": self.l1_mshrs.peak_occupancy,
-            "l2_mshr_peak": self.l2_mshrs.peak_occupancy,
-            "dram_row_hit_rate": self.dram.row_hit_rate,
-            "dram_mean_bank_wait": self.dram.mean_bank_wait,
-        }
         return build_simulation_result(
             config=cfg,
             trace_name=trace.name,
@@ -1294,7 +1412,7 @@ class HierarchySimulator:
             l2_miss_start=l2_ms, l2_miss_end=l2_me,
             l2_is_miss=l2_miss, l2_is_secondary=l2_sec,
             mem_index=mem_index, mem_start=mem_s, mem_end=mem_e,
-            component_stats=stats,
+            component_stats=self._component_stats(),
             l3_index=self._l2_l3_index if self.l3_cache is not None else None,
             l3_records=self._l3_rec,
         )

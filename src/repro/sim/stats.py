@@ -40,7 +40,7 @@ from repro.sim.engine import (
     SimulationResult,
     batch_eligible,
 )
-from repro.sim.params import MachineConfig
+from repro.sim.params import DEFAULT_MACHINE, CoreParams, MachineConfig
 from repro.util.validation import safe_ratio
 from repro.workloads.trace import Trace
 
@@ -284,6 +284,21 @@ def perfect_projection(config: MachineConfig) -> tuple:
     return _perfect_knobs(config)
 
 
+def _perfect_lane(projection: tuple) -> MachineConfig:
+    """A batch-eligible config whose :func:`perfect_projection` is *projection*.
+
+    :data:`DEFAULT_MACHINE` with the four knobs set; every other field is
+    irrelevant to the pass (``tests/sim/test_batch_dispatch.py``).
+    """
+    knobs = dict(zip(PERFECT_PASS_KNOBS, projection))
+    core = CoreParams(
+        issue_width=knobs["core.issue_width"],
+        rob_size=knobs["core.rob_size"],
+        iw_size=knobs["core.iw_size"],
+    )
+    return DEFAULT_MACHINE.with_(core=core, l1_hit_time=knobs["l1_hit_time"])
+
+
 #: Entries a :class:`PerfectPassMemo` keeps before evicting the least
 #: recently used one (a float and a short key each: well under 1 MB).
 PERFECT_MEMO_ENTRIES = 4096
@@ -303,8 +318,9 @@ class PerfectPassMemo:
     A memo is an object its owner passes in explicitly — one per
     evaluation runtime for inline runs, one per pool worker for the
     worker's lifetime — never module state, so callers that pass none
-    (the default) hash and look up nothing.  Only batch-eligible configs
-    consult it; ineligible ones keep a perfect pass of their own.
+    (the default) hash and look up nothing.  Every config consults it,
+    prefetch, bypass, non-LRU and L3 configs included: the perfect pass
+    never reaches the units that make a config ineligible for the kernel.
     """
 
     def __init__(self) -> None:
@@ -355,7 +371,8 @@ class DispatchPlan(NamedTuple):
     #: Configs simulated one by one on the scalar engine, in input order.
     scalar: "list[int]"
     #: The scalar configs the kernel cannot run at all (prefetcher, L1
-    #: bypass, non-LRU L1/L2); each keeps its own perfect pass.
+    #: bypass, non-LRU L1/L2).  Only their real pass is theirs alone; the
+    #: perfect pass is shared with every config of the same projection.
     ineligible: "list[int]"
 
 
@@ -404,13 +421,11 @@ def simulate_and_measure(
     ``warm=True`` touches the trace's addresses functionally first, so the
     measured window reflects steady-state locality rather than cold-start
     compulsory misses (the paper samples long-running SPEC regions).
-    A *memo* serves the perfect pass of a batch-eligible config from an
-    earlier call; the result is bit-identical either way.
+    A *memo* serves the perfect pass of any config from an earlier call
+    with the same :func:`perfect_projection`; the result is bit-identical
+    either way.
     """
-    if memo is not None and batch_eligible(config):
-        cpi = _shared_perfect_cpis([config], trace, seed, memo)[perfect_projection(config)]
-    else:
-        cpi = _perfect_cpi(config, trace, seed)
+    cpi = _shared_perfect_cpis([config], trace, seed, memo)[perfect_projection(config)]
     return _measure_real(config, trace, cpi, seed=seed, warm=warm)
 
 
@@ -427,11 +442,10 @@ def simulate_and_measure_batch(
     :func:`dispatch_plan` decides where each config runs: a wide enough
     group of batch-eligible configs shares one vectorized kernel call,
     everything else takes the scalar engine.  Either way the perfect-L1
-    pass runs once per distinct :func:`perfect_projection` among the
-    eligible configs (none at all for those a *memo* remembers);
-    ineligible configs keep a perfect pass of their own.  Every engine is
-    bit-identical, so the results equal N :func:`simulate_and_measure`
-    calls, in input order.
+    pass runs once per distinct :func:`perfect_projection` among all the
+    configs, eligible or not (none at all for those a *memo* remembers).
+    Every engine is bit-identical, so the results equal N
+    :func:`simulate_and_measure` calls, in input order.
     """
     plan = dispatch_plan(configs)
     return _measure_planned(configs, trace, plan, seed=seed, warm=warm, memo=memo)
@@ -443,11 +457,14 @@ def _shared_perfect_cpis(
     seed: int,
     memo: "PerfectPassMemo | None" = None,
 ) -> "dict[tuple, float]":
-    """CPI_exe per distinct :func:`perfect_projection` of eligible *configs*.
+    """CPI_exe per distinct :func:`perfect_projection` of *configs*.
 
     Projections the *memo* remembers cost nothing; the rest run one
     perfect pass each: all in one kernel call when there are at least
-    :data:`BATCH_MIN_LANES` of them, else one scalar run each.
+    :data:`BATCH_MIN_LANES` of them, else one scalar run each (the
+    scalar engine's core-only perfect loop runs any config).  A kernel
+    lane is the projection's :func:`_perfect_lane`, so ineligible configs
+    share the kernel call too.
     """
     firsts: "dict[tuple, MachineConfig]" = {}
     for config in configs:
@@ -459,9 +476,8 @@ def _shared_perfect_cpis(
     else:
         from repro.sim.batch import BatchHierarchySimulator
 
-        perfect = BatchHierarchySimulator(list(todo.values()), seed=seed).run(
-            trace, perfect=True
-        )
+        lanes = [_perfect_lane(key) for key in todo]
+        perfect = BatchHierarchySimulator(lanes, seed=seed).run(trace, perfect=True)
         fresh = {key: res.cpi for key, res in zip(todo, perfect)}
     if memo is not None:
         memo.remember(trace, fresh)
@@ -478,10 +494,7 @@ def _measure_planned(
     memo: "PerfectPassMemo | None" = None,
 ) -> "list[tuple[SimulationResult, HierarchyStats]]":
     """Measure *configs* where *plan* puts them, sharing perfect passes."""
-    ineligible = set(plan.ineligible)
-    cpi_exe = _shared_perfect_cpis(
-        [c for i, c in enumerate(configs) if i not in ineligible], trace, seed, memo
-    )
+    cpi_exe = _shared_perfect_cpis(configs, trace, seed, memo)
     out: "list[tuple[SimulationResult, HierarchyStats] | None]" = [None] * len(configs)
     if plan.kernel:
         from repro.sim.batch import BatchHierarchySimulator
@@ -494,9 +507,6 @@ def _measure_planned(
             out[idx] = (res, measure_hierarchy(res, cpi_exe=cpi))
     for idx in plan.scalar:
         config = configs[idx]
-        if idx in ineligible:
-            out[idx] = simulate_and_measure(config, trace, seed=seed, warm=warm)
-        else:
-            cpi = cpi_exe[perfect_projection(config)]
-            out[idx] = _measure_real(config, trace, cpi, seed=seed, warm=warm)
+        cpi = cpi_exe[perfect_projection(config)]
+        out[idx] = _measure_real(config, trace, cpi, seed=seed, warm=warm)
     return out  # type: ignore[return-value]

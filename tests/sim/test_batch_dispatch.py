@@ -243,8 +243,12 @@ class TestDispatch:
         assert plan.kernel == [] and plan.scalar == list(range(len(configs)))
         pairs = simulate_and_measure_batch(configs, trace, seed=0)
         assert not [r for r in runs if r[0] != "scalar"], "no kernel below it"
-        projections = {perfect_projection(c) for c in configs[:-1]}
-        assert sum(1 for r in runs if r[2]) == len(projections) + 1
+        # The ineligible twin shares the L1-size configs' projection.
+        projections = {perfect_projection(c) for c in configs}
+        assert perfect_projection(configs[-1]) in {
+            perfect_projection(c) for c in configs[:-1]
+        }
+        assert sum(1 for r in runs if r[2]) == len(projections)
         assert sum(1 for r in runs if not r[2]) == len(configs)
         runs.clear()
         assert [s.to_dict() for _, s in pairs] == _scalar_stats(configs, trace)
@@ -264,10 +268,9 @@ class TestDispatch:
             ("kernel", BATCH_MIN_LANES, True),
             ("kernel", len(plan.kernel), False),
         ]
-        # Only the ineligible config runs on the scalar engine.
-        assert [r for r in runs if r[0] == "scalar"] == [
-            ("scalar", 1, True), ("scalar", 1, False),
-        ]
+        # Only the ineligible config's real pass runs on the scalar engine;
+        # its projection is one of the kernel's perfect lanes.
+        assert [r for r in runs if r[0] == "scalar"] == [("scalar", 1, False)]
         runs.clear()
         assert [s.to_dict() for _, s in pairs] == _scalar_stats(configs, trace)
 
@@ -286,17 +289,31 @@ class TestDispatch:
         runs.clear()
         assert [s.to_dict() for _, s in pairs] == _scalar_stats(configs, trace)
 
-    def test_ineligible_configs_never_share_a_perfect_pass(self, runs):
+    def test_ineligible_configs_share_the_perfect_pass(self, runs):
         trace = _trace(n=200)
         twins = _ineligible_twins()
         configs = twins + [DEFAULT_MACHINE, DEFAULT_MACHINE.with_(name="again")]
         assert len({perfect_projection(c) for c in configs}) == 1
         pairs = simulate_and_measure_batch(configs, trace, seed=0)
-        # One perfect pass per ineligible config, one for both eligible ones.
-        assert sum(1 for r in runs if r[2]) == len(twins) + 1
+        # One projection: one perfect pass for eligible and ineligible alike.
+        assert sum(1 for r in runs if r[2]) == 1
         runs.clear()
         for config, (_, stats) in zip(configs, pairs):
             assert stats == simulate_and_measure(config, trace, seed=0)[1], config.name
+
+    def test_ineligible_projection_rides_the_perfect_kernel_call(self, runs):
+        trace = _trace(n=200)
+        # The prefetch config comes first with a projection of its own, so
+        # the kernel's perfect lane for it must be a stand-in config.
+        prefetch = DEFAULT_MACHINE.with_knobs(issue_width=3, name="w3").with_(
+            prefetch=PrefetchConfig()
+        )
+        configs = [prefetch] + _core_grid()[: BATCH_MIN_LANES - 1]
+        assert len({perfect_projection(c) for c in configs}) == BATCH_MIN_LANES
+        pairs = simulate_and_measure_batch(configs, trace, seed=0)
+        assert [r for r in runs if r[2]] == [("kernel", BATCH_MIN_LANES, True)]
+        runs.clear()
+        assert [s.to_dict() for _, s in pairs] == _scalar_stats(configs, trace)
 
     @pytest.mark.parametrize("width", [1, BATCH_MIN_LANES])
     def test_engine_batch_still_refuses_ineligible_configs(self, width):

@@ -238,3 +238,72 @@ class TestWarming:
         c.warm_lookup_array(np.array([0, 64, 128]))
         assert c.hits == 0 and c.misses == 0
         assert c.contains(0) and c.contains(64) and c.contains(128)
+
+
+def _replay_warm(cache, addresses):
+    """The per-address warm walk: probe, fill on a miss, keep the counters."""
+    saved = (cache.hits, cache.misses, cache.evictions)
+    for a in addresses:
+        if not cache.lookup(int(a)):
+            cache.insert(int(a))
+    cache.hits, cache.misses, cache.evictions = saved
+
+
+def _contents(cache):
+    """Outer set order and, per set, the resident tags in policy order."""
+    if cache.replacement == "plru":
+        return [(i, list(s.ways), list(s.bits)) for i, s in cache._plru_sets.items()]
+    return [(i, list(s)) for i, s in cache._sets.items()]
+
+
+@st.composite
+def warm_case(draw):
+    """A geometry, the accesses that fill it first, and 1-3 warm chunks."""
+    assoc = draw(st.sampled_from([1, 2, 4, 8, 16]))
+    sets = draw(st.sampled_from([1, 2, 4, 16, 64]))
+    span = draw(st.integers(min_value=1, max_value=4 * assoc * sets))
+    stride = draw(st.sampled_from([1, 8, 64, 72]))
+    addrs = st.lists(st.integers(min_value=0, max_value=span), max_size=300).map(
+        lambda xs: np.array(xs, dtype=np.int64) * stride
+    )
+    return (
+        assoc, sets, draw(addrs),
+        draw(st.lists(addrs, min_size=1, max_size=3)),
+        draw(st.lists(st.integers(min_value=0, max_value=span), max_size=8)),
+    )
+
+
+class TestWarmEquivalence:
+    """``warm_lookup_array`` leaves exactly the state of a per-address walk."""
+
+    @given(warm_case(), st.sampled_from(["lru", "fifo", "random", "plru"]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_address_walk(self, case, policy):
+        assoc, sets, prefill, chunks, evictions = case
+        got = small_cache(policy, assoc=assoc, sets=sets, seed=3)
+        want = small_cache(policy, assoc=assoc, sets=sets, seed=3)
+        for cache in (got, want):
+            # Live traffic first, so warming starts from resident blocks,
+            # non-zero counters and sets that evictions emptied.
+            for a in prefill.tolist():
+                if not cache.lookup(a):
+                    cache.insert(a)
+            for block in evictions:
+                cache.evict(block * 64)
+        for chunk in chunks:
+            got.warm_lookup_array(chunk)
+            _replay_warm(want, chunk)
+            assert _contents(got) == _contents(want)
+            assert (got.hits, got.misses, got.evictions) == (
+                want.hits, want.misses, want.evictions
+            )
+            assert got._rng.bit_generator.state == want._rng.bit_generator.state
+
+    def test_engine_keeps_its_bound_lru_state(self):
+        c = small_cache(assoc=2, sets=4)
+        c.insert(addr(1, 5))
+        sets = c.lru_hot_state()[0]
+        inner = sets[1]
+        c.warm_lookup_array(np.array([addr(1, 6), addr(2, 1), addr(1, 7)]))
+        assert c.lru_hot_state()[0] is sets and sets[1] is inner
+        assert list(sets) == [1, 2] and list(inner) == [6, 7]

@@ -12,7 +12,9 @@ heterogeneous config slice — against per-config reference runs, with
 failure diffs that name the config lane, the divergent field and the
 first divergent row.  The eligibility gates are pinned down too (prefetch
 or non-LRU replacement fall back under `engine="auto"`, reject
-`engine="fast"`/`engine="batch"` outright).
+`engine="fast"`/`engine="batch"` outright).  The core-only perfect-L1
+loop that `auto` and `fast` run for every config is held to the reference
+loop's perfect branch across resumed quanta.
 """
 
 import dataclasses
@@ -23,8 +25,9 @@ import pytest
 from repro.runtime.errors import ConfigError
 from repro.sim import DEFAULT_MACHINE, HierarchySimulator, table1_config
 from repro.sim.batch import BatchHierarchySimulator
-from repro.sim.params import MachineConfig
-from repro.sim.prefetch import PrefetchConfig
+from repro.sim.engine import batch_eligible
+from repro.sim.params import CacheGeometry, MachineConfig
+from repro.sim.prefetch import BypassConfig, PrefetchConfig
 from repro.sim.stats import BATCH_MIN_LANES, dispatch_plan
 from repro.workloads.generators import (
     pointer_chase_addresses,
@@ -207,8 +210,6 @@ class TestBatchMultiLane:
                                         warm=False, stop_cycle=stop)
 
     def test_l3_configured_lane(self):
-        from repro.sim.params import CacheGeometry
-
         l3_config = dataclasses.replace(
             DEFAULT_MACHINE,
             l3=CacheGeometry(2 * 1024 * 1024, line_bytes=64,
@@ -347,3 +348,109 @@ class TestBatchEligibilityGate:
         assert narrow.kernel == []
         assert narrow.scalar == [0, 1, 2, 3]
         assert narrow.ineligible == [1, 3]
+
+
+#: One config per unit the real pass can route through; the perfect pass
+#: must ignore all of them.
+PERFECT_CONFIGS = [
+    DEFAULT_MACHINE,
+    DEFAULT_MACHINE.with_(prefetch=PrefetchConfig(degree=4, distance=2), name="prefetch"),
+    DEFAULT_MACHINE.with_(l1_bypass=BypassConfig(), name="bypass"),
+    DEFAULT_MACHINE.with_(
+        l1=dataclasses.replace(DEFAULT_MACHINE.l1, replacement="fifo"), name="fifo-l1",
+    ),
+    DEFAULT_MACHINE.with_(
+        l1=dataclasses.replace(DEFAULT_MACHINE.l1, replacement="plru"),
+        l2=dataclasses.replace(DEFAULT_MACHINE.l2, replacement="plru"),
+        name="plru",
+    ),
+    DEFAULT_MACHINE.with_(l3=CacheGeometry(1024 * 1024, associativity=16), name="l3"),
+    table1_config("A").with_(l1_hit_time=2),
+    # A one-entry window that the slow hits keep full, so quanta stop on a
+    # full window.
+    DEFAULT_MACHINE.with_knobs(iw_size=1, name="tiny-window").with_(l1_hit_time=5),
+]
+
+
+def _assert_same_result(got, want, *, lane: str) -> None:
+    """Every :class:`SimulationResult` field, records and scalars alike."""
+    _assert_identical(got, want, lane=lane)
+    assert (got.config, got.trace_name, got.instructions_executed) == (
+        want.config, want.trace_name, want.instructions_executed
+    ), lane
+
+
+class TestPerfectLoop:
+    """The core-only perfect loop == the reference loop's perfect branch."""
+
+    @pytest.mark.parametrize("config", PERFECT_CONFIGS, ids=lambda c: c.name)
+    @pytest.mark.parametrize("kind", ["working_set", "pointer_chase"])
+    def test_matches_reference_across_quanta(self, config, kind):
+        trace = _make_trace(kind)
+        engines = ("auto", "fast") if batch_eligible(config) else ("auto",)
+        sims = {e: HierarchySimulator(config, seed=0, engine=e)
+                for e in engines + ("reference",)}
+        ref = sims["reference"]
+        whole = ref.run(trace, perfect=True)
+        for engine in engines:
+            got = HierarchySimulator(config, seed=0, engine=engine).run(trace, perfect=True)
+            _assert_same_result(got, whole, lane=f"{engine} whole")
+        # Real and perfect quanta alternating, each resumed from the
+        # previous one's in-flight window.
+        stop = whole.total_cycles // 3
+        quanta = [(False, stop), (True, 2 * stop), (False, 3 * stop), (True, None)]
+        for sim in sims.values():
+            sim.warm_caches(trace)
+        done = {e: 0 for e in sims}
+        start = 0
+        for step, (perfect, stop_cycle) in enumerate(quanta):
+            results = {}
+            for engine, sim in sims.items():
+                rest = trace.slice(done[engine], trace.n_instructions)
+                results[engine] = sim.run(
+                    rest, perfect=perfect, start_cycle=start, stop_cycle=stop_cycle,
+                    resume=step > 0,
+                )
+                done[engine] += results[engine].instructions_executed
+            assert results["reference"].instructions_executed > 0, step
+            for engine in engines:
+                lane = f"{engine} quantum {step} (perfect={perfect})"
+                _assert_same_result(results[engine], results["reference"], lane=lane)
+                assert sims[engine]._pipe == ref._pipe, lane
+            start = stop_cycle or start
+        assert done["reference"] == trace.n_instructions
+
+    @pytest.mark.parametrize("config", PERFECT_CONFIGS, ids=lambda c: c.name)
+    def test_short_quanta_match_reference(self, config):
+        """Quanta shorter than the ROB: the saved retire window is partial."""
+        trace = _make_trace("zipf")
+        engines = ("auto", "fast") if batch_eligible(config) else ("auto",)
+        sims = {e: HierarchySimulator(config, seed=0, engine=e)
+                for e in engines + ("reference",)}
+        done = dict.fromkeys(sims, 0)
+        for step, stop_cycle in enumerate((2, 5, 9, 14)):
+            results = {}
+            for engine, sim in sims.items():
+                rest = trace.slice(done[engine], trace.n_instructions)
+                results[engine] = sim.run(rest, perfect=True, stop_cycle=stop_cycle,
+                                          resume=step > 0)
+                done[engine] += results[engine].instructions_executed
+            assert 0 < done["reference"] < config.core.rob_size * (step + 1)
+            for engine in engines:
+                lane = f"{engine} quantum {step}"
+                _assert_same_result(results[engine], results["reference"], lane=lane)
+                assert sims[engine]._pipe == sims["reference"]._pipe, lane
+
+    def test_perfect_runs_never_enter_the_reference_loop(self, monkeypatch):
+        def refuse(self, trace, **kwargs):
+            raise AssertionError("the reference loop ran")
+
+        monkeypatch.setattr(HierarchySimulator, "_run_impl", refuse)
+        trace = _make_trace("zipf")
+        for config in PERFECT_CONFIGS:
+            HierarchySimulator(config, seed=0).run(trace, perfect=True)
+        # The oracle still takes it.
+        with pytest.raises(AssertionError, match="reference loop ran"):
+            HierarchySimulator(DEFAULT_MACHINE, seed=0, engine="reference").run(
+                trace, perfect=True
+            )

@@ -155,16 +155,20 @@ class TestKeySeparation:
 
 
 class TestScope:
-    def test_ineligible_configs_keep_their_own_pass(self, perfect_runs, metrics):
+    def test_prefetch_config_hits_the_memo(self, perfect_runs, metrics):
         trace = _trace(n=200)
         memo = PerfectPassMemo()
         prefetch = DEFAULT_MACHINE.with_(prefetch=PrefetchConfig(), name="prefetch")
-        for _ in range(2):
-            _, stats = simulate_and_measure(prefetch, trace, memo=memo)
-        assert len(memo) == 0 and perfect_runs[0] == 2
-        assert not any(k.startswith("sim.perfect_memo") for k in metrics())
+        served = [simulate_and_measure(c, trace, seed=s, memo=memo)[1]
+                  for c, s in ((prefetch, 0), (prefetch, 3), (DEFAULT_MACHINE, 5))]
+        # One projection: the prefetch config's pass serves the other two.
+        assert len(memo) == 1 and perfect_runs[0] == 1
+        counters = metrics()
+        assert counters["sim.perfect_memo.misses"] == 1
+        assert counters["sim.perfect_memo.hits"] == 2
         perfect_runs[0] = 0
-        assert stats == simulate_and_measure(prefetch, trace)[1]
+        assert served == [simulate_and_measure(c, trace, seed=s)[1]
+                          for c, s in ((prefetch, 0), (prefetch, 3), (DEFAULT_MACHINE, 5))]
 
     def test_without_a_memo_nothing_is_looked_up(self, metrics):
         trace = _trace(n=200)
