@@ -1,9 +1,10 @@
 """Speedup gates: the optimized paths must stay faster than what they replace.
 
-Three ratios of two paths timed back to back in one process.  The ratio
-does not depend on the host the way an absolute throughput does, so CI
-gates on it.  Each gate also checks that the fast path computes the same
-thing, since a speedup for a wrong answer means nothing.
+Three ratios of two paths timed in alternating rounds in one process,
+each side's time being its fastest round.  The ratio does not depend on
+the host the way an absolute throughput does, so CI gates on it.  Each
+gate also checks that the fast path computes the same thing, since a
+speedup for a wrong answer means nothing.
 
 * fast / reference issue loop on 403.gcc, with identical access records;
 * batch kernel / 64 scalar fast-path runs on the ``lpm-batch-gate``
@@ -48,16 +49,21 @@ IDENTITY_FIELDS = (
 )
 
 
-def _best_of(rounds, fn):
-    """(fastest wall seconds over *rounds* calls of *fn*, its result)."""
-    best, best_result = math.inf, None
+def _speedup(rounds, baseline, candidate):
+    """(baseline / candidate ratio of the fastest rounds, their results).
+
+    The two sides alternate within each of *rounds* rounds, so a burst of
+    host load lands on both sides alike instead of on one side's block of
+    rounds.  Each side's time is its minimum over the rounds.
+    """
+    best = {baseline: math.inf, candidate: math.inf}
+    results = {}
     for _ in range(rounds):
-        t0 = time.perf_counter()
-        result = fn()
-        elapsed = time.perf_counter() - t0
-        if elapsed < best:
-            best, best_result = elapsed, result
-    return best, best_result
+        for fn in (baseline, candidate):
+            t0 = time.perf_counter()
+            results[fn] = fn()
+            best[fn] = min(best[fn], time.perf_counter() - t0)
+    return best[baseline] / best[candidate], results[baseline], results[candidate]
 
 
 def _same_accesses(a, b) -> bool:
@@ -100,9 +106,7 @@ def test_fast_engine_over_reference(capsys):
     def run(engine):
         return lambda: HierarchySimulator(DEFAULT_MACHINE, seed=0, engine=engine).run(trace)
 
-    t_fast, fast = _best_of(5, run("fast"))
-    t_ref, ref = _best_of(5, run("reference"))
-    speedup = t_ref / t_fast
+    speedup, ref, fast = _speedup(5, run("reference"), run("fast"))
     _report(capsys, f"fast/reference: {speedup:.3f}x (floor {ENGINE_FLOOR}x)")
     assert _same_accesses(fast, ref)
     assert speedup >= ENGINE_FLOOR
@@ -124,9 +128,7 @@ def test_batch_kernel_over_scalar(capsys):
         sim.warm_caches(trace)
         return sim.run(trace)
 
-    t_scalar, scalar_results = _best_of(3, scalar)
-    t_batch, batch_results = _best_of(3, batch)
-    speedup = t_scalar / t_batch
+    speedup, scalar_results, batch_results = _speedup(3, scalar, batch)
     _report(capsys, f"batch/scalar: {speedup:.3f}x over {len(configs)} configs "
                     f"(floor {BATCH_FLOOR}x)")
     assert len(batch_results) == len(configs)
@@ -136,10 +138,12 @@ def test_batch_kernel_over_scalar(capsys):
 
 def test_multi_fidelity_over_engine_only(capsys):
     trace, configs = _gate_workload()
-    t_engine, engine = _best_of(3, lambda: sweep_configs(configs, trace, seed=0))
-    t_multi, multi = _best_of(3, lambda: sweep_configs(
-        configs, trace, seed=0, fidelity="multi", top_k=8, margin=0.05))
-    speedup = t_engine / t_multi
+    speedup, engine, multi = _speedup(
+        3,
+        lambda: sweep_configs(configs, trace, seed=0),
+        lambda: sweep_configs(configs, trace, seed=0, fidelity="multi",
+                              top_k=8, margin=0.05),
+    )
     escalated = [s for s, src in zip(multi.stats, multi.sources) if src != "predicted"]
     reduction = len(configs) / max(len(escalated), 1)
     _report(capsys, f"multi-fidelity/engine-only: {speedup:.3f}x, "

@@ -251,8 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="list registered rules and exit")
     lint.add_argument("--program", action="store_true",
                       help="also run the whole-program analysis "
-                           "(call graph, purity, fork safety, RNG "
-                           "provenance: RACE/PURE/FLOW/SUP rules)")
+                           "(call graph, purity, fork safety, event-loop "
+                           "discipline: RACE/PURE/ASYNC/SUP rules)")
     lint.add_argument("--baseline", default=None, metavar="PATH",
                       dest="lint_baseline",
                       help="baseline file of grandfathered program "

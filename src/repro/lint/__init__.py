@@ -13,7 +13,7 @@ Two complementary halves:
   enforceable at runtime under
   :func:`~repro.lint.contracts.runtime_checks`;
 * the **whole-program analyzer** (:mod:`repro.lint.program`): call graph,
-  dataflow and purity inference behind the RACE/PURE/FLOW rule packs.
+  effect inference and lock graph behind the RACE/PURE/ASYNC rule packs.
   Run it with ``python -m repro lint --program``.
 
 Suppress a single finding with an inline justification comment::

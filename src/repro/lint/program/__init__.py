@@ -1,11 +1,9 @@
 """``repro.lint.program`` — whole-program static analysis.
 
 The per-file rule packs in :mod:`repro.lint` see one module at a time, so
-they can only *approximate* cross-module properties: CON001 flags every
-module-level mutable container in pool-adjacent packages because it cannot
-know which ones pool jobs actually reach, and DET001 bans legacy RNG APIs
-per file because it cannot follow a generator handed across modules.  This
-package sees the program:
+they cannot know which module-level state the evaluation pool's workers
+actually reach, or whether a measurement producer is pure through every
+callee.  This package sees the program:
 
 * a **cross-module symbol table and import graph**
   (:mod:`~repro.lint.program.symbols`) built from one shared
@@ -15,12 +13,11 @@ package sees the program:
   simulation engine entry points, with kinded edges (call / await /
   spawn / executor) and a loop/thread/worker execution-context
   classification;
-* an **intraprocedural CFG with reaching definitions** and a transitive
-  **side-effect (purity + may-block) inference**
+* a transitive **side-effect (purity + may-block) inference**
   (:mod:`~repro.lint.program.dataflow`);
 * a **lock discovery and acquisition-order graph**
   (:mod:`~repro.lint.program.locks`) with cycle detection;
-* the **RACE / PURE / FLOW / ASYNC rule packs**
+* the **RACE / PURE / ASYNC rule packs**
   (:mod:`~repro.lint.program.rules`) plus SUP001, the eager rejection of
   unjustified suppressions, and the baseline workflow
   (:mod:`~repro.lint.program.baseline`) for graded adoption (the ASYNC
@@ -45,13 +42,7 @@ from repro.lint.program.callgraph import (
     classify_contexts,
     find_entry_points,
 )
-from repro.lint.program.dataflow import (
-    CFG,
-    EffectAnalysis,
-    FunctionEffects,
-    build_cfg,
-    reaching_definitions,
-)
+from repro.lint.program.dataflow import EffectAnalysis, FunctionEffects
 from repro.lint.program.driver import ProgramLintResult, run_program_lint
 from repro.lint.program.locks import LockAnalysis
 from repro.lint.program.rules import PROGRAM_RULES, ProgramRule
@@ -75,9 +66,6 @@ __all__ = [
     "classify_contexts",
     "find_entry_points",
     "LockAnalysis",
-    "CFG",
-    "build_cfg",
-    "reaching_definitions",
     "EffectAnalysis",
     "FunctionEffects",
     "PROGRAM_RULES",

@@ -1,19 +1,10 @@
-"""Intraprocedural CFG, reaching definitions, and side-effect inference.
+"""Side-effect inference: per-function direct effects, walked transitively.
 
-Three layers, each feeding the rule packs:
-
-* :func:`build_cfg` — a statement-granularity control-flow graph per
-  function (``if``/``while``/``for``/``try``/``with``; ``break``,
-  ``continue``, ``return`` and ``raise`` terminate their block);
-* :func:`reaching_definitions` — the classic forward dataflow over that
-  CFG: for every statement, which definitions of each local name may
-  reach it.  FLOW001 uses this to track RNG provenance through local
-  assignments instead of guessing from names;
-* :class:`EffectAnalysis` — per-function *direct* side effects (module
-  global writes, ambient-state reads, I/O, process-environment mutation,
-  and synchronous may-block calls for the event-loop analysis)
-  plus the call-graph walk that makes purity *transitive*: a measurement
-  producer is rejected if any statically reachable callee is effectful.
+:class:`EffectAnalysis` records each function's *direct* side effects
+(module global writes, ambient-state reads, I/O, process-environment
+mutation, and synchronous may-block calls for the event-loop analysis)
+plus the call-graph walk that makes purity *transitive*: a measurement
+producer is rejected if any statically reachable callee is effectful.
 
 Unresolved calls (dynamic dispatch, external libraries) contribute no
 effect: the analysis is deliberately under-approximate, and each rule
@@ -26,7 +17,7 @@ environment writes, stdout).
 from __future__ import annotations
 
 import ast
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.lint.program.callgraph import CallGraph, in_async_context
@@ -37,331 +28,8 @@ from repro.lint.program.symbols import (
     ProgramModel,
 )
 
-__all__ = [
-    "Block",
-    "CFG",
-    "build_cfg",
-    "Definition",
-    "ReachingDefs",
-    "reaching_definitions",
-    "Effect",
-    "FunctionEffects",
-    "EffectAnalysis",
-]
+__all__ = ["Effect", "FunctionEffects", "EffectAnalysis"]
 
-
-# ---------------------------------------------------------------------------
-# Control-flow graph
-# ---------------------------------------------------------------------------
-
-@dataclass
-class Block:
-    """A straight-line run of statements with successor block indices."""
-
-    index: int
-    stmts: "list[ast.stmt]" = field(default_factory=list)
-    succs: "list[int]" = field(default_factory=list)
-
-
-@dataclass
-class CFG:
-    """Statement-granularity control-flow graph of one function body."""
-
-    blocks: "list[Block]" = field(default_factory=list)
-
-    @property
-    def entry(self) -> int:
-        """Index of the entry block (always 0)."""
-        return 0
-
-    def statements(self) -> "Iterator[ast.stmt]":
-        """Every statement, in block order."""
-        for block in self.blocks:
-            yield from block.stmts
-
-
-class _CFGBuilder:
-    def __init__(self) -> None:
-        self.cfg = CFG()
-        self._loop_stack: "list[tuple[int, list[int]]]" = []  # (head, break-sources)
-
-    def new_block(self) -> Block:
-        block = Block(index=len(self.cfg.blocks))
-        self.cfg.blocks.append(block)
-        return block
-
-    def link(self, src: Block, dst: Block) -> None:
-        if dst.index not in src.succs:
-            src.succs.append(dst.index)
-
-    def build(self, body: "list[ast.stmt]") -> CFG:
-        entry = self.new_block()
-        exit_block = self._body(body, entry)
-        # A dedicated exit block keeps "fell off the end" well-defined.
-        final = self.new_block()
-        if exit_block is not None:
-            self.link(exit_block, final)
-        return self.cfg
-
-    def _body(self, body: "list[ast.stmt]", current: "Block | None") -> "Block | None":
-        """Append *body* after *current*; returns the fall-through block."""
-        for stmt in body:
-            if current is None:  # unreachable code after return/raise/...
-                current = self.new_block()
-            current = self._statement(stmt, current)
-        return current
-
-    def _statement(self, stmt: ast.stmt, current: Block) -> "Block | None":
-        if isinstance(stmt, ast.If):
-            current.stmts.append(stmt)
-            after = self.new_block()
-            then_entry = self.new_block()
-            self.link(current, then_entry)
-            then_exit = self._body(stmt.body, then_entry)
-            if then_exit is not None:
-                self.link(then_exit, after)
-            if stmt.orelse:
-                else_entry = self.new_block()
-                self.link(current, else_entry)
-                else_exit = self._body(stmt.orelse, else_entry)
-                if else_exit is not None:
-                    self.link(else_exit, after)
-            else:
-                self.link(current, after)
-            return after
-        if isinstance(stmt, (ast.While, ast.For, ast.AsyncFor)):
-            # The loop header gets its own block so the back edge merges
-            # body definitions into it (and through it, into the exit).
-            header = self.new_block()
-            header.stmts.append(stmt)  # For target is a def here
-            self.link(current, header)
-            body_entry = self.new_block()
-            after = self.new_block()
-            self.link(header, body_entry)
-            self.link(header, after)  # zero-iteration / loop-exit path
-            self._loop_stack.append((header.index, []))
-            body_exit = self._body(stmt.body, body_entry)
-            if body_exit is not None:
-                self.link(body_exit, self.cfg.blocks[header.index])
-            _, breaks = self._loop_stack.pop()
-            for src in breaks:
-                self.link(self.cfg.blocks[src], after)
-            if stmt.orelse:
-                else_exit = self._body(stmt.orelse, after)
-                return else_exit
-            return after
-        if isinstance(stmt, (ast.Try,)):
-            current.stmts.append(stmt)
-            after = self.new_block()
-            body_exit = self._body(stmt.body, self._linked_block(current))
-            if body_exit is not None:
-                self.link(body_exit, after)
-            for handler in stmt.handlers:
-                handler_exit = self._body(handler.body, self._linked_block(current))
-                if handler_exit is not None:
-                    self.link(handler_exit, after)
-            if stmt.orelse:
-                orelse_exit = self._body(stmt.orelse, self._linked_block(current))
-                if orelse_exit is not None:
-                    self.link(orelse_exit, after)
-            if stmt.finalbody:
-                final_exit = self._body(stmt.finalbody, after)
-                return final_exit
-            return after
-        if isinstance(stmt, (ast.With, ast.AsyncWith)):
-            current.stmts.append(stmt)  # optional_vars are defs here
-            body_exit = self._body(stmt.body, self._linked_block(current))
-            return body_exit
-        if isinstance(stmt, (ast.Return, ast.Raise)):
-            current.stmts.append(stmt)
-            return None
-        if isinstance(stmt, ast.Break):
-            current.stmts.append(stmt)
-            if self._loop_stack:
-                self._loop_stack[-1][1].append(current.index)
-            return None
-        if isinstance(stmt, ast.Continue):
-            current.stmts.append(stmt)
-            if self._loop_stack:
-                self.link(current, self.cfg.blocks[self._loop_stack[-1][0]])
-            return None
-        current.stmts.append(stmt)
-        return current
-
-    def _linked_block(self, predecessor: Block) -> Block:
-        block = self.new_block()
-        self.link(predecessor, block)
-        return block
-
-
-def build_cfg(func: "ast.FunctionDef | ast.AsyncFunctionDef") -> CFG:
-    """The statement-level CFG of *func*'s body."""
-    return _CFGBuilder().build(func.body)
-
-
-# ---------------------------------------------------------------------------
-# Reaching definitions
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Definition:
-    """One definition of a local name."""
-
-    name: str
-    lineno: int
-    #: The defining statement.
-    stmt_id: int
-    #: The assigned value when syntactically evident (None for loop
-    #: targets, tuple unpacking, with-as bindings, parameters, ...).
-    value: "ast.expr | None"
-
-    @staticmethod
-    def parameter(name: str) -> "Definition":
-        """The implicit entry definition of a function parameter."""
-        return Definition(name=name, lineno=0, stmt_id=-1, value=None)
-
-
-def _defs_of_statement(stmt: ast.stmt) -> "list[Definition]":
-    """The definitions a single statement generates."""
-    defs: "list[Definition]" = []
-
-    def bind(target: ast.expr, value: "ast.expr | None") -> None:
-        if isinstance(target, ast.Name):
-            defs.append(
-                Definition(
-                    name=target.id, lineno=stmt.lineno, stmt_id=id(stmt), value=value
-                )
-            )
-        elif isinstance(target, (ast.Tuple, ast.List)):
-            for elt in target.elts:
-                bind(elt, None)
-        elif isinstance(target, ast.Starred):
-            bind(target.value, None)
-
-    if isinstance(stmt, ast.Assign):
-        for target in stmt.targets:
-            bind(target, stmt.value)
-    elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-        bind(stmt.target, stmt.value)
-    elif isinstance(stmt, ast.AugAssign):
-        bind(stmt.target, None)
-    elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-        bind(stmt.target, None)
-    elif isinstance(stmt, (ast.With, ast.AsyncWith)):
-        for item in stmt.items:
-            if item.optional_vars is not None:
-                bind(item.optional_vars, None)
-    elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-        defs.append(
-            Definition(name=stmt.name, lineno=stmt.lineno, stmt_id=id(stmt), value=None)
-        )
-    elif isinstance(stmt, ast.Import):
-        for alias in stmt.names:
-            defs.append(
-                Definition(
-                    name=(alias.asname or alias.name.split(".")[0]),
-                    lineno=stmt.lineno,
-                    stmt_id=id(stmt),
-                    value=None,
-                )
-            )
-    elif isinstance(stmt, ast.ImportFrom):
-        for alias in stmt.names:
-            defs.append(
-                Definition(
-                    name=(alias.asname or alias.name),
-                    lineno=stmt.lineno,
-                    stmt_id=id(stmt),
-                    value=None,
-                )
-            )
-    return defs
-
-
-@dataclass
-class ReachingDefs:
-    """Reaching-definition sets of one function, queryable per statement."""
-
-    cfg: CFG
-    #: id(stmt) -> {name -> definitions that may reach the statement}.
-    before: "dict[int, dict[str, frozenset[Definition]]]"
-
-    def at(self, stmt: ast.stmt, name: str) -> "frozenset[Definition]":
-        """Definitions of *name* that may reach *stmt* (empty if unknown)."""
-        return self.before.get(id(stmt), {}).get(name, frozenset())
-
-
-def reaching_definitions(
-    func: "ast.FunctionDef | ast.AsyncFunctionDef",
-) -> ReachingDefs:
-    """Forward may-analysis over the function's CFG (worklist fixpoint)."""
-    cfg = build_cfg(func)
-    params = [
-        *(a.arg for a in func.args.posonlyargs),
-        *(a.arg for a in func.args.args),
-        *(a.arg for a in func.args.kwonlyargs),
-    ]
-    if func.args.vararg:
-        params.append(func.args.vararg.arg)
-    if func.args.kwarg:
-        params.append(func.args.kwarg.arg)
-    entry_state: "dict[str, frozenset[Definition]]" = {
-        p: frozenset({Definition.parameter(p)}) for p in params
-    }
-
-    def transfer(
-        state: "dict[str, frozenset[Definition]]", stmt: ast.stmt
-    ) -> "dict[str, frozenset[Definition]]":
-        new_defs = _defs_of_statement(stmt)
-        if not new_defs:
-            return state
-        out = dict(state)
-        for definition in new_defs:  # strong update: a def kills prior defs
-            out[definition.name] = frozenset({definition})
-        return out
-
-    def merge(
-        a: "dict[str, frozenset[Definition]]", b: "dict[str, frozenset[Definition]]"
-    ) -> "dict[str, frozenset[Definition]]":
-        out = dict(a)
-        for name, defs in b.items():
-            out[name] = out.get(name, frozenset()) | defs
-        return out
-
-    n = len(cfg.blocks)
-    block_in: "list[dict[str, frozenset[Definition]]]" = [{} for _ in range(n)]
-    block_in[cfg.entry] = dict(entry_state)
-    preds: "list[list[int]]" = [[] for _ in range(n)]
-    for block in cfg.blocks:
-        for succ in block.succs:
-            preds[succ].append(block.index)
-
-    changed = True
-    while changed:
-        changed = False
-        for block in cfg.blocks:
-            state = dict(entry_state) if block.index == cfg.entry else {}
-            for p in preds[block.index]:
-                out_p = block_in[p]
-                for stmt in cfg.blocks[p].stmts:
-                    out_p = transfer(out_p, stmt)
-                state = merge(state, out_p)
-            if state != block_in[block.index]:
-                block_in[block.index] = state
-                changed = True
-
-    before: "dict[int, dict[str, frozenset[Definition]]]" = {}
-    for block in cfg.blocks:
-        state = block_in[block.index]
-        for stmt in block.stmts:
-            before[id(stmt)] = state
-            state = transfer(state, stmt)
-    return ReachingDefs(cfg=cfg, before=before)
-
-
-# ---------------------------------------------------------------------------
-# Side-effect (purity) inference
-# ---------------------------------------------------------------------------
 
 @dataclass
 class Effect:
@@ -452,7 +120,7 @@ def _chain_matches(chain: "list[str]", prefixes: "tuple[tuple[str, ...], ...]") 
 
 
 def _local_names(func: "ast.FunctionDef | ast.AsyncFunctionDef") -> "set[str]":
-    """Names bound in *func*'s own frame (parameters + any assignment)."""
+    """Names bound in *func*'s own frame (parameters + any binding)."""
     names = {
         *(a.arg for a in func.args.posonlyargs),
         *(a.arg for a in func.args.args),
@@ -466,12 +134,14 @@ def _local_names(func: "ast.FunctionDef | ast.AsyncFunctionDef") -> "set[str]":
     for node in ast.walk(func):
         if isinstance(node, (ast.Global, ast.Nonlocal)):
             declared_global.update(node.names)
-        for definition in _defs_of_statement(node) if isinstance(node, ast.stmt) else ():
-            names.add(definition.name)
-        if isinstance(node, ast.comprehension) and isinstance(node.target, ast.Name):
-            names.add(node.target.id)
-        if isinstance(node, ast.NamedExpr) and isinstance(node.target, ast.Name):
-            names.add(node.target.id)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Import):
+            names.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(a.asname or a.name for a in node.names)
     return names - declared_global
 
 

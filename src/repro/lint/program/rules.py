@@ -1,4 +1,4 @@
-"""The whole-program rule packs: RACE, PURE, FLOW, ASYNC, SUP.
+"""The whole-program rule packs: RACE, PURE, ASYNC, SUP.
 
 Each rule receives a :class:`ProgramContext` — the symbol table, call
 graph, entry points and effect analysis built once by the driver — and
@@ -26,12 +26,7 @@ from repro.lint.program.callgraph import (
     _resolve_callee,
     classify_contexts,
 )
-from repro.lint.program.dataflow import (
-    Definition,
-    EffectAnalysis,
-    ReachingDefs,
-    reaching_definitions,
-)
+from repro.lint.program.dataflow import EffectAnalysis
 from repro.lint.program.locks import LockAnalysis
 from repro.lint.program.symbols import FunctionInfo, ModuleInfo, ProgramModel
 
@@ -349,164 +344,6 @@ class AmbientStateRead(ProgramRule):
 
 
 # ---------------------------------------------------------------------------
-# FLOW — RNG provenance
-# ---------------------------------------------------------------------------
-
-#: RNG constructors that bypass the seeding discipline.
-_BANNED_RNG_CHAINS = (
-    ("numpy", "random", "default_rng"),
-    ("numpy", "random", "RandomState"),
-    ("numpy", "random", "Generator"),
-    ("random", "Random"),
-    ("random", "SystemRandom"),
-)
-
-#: Modules whose stochastic inputs must come from :mod:`repro.util.rng`.
-_RNG_TARGET_MODULES = (("sim", "engine"), ("workloads", "generators"))
-
-
-def _is_banned_rng_call(info: ModuleInfo, node: ast.AST) -> bool:
-    if not isinstance(node, ast.Call):
-        return False
-    chain = info.ctx.resolve_call_chain(node.func)
-    if not chain:
-        return False
-    return any(
-        tuple(chain[: len(banned)]) == banned for banned in _BANNED_RNG_CHAINS
-    )
-
-
-def _enclosing_statement(info: ModuleInfo, node: ast.AST) -> "ast.stmt | None":
-    if isinstance(node, ast.stmt):
-        return node
-    for ancestor in info.ctx.ancestors(node):
-        if isinstance(ancestor, ast.stmt):
-            return ancestor
-    return None
-
-
-@register_program
-class RNGProvenance(ProgramRule):
-    """FLOW001: unseeded RNG state flowing into the engine or generators.
-
-    Two checks share the ban list (``numpy.random.default_rng`` /
-    ``RandomState`` / ``Generator``, ``random.Random`` /
-    ``SystemRandom``):
-
-    * **at the target** — ``sim.engine`` and ``workloads.generators``
-      modules may not construct a banned RNG themselves;
-    * **at the source** — in any module, a local whose reaching
-      definitions include a banned constructor may not be passed as an
-      argument to a call that resolves into a target module.  Provenance
-      is tracked with the reaching-definitions fixpoint (copies through
-      plain ``a = b`` assignments are followed), so renaming the
-      generator does not evade the rule.
-
-    Generators built by :mod:`repro.util.rng` (``make_rng`` / ``spawn``)
-    carry seed provenance and pass freely.
-    """
-
-    name = "FLOW001"
-    severity = Severity.ERROR
-    description = (
-        "RNG created outside util.rng reaches sim.engine / "
-        "workloads.generators (provenance violation)"
-    )
-
-    #: Reaching-defs of the function currently being checked (set by
-    #: :meth:`_tainted_definitions`, consumed by :meth:`_check_tainted_args`).
-    _rd: ReachingDefs
-
-    def check(self, pctx: ProgramContext) -> Iterator[Violation]:
-        for func in pctx.model.functions():
-            info = pctx.module_for(func)
-            in_target = _module_has_segments(func.module, _RNG_TARGET_MODULES)
-            tainted = self._tainted_definitions(info, func)
-            for node in ast.walk(func.node):
-                if not isinstance(node, ast.Call):
-                    continue
-                if in_target and _is_banned_rng_call(info, node):
-                    chain = info.ctx.resolve_call_chain(node.func) or ["<rng>"]
-                    yield self.violation(
-                        info,
-                        node,
-                        f"{'.'.join(chain)}() constructed inside "
-                        f"{func.module}; route all randomness through "
-                        "util.rng (make_rng / spawn)",
-                    )
-                    continue
-                yield from self._check_tainted_args(pctx, info, func, node, tainted)
-
-    def _tainted_definitions(
-        self, info: ModuleInfo, func: FunctionInfo
-    ) -> "dict[str, set[Definition]]":
-        """name -> its definitions carrying banned-RNG provenance."""
-        rd = reaching_definitions(func.node)
-        stmts = {id(s): s for s in rd.cfg.statements()}
-        all_defs = {
-            d for state in rd.before.values() for defs in state.values() for d in defs
-        }
-        tainted: "set[Definition]" = set()
-        changed = True
-        while changed:
-            changed = False
-            for definition in all_defs:
-                if definition in tainted or definition.value is None:
-                    continue
-                value = definition.value
-                is_tainted = _is_banned_rng_call(info, value)
-                if not is_tainted and isinstance(value, ast.Name):
-                    stmt = stmts.get(definition.stmt_id)
-                    if stmt is not None:
-                        is_tainted = any(
-                            d in tainted for d in rd.at(stmt, value.id)
-                        )
-                if is_tainted:
-                    tainted.add(definition)
-                    changed = True
-        by_name: "dict[str, set[Definition]]" = {}
-        for definition in tainted:
-            by_name.setdefault(definition.name, set()).add(definition)
-        self._rd = rd  # reused by _check_tainted_args within this function
-        return by_name
-
-    def _check_tainted_args(
-        self,
-        pctx: ProgramContext,
-        info: ModuleInfo,
-        func: FunctionInfo,
-        call: ast.Call,
-        tainted: "dict[str, set[Definition]]",
-    ) -> Iterator[Violation]:
-        if not tainted:
-            return
-        callee_ref, _dotted = _resolve_callee(pctx.model, info, func, call.func)
-        if callee_ref is None:
-            return
-        callee = pctx.model.function(callee_ref)
-        if callee is None or not _module_has_segments(
-            callee.module, _RNG_TARGET_MODULES
-        ):
-            return
-        stmt = _enclosing_statement(info, call)
-        if stmt is None:
-            return
-        args: "list[ast.expr]" = [*call.args, *(kw.value for kw in call.keywords)]
-        for arg in args:
-            if not isinstance(arg, ast.Name) or arg.id not in tainted:
-                continue
-            reaching = self._rd.at(stmt, arg.id)
-            if reaching & tainted[arg.id]:
-                yield self.violation(
-                    info,
-                    call,
-                    f"argument {arg.id!r} to {callee.module}.{callee.qualname} "
-                    "carries an RNG constructed outside util.rng; build it "
-                    "with util.rng.make_rng/spawn so the seed is tracked",
-                )
-
-
-# ---------------------------------------------------------------------------
 # ASYNC / RACE003 — event-loop discipline over the kinded call graph
 # ---------------------------------------------------------------------------
 
@@ -650,7 +487,7 @@ class LockOrderCycle(ProgramRule):
 class OrphanedCoroutine(ProgramRule):
     """ASYNC004: an unawaited coroutine or fire-and-forget task.
 
-    Three shapes, all over the reaching-definitions fixpoint:
+    Three shapes:
 
     * a bare-statement call to a known ``async def`` — the coroutine
       object is created and dropped; the body never runs;
@@ -658,12 +495,15 @@ class OrphanedCoroutine(ProgramRule):
       ``ensure_future(...)`` — the task starts but nothing keeps a
       reference, so it can be garbage-collected mid-flight and its
       exception is swallowed;
-    * a task/coroutine assigned to a local none of whose uses any
-      definition reaches — assigned, then never awaited or referenced.
+    * a task/coroutine assigned to a local name that the function never
+      reads — assigned, then never awaited or referenced.
 
+    The last check is flow-insensitive: any read of the name anywhere in
+    the function, nested defs (closures) included, counts as consumption.
+    It never flags a handle that is used, but it misses one that is
+    rebound before any use (``t = create_task(a()); t = ...; await t``).
     Attribute targets (``self._task = ...``) are kept references and
-    exempt; a use inside a nested def (closure) counts as consumption.
-    Only calls that *resolve* to a known coroutine are flagged
+    exempt.  Only calls that *resolve* to a known coroutine are flagged
     (under-approximate).
     """
 
@@ -705,7 +545,7 @@ class OrphanedCoroutine(ProgramRule):
     def _check_function(
         self, pctx: ProgramContext, info: ModuleInfo, func: FunctionInfo
     ) -> Iterator[Violation]:
-        rd: "ReachingDefs | None" = None
+        loaded: "set[str] | None" = None
         for node in ast.walk(func.node):
             if not isinstance(node, ast.stmt):
                 continue
@@ -748,12 +588,12 @@ class OrphanedCoroutine(ProgramRule):
             )
             if not is_spawn and callee is None:
                 continue
-            if rd is None:
-                rd = reaching_definitions(func.node)
-            definition = Definition(
-                name=target.id, lineno=node.lineno, stmt_id=id(node), value=value
-            )
-            if self._definition_consumed(info, func, rd, definition):
+            if loaded is None:
+                loaded = {
+                    n.id for n in ast.walk(func.node)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+                }
+            if target.id in loaded:
                 continue
             what = (
                 "task" if is_spawn
@@ -768,32 +608,6 @@ class OrphanedCoroutine(ProgramRule):
                 "gather it, or keep the handle somewhere that outlives "
                 "this function",
             )
-
-    @staticmethod
-    def _definition_consumed(
-        info: ModuleInfo,
-        func: FunctionInfo,
-        rd: ReachingDefs,
-        definition: Definition,
-    ) -> bool:
-        for node in ast.walk(func.node):
-            if not isinstance(node, ast.Name) or not isinstance(node.ctx, ast.Load):
-                continue
-            if node.id != definition.name:
-                continue
-            stmt: "ast.stmt | None" = None
-            for anc in (node, *info.ctx.ancestors(node)):
-                if isinstance(anc, ast.stmt) and id(anc) in rd.before:
-                    stmt = anc
-                    break
-                if isinstance(anc, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    if anc is not func.node:
-                        # Closure use inside a nested def: conservatively
-                        # treat the handle as consumed.
-                        return True
-            if stmt is not None and definition in rd.at(stmt, definition.name):
-                return True
-        return False
 
 
 @register_program

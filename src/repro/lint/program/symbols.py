@@ -33,7 +33,7 @@ __all__ = [
     "module_name_for",
 ]
 
-#: Calls producing a mutable container at module level (mirrors CON001).
+#: Calls producing a mutable container at module level.
 _MUTABLE_CALLS = frozenset({"list", "dict", "set", "defaultdict", "deque", "Counter"})
 
 

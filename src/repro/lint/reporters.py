@@ -75,7 +75,7 @@ def format_program_text(result: "ProgramLintResult") -> str:
 def format_rule_listing() -> str:
     """The ``--list-rules`` output: every registered rule with its scope.
 
-    Program rules (the whole-program RACE/PURE/FLOW/SUP packs, run with
+    Program rules (the whole-program RACE/PURE/ASYNC/SUP packs, run with
     ``--program``) are listed with the ``program`` scope marker.
     """
     from repro.lint.program.rules import PROGRAM_RULES

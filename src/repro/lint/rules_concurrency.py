@@ -1,28 +1,18 @@
-"""Concurrency-safety rules for the fork-based evaluation pool.
+"""Deadline discipline for the asyncio service.
 
-The pool forks workers, so module state is *copied* at fork time: a
-worker-side write to a module-level mutable, or to supervisor-owned
-attributes, silently diverges from the parent and is lost when the worker
-exits.  These rules flag the two shapes of that bug:
+CON003: inside :mod:`repro.service` every await on a raw socket/stream/
+queue transport primitive must carry a deadline — wrapped in
+``asyncio.wait_for`` (or an ``asyncio.timeout`` block) or passing a
+``timeout=``/``deadline=`` argument — because one half-dead peer
+otherwise parks the coroutine, and with it a connection handler or the
+dispatch loop, forever.  Higher-level blocking shapes (``join``,
+``wait``, sync disk IO on the loop) belong to the whole-program ASYNC
+tier (``repro lint --program``), which sees the call graph this per-file
+rule cannot.
 
-* CON001 — module-level mutable containers in pool-adjacent packages
-  (``runtime``, ``sim``, ``sched``).  Constants are fine (dunders and
-  ALL_CAPS names are exempt by convention: registries populated at import
-  time and read-only afterwards), anything else is shared mutable state;
-* CON002 — code reachable on the worker side of the fork (functions passed
-  as a ``Process(target=...)`` or named ``_worker_*``) rebinding module or
-  closure state via ``global`` / ``nonlocal``, or writing attributes on
-  anything other than its own locals.
-
-CON003 guards the asyncio side of the house: inside :mod:`repro.service`
-every await on a raw socket/stream/queue transport primitive must carry a
-deadline — wrapped in ``asyncio.wait_for`` (or an ``asyncio.timeout``
-block) or passing a ``timeout=``/``deadline=`` argument — because one
-half-dead peer otherwise parks the coroutine, and with it a connection
-handler or the dispatch loop, forever.  Higher-level blocking shapes
-(``join``, ``wait``, sync disk IO on the loop) belong to the
-whole-program ASYNC tier (``repro lint --program``), which sees the call
-graph this per-file rule cannot.
+Fork safety of the evaluation pool is whole-program work too: RACE001
+and RACE002 (:mod:`repro.lint.program.rules`) check the module-level
+state that pool jobs really reach.
 """
 
 from __future__ import annotations
@@ -32,139 +22,7 @@ from collections.abc import Iterator
 
 from repro.lint.engine import ModuleContext, Rule, Severity, Violation, register
 
-__all__ = [
-    "ModuleLevelMutableGlobal",
-    "WorkerSideSharedMutation",
-    "UnboundedServiceAwait",
-]
-
-_MUTABLE_CALLS = frozenset({"list", "dict", "set", "defaultdict", "deque", "Counter"})
-
-
-def _is_mutable_literal(node: ast.AST) -> bool:
-    if isinstance(node, (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)):
-        return True
-    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-        return node.func.id in _MUTABLE_CALLS
-    return False
-
-
-def _is_constant_style(name: str) -> bool:
-    return name.startswith("__") or name == name.upper()
-
-
-@register
-class ModuleLevelMutableGlobal(Rule):
-    """CON001: fork-unsafe module-level mutable container."""
-
-    name = "CON001"
-    severity = Severity.ERROR
-    description = (
-        "module-level mutable container is fork-unsafe shared state; make "
-        "it a constant (ALL_CAPS, treated as frozen) or instance state"
-    )
-    packages = ("runtime", "sim", "sched")
-
-    def check(self, ctx: ModuleContext) -> Iterator[Violation]:
-        for stmt in ctx.tree.body:
-            targets: list[ast.expr] = []
-            value: "ast.expr | None" = None
-            if isinstance(stmt, ast.Assign):
-                targets, value = stmt.targets, stmt.value
-            elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-                targets, value = [stmt.target], stmt.value
-            if value is None or not _is_mutable_literal(value):
-                continue
-            for target in targets:
-                if isinstance(target, ast.Name) and not _is_constant_style(target.id):
-                    yield self.violation(
-                        ctx, stmt,
-                        f"module-level mutable {target.id!r} is shared "
-                        "(fork-copied) state; use ALL_CAPS for a frozen "
-                        "registry or move it into an instance",
-                    )
-
-
-def _worker_entry_functions(ctx: ModuleContext) -> "list[ast.FunctionDef]":
-    """Functions that run on the worker side of a Process fork."""
-    targets: set[str] = set()
-    for node in ast.walk(ctx.tree):
-        if isinstance(node, ast.Call):
-            callee = node.func.attr if isinstance(node.func, ast.Attribute) else (
-                node.func.id if isinstance(node.func, ast.Name) else None
-            )
-            if callee == "Process":
-                for kw in node.keywords:
-                    if kw.arg == "target" and isinstance(kw.value, ast.Name):
-                        targets.add(kw.value.id)
-    entries = []
-    for node in ast.walk(ctx.tree):
-        if isinstance(node, ast.FunctionDef) and (
-            node.name in targets or node.name.startswith("_worker")
-        ):
-            entries.append(node)
-    return entries
-
-
-@register
-class WorkerSideSharedMutation(Rule):
-    """CON002: worker-side code mutating supervisor/module state."""
-
-    name = "CON002"
-    severity = Severity.ERROR
-    description = (
-        "worker-side function mutates state outside its own frame; the "
-        "write is lost at fork boundaries — return results over the pipe "
-        "instead"
-    )
-    packages = ("runtime", "sim", "sched")
-
-    def check(self, ctx: ModuleContext) -> Iterator[Violation]:
-        for func in _worker_entry_functions(ctx):
-            local_names = {arg.arg for arg in (
-                *func.args.posonlyargs, *func.args.args, *func.args.kwonlyargs,
-            )}
-            if func.args.vararg:
-                local_names.add(func.args.vararg.arg)
-            if func.args.kwarg:
-                local_names.add(func.args.kwarg.arg)
-            for node in ast.walk(func):
-                if isinstance(node, (ast.Global, ast.Nonlocal)):
-                    kind = "global" if isinstance(node, ast.Global) else "nonlocal"
-                    yield self.violation(
-                        ctx, node,
-                        f"{kind} rebinding in worker-side function "
-                        f"{func.name!r} diverges from the supervisor after "
-                        "fork",
-                    )
-                elif isinstance(node, ast.Assign):
-                    local_names.update(
-                        t.id for t in node.targets if isinstance(t, ast.Name)
-                    )
-                elif isinstance(node, (ast.For, ast.AsyncFor)) and isinstance(
-                    node.target, ast.Name
-                ):
-                    local_names.add(node.target.id)
-                elif isinstance(node, (ast.With, ast.AsyncWith)):
-                    local_names.update(
-                        item.optional_vars.id
-                        for item in node.items
-                        if isinstance(item.optional_vars, ast.Name)
-                    )
-                elif isinstance(node, (ast.Attribute,)) and isinstance(
-                    node.ctx, (ast.Store, ast.Del)
-                ):
-                    root = node
-                    while isinstance(root, ast.Attribute):
-                        root = root.value
-                    if isinstance(root, ast.Name) and root.id not in local_names:
-                        yield self.violation(
-                            ctx, node,
-                            f"worker-side function {func.name!r} writes "
-                            f"attribute on non-local {root.id!r}; the "
-                            "mutation is invisible to the supervisor",
-                        )
-
+__all__ = ["UnboundedServiceAwait"]
 
 #: Await targets that block on a peer, a pipe, or a queue — the *raw
 #: transport primitives* that hang forever when the other side dies.

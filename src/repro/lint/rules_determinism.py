@@ -2,9 +2,10 @@
 
 Every stochastic draw in the simulator and the model core must route
 through :mod:`repro.util.rng` (``make_rng`` / ``spawn`` / ``derive_seed``)
-so that an experiment is bit-identical under its seed.  Wall-clock reads
-and the process-global ``random`` / legacy ``numpy.random`` state break
-that guarantee silently; iterating a ``set`` does too, because string
+so that an experiment is bit-identical under its seed.  Wall-clock reads,
+the process-global ``random`` / legacy ``numpy.random`` state and a
+``Generator`` built by hand break that guarantee silently; iterating a
+``set`` does too, because string
 hashing is salted per process (``PYTHONHASHSEED``), which reorders floats
 accumulated in iteration order.
 """
@@ -30,8 +31,12 @@ _BANNED_CALLS: dict[str, "frozenset[str] | None"] = {
 #: ``datetime.datetime.<x>`` / ``datetime.date.<x>`` wall-clock reads.
 _BANNED_DATETIME = frozenset({"now", "utcnow", "today"})
 
-#: ``numpy.random.<x>`` that is allowed: the seeded Generator API only.
-_ALLOWED_NUMPY_RANDOM = frozenset({"default_rng", "Generator", "SeedSequence", "PCG64"})
+#: ``numpy.random.<x>`` that is allowed: seeding plumbing, not generators.
+_ALLOWED_NUMPY_RANDOM = frozenset({"SeedSequence", "PCG64"})
+
+#: Seeded-API constructors that only ``repro.util.rng`` may call, so every
+#: generator's seed is traceable to ``make_rng`` / ``spawn``.
+_GENERATOR_CONSTRUCTORS = frozenset({"default_rng", "Generator"})
 
 
 @register
@@ -75,6 +80,11 @@ class BannedNondeterministicCall(Rule):
         if root == "datetime" and terminal in _BANNED_DATETIME:
             return f"wall-clock read {dotted}() in a measurement path"
         if root == "numpy" and len(chain) >= 3 and chain[1] == "random":
+            if terminal in _GENERATOR_CONSTRUCTORS:
+                return (
+                    f"{dotted}() builds a generator outside repro.util.rng; "
+                    "use repro.util.rng.make_rng(seed) so the seed is tracked"
+                )
             if terminal not in _ALLOWED_NUMPY_RANDOM:
                 return (
                     f"legacy global-state API {dotted}(); use the seeded "

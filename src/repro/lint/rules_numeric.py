@@ -1,4 +1,4 @@
-"""Numerical-safety rules: divisions, float equality, inf/nan literals.
+"""Numerical-safety rules: unguarded divisions and float equality.
 
 The analytical models divide by measured quantities (``accesses``,
 ``miss_count``, ``cpi_exe``, ...) that are legitimately zero for empty or
@@ -27,7 +27,7 @@ from collections.abc import Iterator
 
 from repro.lint.engine import ModuleContext, Rule, Severity, Violation, register
 
-__all__ = ["UnguardedModelDivision", "FloatEqualityComparison", "FloatLiteralInfNan"]
+__all__ = ["UnguardedModelDivision", "FloatEqualityComparison"]
 
 #: Model quantities that may legitimately measure zero.  Divisions by other
 #: names are not this rule's business.
@@ -201,29 +201,3 @@ class FloatEqualityComparison(Rule):
                             "use math.isclose or a tolerance",
                         )
                         break
-
-
-@register
-class FloatLiteralInfNan(Rule):
-    """NUM003: ``float("inf")`` / ``float("nan")`` string round-trips."""
-
-    name = "NUM003"
-    severity = Severity.WARNING
-    description = 'float("inf"/"nan") literal; use math.inf / math.nan'
-
-    def check(self, ctx: ModuleContext) -> Iterator[Violation]:
-        for node in ast.walk(ctx.tree):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Name)
-                and node.func.id == "float"
-                and len(node.args) == 1
-                and isinstance(node.args[0], ast.Constant)
-                and isinstance(node.args[0].value, str)
-            ):
-                text = node.args[0].value.strip().lstrip("+-").lower()
-                if text in {"inf", "infinity", "nan"}:
-                    yield self.violation(
-                        ctx, node,
-                        f'float("{node.args[0].value}"); use math.inf / math.nan',
-                    )

@@ -29,7 +29,7 @@ SARIF_SCHEMA_URI = (
 SARIF_VERSION = "2.1.0"
 
 #: Reported as ``tool.driver.version``; bump alongside rule-set changes.
-TOOL_VERSION = "1.3.0"
+TOOL_VERSION = "1.4.0"
 
 
 def _level(severity: Severity) -> str:

@@ -80,10 +80,9 @@ ENGINE_VERSION = 3
 def batch_eligible(config: MachineConfig) -> bool:
     """Whether *config* can run on the vectorized batch kernel.
 
-    The gate mirrors :meth:`HierarchySimulator._use_fast_path`: no
-    prefetcher, no L1 bypass detector, LRU L1 and L2.  (The L1 MSHR file
-    the engine builds for a single core is always in-order, so that clause
-    of the fast-path gate is structural here.)
+    No prefetcher, no L1 bypass detector, LRU L1 and L2.  The scalar fast
+    loop (:meth:`HierarchySimulator._use_fast_path`) uses this same gate
+    plus an in-order L1 MSHR file, which the engine always builds.
     """
     return (
         config.prefetch is None
@@ -709,21 +708,15 @@ class HierarchySimulator:
     def _use_fast_path(self) -> bool:
         """Whether this run takes the specialized fast issue loop.
 
-        Eligibility is structural, decided once per run: no prefetcher, no
-        bypass detector, and an LRU L1 (the default machine).  Anything else
-        routes through the reference loop, whose behaviour the fast loop is
-        pinned to bit-for-bit by the equivalence suite
+        Eligibility is structural, decided once per run: the config passes
+        :func:`batch_eligible` and the L1 MSHR file is in-order.  Anything
+        else routes through the reference loop, whose behaviour the fast
+        loop is pinned to bit-for-bit by the equivalence suite
         (``tests/sim/test_engine_equivalence.py``).
         """
         if self.engine == "reference":
             return False
-        eligible = (
-            self.prefetcher is None
-            and self.bypass is None
-            and self.l1_cache.replacement == "lru"
-            and self.l2_cache.replacement == "lru"
-            and self.l1_mshrs.in_order
-        )
+        eligible = batch_eligible(self.config) and self.l1_mshrs.in_order
         if self.engine == "fast" and not eligible:
             raise ConfigError(
                 "engine='fast' requires no prefetcher, no L1 bypass, LRU L1 "

@@ -26,6 +26,7 @@ import numpy as np
 
 from typing import TYPE_CHECKING
 
+from repro.util.rng import make_rng
 from repro.util.validation import check_int, safe_ratio
 from repro.workloads.generators import pointer_chase_addresses, strided_addresses
 from repro.workloads.trace import Trace
@@ -122,7 +123,7 @@ def mlp_probe(
     by how many misses the window can expose.
     """
     check_int("n_accesses", n_accesses, minimum=1)
-    rng = np.random.default_rng(seed)
+    rng = make_rng(seed)
     n_lines = footprint_bytes // config.l1.line_bytes
     addrs = rng.integers(0, n_lines, n_accesses) * config.l1.line_bytes
     trace = Trace.from_memory_addresses(addrs, compute_per_access=0, name="mlp")

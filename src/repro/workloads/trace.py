@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.util.rng import make_rng
+
 __all__ = ["Trace"]
 
 
@@ -99,7 +101,7 @@ class Trace:
         mem_pos = np.cumsum(gaps + 1) - 1
         is_mem[mem_pos] = True
         address[mem_pos] = addresses
-        rng = np.random.default_rng(seed)
+        rng = make_rng(seed)
         is_load = np.zeros(total, dtype=bool)
         if n_mem:
             is_load[mem_pos] = rng.random(n_mem) < load_fraction

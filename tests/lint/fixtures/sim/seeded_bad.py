@@ -9,8 +9,6 @@ rules apply.
 import random
 import time
 
-pending_jobs = []  # CON001: module-level mutable
-
 
 def draw():
     return random.random()  # DET001: process-global RNG

@@ -58,7 +58,7 @@ class TestCLIExitCodes:
         payload = json.loads(proc.stdout)
         assert payload["ok"] is False
         assert {v["rule"] for v in payload["violations"]} >= {
-            "DET001", "DET002", "NUM001", "NUM002", "CON001",
+            "DET001", "DET002", "NUM001", "NUM002",
         }
 
     def test_rule_selection_narrows_the_run(self):
@@ -81,7 +81,7 @@ class TestSeededFixtureCoverage:
         ])
         fired = {v.rule for v in result.violations}
         assert fired >= {
-            "DET001", "DET002", "NUM001", "NUM002", "CON001", "CON003",
+            "DET001", "DET002", "NUM001", "NUM002", "CON003",
             "ERR001", "ERR002", "OBS001", "OBS002", "PERF001",
         }
 
@@ -108,7 +108,7 @@ class TestRepoIsClean:
         assert not bad, f"noqa without justification: {bad}"
 
     def test_package_passes_program_analysis(self):
-        """The whole-program gate: zero non-baselined RACE/PURE/FLOW/SUP
+        """The whole-program gate: zero non-baselined RACE/PURE/ASYNC/SUP
         findings over the shipped package, with the checked-in baseline."""
         from repro.lint.program import load_baseline, run_program_lint
 

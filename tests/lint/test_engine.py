@@ -21,8 +21,8 @@ SIM_PATH = "src/repro/sim/example.py"
 class TestRegistry:
     def test_all_rule_packs_registered(self):
         assert {
-            "DET001", "DET002", "NUM001", "NUM002", "NUM003",
-            "ERR001", "ERR002", "CON001", "CON002", "CTR001",
+            "DET001", "DET002", "NUM001", "NUM002",
+            "ERR001", "ERR002", "CON003", "CTR001",
         } <= set(RULES)
 
     def test_every_rule_has_metadata(self):

@@ -80,6 +80,41 @@ class TestAsyncFixtures:
         result = lint_fixture("orphan_clean")
         assert result.ok, [v.format() for v in result.violations]
 
+    def test_any_read_of_the_handle_consumes_it(self, tmp_path):
+        # The dead-assignment check is flow-insensitive: a read anywhere
+        # in the function, a closure included, keeps the handle; a handle
+        # rebound before its first read is the documented miss.
+        write_tree(tmp_path, {
+            "pkg/__init__.py": "",
+            "pkg/tasks.py": """
+                import asyncio
+
+                async def refresh():
+                    await asyncio.sleep(0)
+
+                async def closure_use():
+                    task = asyncio.create_task(refresh())
+
+                    async def waiter():
+                        await task
+
+                    await waiter()
+
+                async def rebound_first():
+                    task = asyncio.create_task(refresh())
+                    task = asyncio.create_task(refresh())
+                    await task
+
+                async def never_read():
+                    coro = refresh()
+                    return None
+            """,
+        })
+        result = run_program_lint([tmp_path], rules=["ASYNC004"])
+        assert [v.message.split(" assigned")[0] for v in result.violations] == [
+            "coroutine refresh(...)",
+        ]
+
     def test_loop_thread_shared_write_fires_at_global(self):
         result = lint_fixture("shared_bad")
         assert [v.rule for v in result.violations] == ["RACE003"]

@@ -1,21 +1,10 @@
-"""Unit tests for the CFG, reaching definitions, and effect inference."""
+"""Unit tests for the side-effect inference."""
 
-import ast
 import textwrap
-from pathlib import Path
 
 from repro.lint.program import build_program
 from repro.lint.program.callgraph import build_call_graph
-from repro.lint.program.dataflow import (
-    EffectAnalysis,
-    build_cfg,
-    reaching_definitions,
-)
-
-
-def func_node(source):
-    tree = ast.parse(textwrap.dedent(source).lstrip("\n"))
-    return tree.body[0]
+from repro.lint.program.dataflow import EffectAnalysis
 
 
 def analyze(tmp_path, files):
@@ -25,88 +14,6 @@ def analyze(tmp_path, files):
         path.write_text(textwrap.dedent(src), encoding="utf-8")
     model = build_program([tmp_path])
     return model, EffectAnalysis(model, build_call_graph(model))
-
-
-class TestCFG:
-    def test_every_statement_appears_once(self):
-        func = func_node("""
-            def f(flag):
-                x = 1
-                if flag:
-                    x = 2
-                else:
-                    x = 3
-                for i in range(3):
-                    x += i
-                return x
-        """)
-        cfg = build_cfg(func)
-        stmts = list(cfg.statements())
-        assert len(stmts) == len(set(map(id, stmts)))
-        # body stmts: x=1, if, x=2, x=3, for, x+=i, return
-        assert len(stmts) == 7
-
-    def test_branches_have_successors(self):
-        func = func_node("""
-            def f(flag):
-                if flag:
-                    return 1
-                return 2
-        """)
-        cfg = build_cfg(func)
-        header_block = next(
-            b for b in cfg.blocks if any(isinstance(s, ast.If) for s in b.stmts)
-        )
-        assert len(header_block.succs) >= 2
-
-
-class TestReachingDefinitions:
-    def _return_stmt(self, func):
-        return next(n for n in ast.walk(func) if isinstance(n, ast.Return))
-
-    def test_branch_merge_keeps_both_definitions(self):
-        func = func_node("""
-            def f(flag):
-                x = 1
-                if flag:
-                    x = 2
-                return x
-        """)
-        rd = reaching_definitions(func)
-        defs = rd.at(self._return_stmt(func), "x")
-        assert {d.lineno for d in defs} == {2, 4}
-
-    def test_straight_line_assignment_kills_prior(self):
-        func = func_node("""
-            def f():
-                x = 1
-                x = 2
-                return x
-        """)
-        rd = reaching_definitions(func)
-        defs = rd.at(self._return_stmt(func), "x")
-        assert {d.lineno for d in defs} == {3}
-
-    def test_loop_carried_definition_reaches_header(self):
-        func = func_node("""
-            def f(items):
-                x = 0
-                for item in items:
-                    x = item
-                return x
-        """)
-        rd = reaching_definitions(func)
-        defs = rd.at(self._return_stmt(func), "x")
-        assert {d.lineno for d in defs} == {2, 4}
-
-    def test_parameters_are_entry_definitions(self):
-        func = func_node("""
-            def f(seed):
-                return seed
-        """)
-        rd = reaching_definitions(func)
-        defs = rd.at(self._return_stmt(func), "seed")
-        assert len(defs) == 1 and next(iter(defs)).stmt_id == -1
 
 
 class TestEffects:

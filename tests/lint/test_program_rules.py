@@ -97,19 +97,6 @@ class TestPureRules:
         )
 
 
-class TestFlowRule:
-    def test_seeded_flow_fixture_fires_at_source_and_target(self):
-        result = lint_fixture("flow_bad")
-        assert all(v.rule == "FLOW001" for v in result.violations)
-        messages = "\n".join(v.message for v in result.violations)
-        assert "generator" in messages  # taint through the copy
-        assert "random.Random" in messages  # in-module construction
-
-    def test_factory_built_rng_is_clean(self):
-        result = lint_fixture("flow_clean")
-        assert result.ok, [v.format() for v in result.violations]
-
-
 class TestSuppressions:
     def test_unjustified_noqa_is_ignored_and_flagged(self):
         result = lint_fixture("sup_bad")

@@ -49,7 +49,7 @@ class TestDocumentShape:
     def test_rule_metadata_covers_both_registries(self):
         doc = sarif_document([])
         ids = {r["id"] for r in doc["runs"][0]["tool"]["driver"]["rules"]}
-        assert {"DET001", "RACE001", "PURE001", "FLOW001", "SUP001", "SYNTAX"} <= ids
+        assert {"DET001", "RACE001", "PURE001", "ASYNC001", "SUP001", "SYNTAX"} <= ids
 
     def test_baselined_findings_are_marked_unchanged(self):
         doc = sarif_document(
