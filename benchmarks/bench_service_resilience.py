@@ -15,8 +15,10 @@ the CI resilience-smoke job.
 """
 
 import asyncio
+import itertools
 import os
 import time
+from dataclasses import replace
 
 from repro.runtime.evaluate import EvaluationRequest, EvaluationRuntime
 from repro.runtime.journal import CheckpointJournal
@@ -31,6 +33,7 @@ from repro.service import (
     ServiceClient,
     StoreChaos,
     make_chaos_job_fn,
+    worker_fault,
 )
 from repro.sim.params import table1_config
 from repro.workloads.spec import get_benchmark
@@ -42,16 +45,15 @@ POINTS = [(label, seed) for label in "ABCD" for seed in (0, 1)]
 #: Per-job terminal-latency budget — the no-deadlock bound.  Generous on
 #: purpose: it gates "finished promptly" vs "wedged", not throughput.
 LATENCY_BUDGET_S = 60.0
-#: The full fault matrix.  Rates are the service's default chaos levels;
-#: every seed is pinned so each cell injects the same damage every run.
-#: Worker-side draws key on the job's cache key (which embeds the trace
-#: digest and ``ENGINE_VERSION``), so the crash/stall seeds are chosen to
-#: fire at *both* the full 6 000-access trace and the smoke harness's
-#: scaled-down one, and need re-choosing when the engine version changes.
+#: The full fault matrix.  Rates are the service's default chaos levels,
+#: and each cell injects the same damage every run.  Worker-side draws key
+#: on each job's content, trace digest included, so the worker_crash and
+#: worker_stall seeds are not pinned: :func:`_damaging_seed` derives them
+#: from the trace, at whatever length the bench runs.
 CELLS = [
     ("baseline", ChaosConfig(seed=1)),
-    ("worker_crash", ChaosConfig(crash_rate=0.2, seed=8)),
-    ("worker_stall", ChaosConfig(stall_rate=0.2, stall_s=1.5, seed=3)),
+    ("worker_crash", ChaosConfig(crash_rate=0.2)),
+    ("worker_stall", ChaosConfig(stall_rate=0.2, stall_s=1.5)),
     # Store damage draws once per dispatch round and a short run has few
     # rounds (the first sees empty stores), so these cells run the injector
     # at full rate: every round with substrate to damage tears something.
@@ -62,10 +64,28 @@ CELLS = [
 SMOKE_CELLS = ("baseline", "worker_crash")
 
 
-def _active_cells():
+def _damaging_seed(chaos, trace):
+    """The first seed at which *chaos* crashes (or stalls) the first
+    attempt of at least one job on *trace* — the damage its cell asserts."""
+    fault = "crash" if chaos.crash_rate > 0 else "stall"
+    digest = trace.content_digest()
+    return next(
+        seed for seed in itertools.count(1)
+        if any(worker_fault(replace(chaos, seed=seed), digest, table1_config(label),
+                            job_seed, True, 1) == fault
+               for label, job_seed in POINTS)
+    )
+
+
+def _active_cells(trace):
+    cells = CELLS
     if os.environ.get("REPRO_SERVICE_SMOKE"):
-        return [cell for cell in CELLS if cell[0] in SMOKE_CELLS]
-    return CELLS
+        cells = [cell for cell in CELLS if cell[0] in SMOKE_CELLS]
+    return [
+        (name, replace(chaos, seed=_damaging_seed(chaos, trace))
+         if chaos.worker_rate > 0 else chaos)
+        for name, chaos in cells
+    ]
 
 
 def _job_id(cell, label, seed):
@@ -195,7 +215,7 @@ def _percentile(values, fraction):
 def run_matrix(trace, tmp_path):
     cells = [
         asyncio.run(_run_cell(name, chaos, trace, tmp_path))
-        for name, chaos in _active_cells()
+        for name, chaos in _active_cells(trace)
     ]
     outcomes = EvaluationRuntime().evaluate([
         EvaluationRequest(config=table1_config(label), trace=trace, seed=seed)

@@ -56,10 +56,9 @@ _NOQA_JUSTIFIED_RE = re.compile(
 
 
 class Severity(Enum):
-    """How serious a violation is; both levels gate the CI job."""
+    """How serious a violation is; every registered rule is an error."""
 
     ERROR = "error"
-    WARNING = "warning"
 
 
 @dataclass(frozen=True, order=True)

@@ -32,10 +32,6 @@ SARIF_VERSION = "2.1.0"
 TOOL_VERSION = "1.4.0"
 
 
-def _level(severity: Severity) -> str:
-    return "error" if severity is Severity.ERROR else "warning"
-
-
 def _rule_metadata() -> "list[dict[str, object]]":
     """Every registered rule (per-file + program), sorted by id."""
     merged: "dict[str, tuple[str, Severity]]" = {}
@@ -49,7 +45,7 @@ def _rule_metadata() -> "list[dict[str, object]]":
         {
             "id": name,
             "shortDescription": {"text": merged[name][0]},
-            "defaultConfiguration": {"level": _level(merged[name][1])},
+            "defaultConfiguration": {"level": merged[name][1].value},
         }
         for name in sorted(merged)
     ]
@@ -78,7 +74,7 @@ def sarif_document(
         return {
             "ruleId": violation.rule,
             "ruleIndex": rule_index.get(violation.rule, -1),
-            "level": _level(violation.severity),
+            "level": violation.severity.value,
             "message": {"text": violation.message},
             "baselineState": state,
             "locations": [

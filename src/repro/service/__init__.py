@@ -26,7 +26,7 @@ crashed server resumes from its journal without recomputing finished work.
 
 from repro.service.admission import AdmissionConfig, AdmissionController
 from repro.service.breaker import BreakerConfig, CircuitBreaker
-from repro.service.chaos import ChaosConfig, StoreChaos, make_chaos_job_fn
+from repro.service.chaos import ChaosConfig, StoreChaos, make_chaos_job_fn, worker_fault
 from repro.service.client import ServiceClient, ServiceUnavailable, run_jobs
 from repro.service.protocol import (
     JobStatus,
@@ -47,6 +47,7 @@ __all__ = [
     "ChaosConfig",
     "StoreChaos",
     "make_chaos_job_fn",
+    "worker_fault",
     "ServiceClient",
     "ServiceUnavailable",
     "run_jobs",

@@ -22,9 +22,12 @@ ways a long-running evaluation server actually dies in practice:
     A client vanishes mid-wait — the server must release the connection
     without leaking the job (it still runs to a terminal state).
 
-Worker-side draws are seeded per ``(job, attempt)`` through
-:func:`repro.util.rng.spawn`, so a chaos run replays bit-identically and a
-retried job draws fresh chaos instead of dying identically forever.  The
+Worker-side draws (:func:`worker_fault`) are seeded per ``(request,
+attempt)`` through :func:`repro.util.rng.spawn`, so a chaos run replays
+bit-identically and a retried job draws fresh chaos instead of dying
+identically forever.  The request is named by its content, never by its
+evaluation-cache key, so a change of ``ENGINE_VERSION`` leaves every draw
+as it was.  The
 store-side injectors live in :class:`StoreChaos`, driven by the scheduler
 between batches from its own derived stream.  Client disconnects are the
 client's to inject (see the resilience benchmark) — the server only ever
@@ -49,8 +52,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
     from repro.runtime.evalcache import EvaluationCache
     from repro.runtime.journal import CheckpointJournal
+    from repro.sim.params import MachineConfig
 
-__all__ = ["ChaosConfig", "chaos_simulate_job", "make_chaos_job_fn", "StoreChaos"]
+__all__ = [
+    "ChaosConfig",
+    "chaos_simulate_job",
+    "make_chaos_job_fn",
+    "StoreChaos",
+    "worker_fault",
+]
 
 
 @dataclass(frozen=True)
@@ -87,6 +97,29 @@ class ChaosConfig:
         return self.crash_rate + self.stall_rate
 
 
+def worker_fault(
+    chaos: ChaosConfig,
+    trace_digest: str,
+    config: "MachineConfig",
+    seed: int,
+    warm: bool,
+    attempt: int,
+) -> "str | None":
+    """What *chaos* does to *attempt* of one request: ``"crash"``, ``"stall"`` or None.
+
+    The draw is keyed on the request's content (trace digest, config knobs,
+    simulator seed, warm-up) and the attempt, so callers can predict the
+    damage a seed causes, and an engine-version change cannot re-roll it.
+    """
+    draw = spawn(chaos.seed, "service-chaos", trace_digest, config.cache_key(),
+                 seed, warm, attempt).random()
+    if draw < chaos.crash_rate:
+        return "crash"
+    if draw < chaos.worker_rate:
+        return "stall"
+    return None
+
+
 def chaos_simulate_job(
     config,
     trace,
@@ -102,15 +135,15 @@ def chaos_simulate_job(
 
     Drop-in for :func:`repro.runtime.evaluate._simulate_job` (installed via
     the runtime's ``job_fn`` hook); module-level and partial-applied so it
-    pickles across the fork.  The chaos draw happens *before* the
-    simulation, modelling infrastructure death independent of the
-    measurement's own fault injection.
+    pickles across the fork.  The chaos draw (:func:`worker_fault`) happens
+    *before* the simulation, modelling infrastructure death independent of
+    the measurement's own fault injection.
     """
-    rng = spawn(chaos.seed, "service-chaos", fault_label, _attempt)
-    draw = rng.random()
-    if draw < chaos.crash_rate:
+    digest = trace if isinstance(trace, str) else trace.content_digest()
+    fault = worker_fault(chaos, digest, config, seed, warm, _attempt)
+    if fault == "crash":
         os.kill(os.getpid(), signal.SIGKILL)
-    elif draw < chaos.crash_rate + chaos.stall_rate:
+    elif fault == "stall":
         time.sleep(chaos.stall_s)
     return _simulate_job(config, trace, seed, warm, faults, fault_label, _attempt)
 

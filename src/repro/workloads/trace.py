@@ -21,6 +21,12 @@ __all__ = ["Trace"]
 class Trace:
     """Program-ordered instruction trace.
 
+    A trace from :meth:`repro.workloads.spec.BenchmarkProfile.trace` may
+    arrive before its arrays exist: when this process already hashed a
+    trace of the same recipe, it carries only its name, metadata and
+    content digest, and generates the arrays on the first read of any of
+    them.  Callers read the same arrays either way.
+
     Attributes
     ----------
     is_mem:
@@ -195,6 +201,9 @@ class Trace:
         cache (:mod:`repro.runtime.evalcache`) key on.  Computed once and
         cached on the instance — traces are treated as immutable after
         construction; mutate the arrays and the cached digest goes stale.
+        A profile trace served from its recipe already carries the digest,
+        so this reads no array; the first call on a freshly generated one
+        records recipe -> digest for the next request of that recipe.
         """
         cached = self.__dict__.get("_content_digest")
         if cached is not None:

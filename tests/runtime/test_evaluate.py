@@ -156,24 +156,29 @@ class TestJournaling:
         from repro.reconfig.explorer import LadderBackend
 
         gcc = get_benchmark("403.gcc")
-        short, long = gcc.trace(500, seed=1), gcc.trace(900, seed=1)
-        assert short.name == long.name
         configs = [table1_config("A"), table1_config("B")]
-        path = tmp_path / "j.jsonl"
-        sweep_configs(configs, short, runtime=EvaluationRuntime(journal=path))
-        rt = EvaluationRuntime(journal=path)
-        swept = sweep_configs(configs, long, runtime=rt)
-        assert rt.counters.simulations == 2 and swept.n_simulated == 2
-        assert swept.stats == sweep_configs(configs, long).stats
+        # The second round asks for the same two recipes, so both traces
+        # come from the recipe -> digest map without their arrays.
+        for round_ in ("generated", "recipe hit"):
+            short, long = gcc.trace(500, seed=1), gcc.trace(900, seed=1)
+            assert short.name == long.name
+            if round_ == "recipe hit":
+                assert "is_mem" not in vars(short) and "is_mem" not in vars(long)
+            path = tmp_path / f"{round_}.jsonl"
+            sweep_configs(configs, short, runtime=EvaluationRuntime(journal=path))
+            rt = EvaluationRuntime(journal=path)
+            swept = sweep_configs(configs, long, runtime=rt)
+            assert rt.counters.simulations == 2 and swept.n_simulated == 2
+            assert swept.stats == sweep_configs(configs, long).stats
 
-        path = tmp_path / "ladder.jsonl"
-        LadderBackend(configs, short,
-                      runtime=EvaluationRuntime(journal=path)).measure()
-        backend = LadderBackend(configs, long,
-                                runtime=EvaluationRuntime(journal=path))
-        report = backend.measure()
-        assert backend.log.evaluations == 1 and backend.log.cached == 0
-        assert report == LadderBackend(configs, long).measure()
+            path = tmp_path / f"{round_} ladder.jsonl"
+            LadderBackend(configs, short,
+                          runtime=EvaluationRuntime(journal=path)).measure()
+            backend = LadderBackend(configs, long,
+                                    runtime=EvaluationRuntime(journal=path))
+            report = backend.measure()
+            assert backend.log.evaluations == 1 and backend.log.cached == 0
+            assert report == LadderBackend(configs, long).measure()
 
 
 class TestPooledEvaluate:

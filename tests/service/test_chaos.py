@@ -7,9 +7,14 @@ from repro.runtime.evalcache import EvaluationCache, evaluation_cache_key
 from repro.runtime.evaluate import EvaluationRequest, EvaluationRuntime
 from repro.runtime.journal import CheckpointJournal
 from repro.runtime.pool import PoolConfig, RetryPolicy
-from repro.service.chaos import ChaosConfig, StoreChaos, make_chaos_job_fn
+from repro.service.chaos import (
+    ChaosConfig,
+    StoreChaos,
+    chaos_simulate_job,
+    make_chaos_job_fn,
+    worker_fault,
+)
 from repro.sim.params import MachineConfig, table1_config
-from repro.util.rng import spawn
 from repro.workloads.generators import working_set_addresses
 from repro.workloads.trace import Trace
 
@@ -35,15 +40,15 @@ def _dicts(runtime, requests):
 def _crashing_seed(requests, crash_rate):
     """The first chaos seed whose first attempts crash at least one request.
 
-    Worker-side draws key on each job's evaluation-cache key, which embeds
-    ``ENGINE_VERSION``, so a hard-coded seed stops firing when the engine
-    version changes.  A chaos test that injects nothing proves nothing.
+    A chaos test that injects nothing proves nothing, so the seed is chosen
+    by the damage it causes rather than pinned.
     """
-    keys = [evaluation_cache_key(r.trace, r.config, r.seed, r.warm) for r in requests]
     return next(
         seed for seed in range(1, 1000)
-        if any(spawn(seed, "service-chaos", key, 1).random() < crash_rate
-               for key in keys)
+        if any(worker_fault(ChaosConfig(crash_rate=crash_rate, seed=seed),
+                            r.trace.content_digest(), r.config, r.seed, r.warm, 1)
+               == "crash"
+               for r in requests)
     )
 
 
@@ -57,6 +62,35 @@ class TestWorkerChaos:
         clean = EvaluationRuntime(pool=PoolConfig(max_workers=0))
         reqs = _requests(trace, 2)
         assert _dicts(chaotic, reqs) == _dicts(clean, reqs)
+
+    def test_draws_do_not_depend_on_the_engine_version(self, monkeypatch):
+        # The runtime passes each job its evaluation-cache key, which embeds
+        # ENGINE_VERSION; a version bump must not re-roll which jobs stall.
+        import repro.service.chaos as chaos_module
+        import repro.sim.engine as engine
+
+        stalled = []
+        monkeypatch.setattr(chaos_module.time, "sleep", stalled.append)
+        monkeypatch.setattr(chaos_module, "_simulate_job", lambda *args: None)
+        reqs = _requests(_trace(), 8)
+        chaos = ChaosConfig(stall_rate=0.5, stall_s=0.25, seed=1)
+
+        def fates(version):
+            monkeypatch.setattr(engine, "ENGINE_VERSION", version)
+            out = []
+            for r in reqs:
+                before = len(stalled)
+                chaos_simulate_job(
+                    r.config, r.trace.content_digest(), r.seed, r.warm, None,
+                    evaluation_cache_key(r.trace, r.config, r.seed, r.warm),
+                    chaos=chaos,
+                )
+                out.append(len(stalled) > before)
+            return out
+
+        first = fates(engine.ENGINE_VERSION)
+        assert any(first) and not all(first)
+        assert fates(engine.ENGINE_VERSION + 1) == first
 
     def test_certain_crash_exhausts_retries_with_taxonomy(self):
         trace = _trace(120)
