@@ -1,12 +1,14 @@
 """Speedup gates: the optimized paths must stay faster than what they replace.
 
-Three ratios of two paths timed in alternating rounds in one process,
+Four ratios of two paths timed in alternating rounds in one process,
 each side's time being its fastest round.  The ratio does not depend on
 the host the way an absolute throughput does, so CI gates on it.  Each
 gate also checks that the fast path computes the same thing, since a
 speedup for a wrong answer means nothing.
 
 * fast / reference issue loop on 403.gcc, with identical access records;
+* the same with a stride prefetcher (degree 4, distance 2), with identical
+  access records and prefetch counters;
 * batch kernel / 64 scalar fast-path runs on the ``lpm-batch-gate``
   slice, with every lane identical;
 * multi-fidelity / engine-only sweep of the same slice, whose escalated
@@ -28,12 +30,15 @@ import numpy as np
 from repro.analysis.sweep import sweep_configs
 from repro.sim import DEFAULT_MACHINE, HierarchySimulator
 from repro.sim.batch import BatchHierarchySimulator
+from repro.sim.prefetch import PrefetchConfig
 from repro.workloads.generators import working_set_addresses
 from repro.workloads.spec import get_benchmark
 from repro.workloads.trace import Trace
 
 #: 0.8 x the 1.583x fast/reference ratio first recorded at 10,000 accesses.
 ENGINE_FLOOR = 1.267
+#: 0.8 x the 1.575x fast/reference ratio first recorded with a prefetcher.
+PREFETCH_FLOOR = 1.260
 #: Absolute floor for one kernel call over 64 scalar runs.
 BATCH_FLOOR = 4.0
 #: 0.8 x the 3.841x multi-fidelity/engine-only ratio first recorded.
@@ -100,16 +105,35 @@ def _report(capsys, line: str) -> None:
         print(f"\n{line}")
 
 
-def test_fast_engine_over_reference(capsys):
+def _fast_over_reference(config):
+    """:func:`_speedup` of the fast issue loop over the reference loop on
+    4,000 accesses of 403.gcc."""
     trace = get_benchmark("403.gcc").trace(4_000, seed=1)
 
     def run(engine):
-        return lambda: HierarchySimulator(DEFAULT_MACHINE, seed=0, engine=engine).run(trace)
+        return lambda: HierarchySimulator(config, seed=0, engine=engine).run(trace)
 
-    speedup, ref, fast = _speedup(5, run("reference"), run("fast"))
+    return _speedup(5, run("reference"), run("fast"))
+
+
+def test_fast_engine_over_reference(capsys):
+    speedup, ref, fast = _fast_over_reference(DEFAULT_MACHINE)
     _report(capsys, f"fast/reference: {speedup:.3f}x (floor {ENGINE_FLOOR}x)")
     assert _same_accesses(fast, ref)
     assert speedup >= ENGINE_FLOOR
+
+
+def test_prefetch_fast_over_reference(capsys):
+    speedup, ref, fast = _fast_over_reference(DEFAULT_MACHINE.with_(
+        prefetch=PrefetchConfig(degree=4, distance=2), name="default+prefetch"))
+    _report(capsys, f"prefetch fast/reference: {speedup:.3f}x (floor {PREFETCH_FLOOR}x)")
+    assert _same_accesses(fast, ref)
+    counters = ("prefetches_issued", "prefetches_useful", "prefetches_late")
+    assert [fast.component_stats[k] for k in counters] == [
+        ref.component_stats[k] for k in counters
+    ]
+    assert ref.component_stats["prefetches_issued"] > 0
+    assert speedup >= PREFETCH_FLOOR
 
 
 def test_batch_kernel_over_scalar(capsys):

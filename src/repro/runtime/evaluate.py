@@ -136,7 +136,6 @@ def _simulate_job(
     seed: int,
     warm: bool,
     faults: "FaultConfig | None",
-    fault_label: str,
     _attempt: int = 1,
     _state: "PerfectPassMemo | None" = None,
 ) -> "HierarchyStats":
@@ -145,20 +144,26 @@ def _simulate_job(
     Module-level so it pickles across process boundaries.  *trace* is
     normally a content digest resolved against the process-resident trace
     store (a full :class:`Trace` is still accepted for direct callers).
-    The fault injector is seeded per ``(job, attempt)``, so a retry of a
-    corrupted measurement draws fresh randomness while the clean
-    measurement itself stays bit-identical (the simulator is deterministic
-    under its seed).  *_state* is the pool's per-process perfect-pass memo.
+    The fault injector is seeded per ``(request, attempt)``: the request's
+    content (trace digest, config knobs, simulator seed, warm-up), as
+    :func:`repro.service.chaos.worker_fault` keys its draws, never the
+    engine version.  A retry of a corrupted measurement draws fresh
+    randomness while the clean measurement itself stays bit-identical (the
+    simulator is deterministic under its seed).  *_state* is the pool's
+    per-process perfect-pass memo.
     """
     if isinstance(trace, str):
-        trace = trace_store.resolve(trace)
+        digest, trace = trace, trace_store.resolve(trace)
+    else:
+        digest = trace.content_digest()
     fn = simulate_and_measure
     if _state is not None:
         # Bound before fault injection, so a truncated trace is looked up
         # under its own digest.
         fn = partial(simulate_and_measure, memo=_state)
     if faults is not None and faults.total_rate > 0.0:
-        fn = FaultInjector(faults, fault_label, _attempt).wrap_simulate(fn)
+        injector = FaultInjector(faults, digest, config.cache_key(), seed, warm, _attempt)
+        fn = injector.wrap_simulate(fn)
     _, stats = fn(config, trace, seed=seed, warm=warm)
     ensure_finite_stats(stats, expected_instructions=trace.n_instructions)
     return stats
@@ -315,7 +320,7 @@ class EvaluationRuntime:
                     key=key,
                     fn=self.job_fn if self.job_fn is not None else _simulate_job,
                     args=(req.config, req.trace.content_digest(), req.seed,
-                          req.warm, self.faults, key),
+                          req.warm, self.faults),
                     pass_attempt=chaos,
                     pass_state=self.job_fn is None,
                 ))

@@ -27,7 +27,8 @@ attempt)`` through :func:`repro.util.rng.spawn`, so a chaos run replays
 bit-identically and a retried job draws fresh chaos instead of dying
 identically forever.  The request is named by its content, never by its
 evaluation-cache key, so a change of ``ENGINE_VERSION`` leaves every draw
-as it was.  The
+as it was (the measurement-fault injector in
+:func:`repro.runtime.evaluate._simulate_job` is keyed the same way).  The
 store-side injectors live in :class:`StoreChaos`, driven by the scheduler
 between batches from its own derived stream.  Client disconnects are the
 client's to inject (see the resilience benchmark) — the server only ever
@@ -126,7 +127,6 @@ def chaos_simulate_job(
     seed: int,
     warm: bool,
     faults,
-    fault_label: str,
     _attempt: int = 1,
     *,
     chaos: ChaosConfig,
@@ -145,7 +145,7 @@ def chaos_simulate_job(
         os.kill(os.getpid(), signal.SIGKILL)
     elif fault == "stall":
         time.sleep(chaos.stall_s)
-    return _simulate_job(config, trace, seed, warm, faults, fault_label, _attempt)
+    return _simulate_job(config, trace, seed, warm, faults, _attempt)
 
 
 def make_chaos_job_fn(chaos: ChaosConfig) -> "Callable":

@@ -50,8 +50,9 @@ The vectorized L1 pieces have exact scalar equivalents:
   scalar upper-bound screen so the full-window check costs nothing while
   the window is slack.
 
-Eligibility mirrors the fast path's gate (no prefetcher, no bypass, LRU L1
-and L2; the single-core L1 MSHR file is in-order by construction);
+Eligibility is the fast path's gate (LRU L1 and L2; the single-core L1
+MSHR file is in-order by construction) plus no prefetcher and no bypass
+detector, which only the scalar loops model;
 :class:`BatchHierarchySimulator` raises :class:`ConfigError` eagerly on
 ineligible configs.  The three-way equivalence suite
 (``tests/sim/test_engine_equivalence.py``) pins every

@@ -74,22 +74,26 @@ __all__ = ["ENGINE_VERSION", "HierarchySimulator", "SimulationResult", "batch_el
 #: v3: the core-only perfect-L1 loop
 #: (:meth:`HierarchySimulator._run_impl_perfect`) feeds CPI_exe into cached
 #: stats for every config.
-ENGINE_VERSION = 3
+#: v4: the fast loop (:meth:`HierarchySimulator._run_impl_fast`) runs the
+#: real pass of prefetch and L1-bypass configs.
+ENGINE_VERSION = 4
+
+
+def _lru_l1_l2(config: MachineConfig) -> bool:
+    """Whether *config*'s L1 and L2 both replace LRU, the one clause the
+    scalar fast loop and the batch kernel share."""
+    return config.l1.replacement == "lru" and config.l2.replacement == "lru"
 
 
 def batch_eligible(config: MachineConfig) -> bool:
     """Whether *config* can run on the vectorized batch kernel.
 
-    No prefetcher, no L1 bypass detector, LRU L1 and L2.  The scalar fast
-    loop (:meth:`HierarchySimulator._use_fast_path`) uses this same gate
-    plus an in-order L1 MSHR file, which the engine always builds.
+    LRU L1 and L2, no prefetcher and no L1 bypass detector.  The scalar
+    fast loop (:meth:`HierarchySimulator._use_fast_path`) needs only the
+    LRU clause, plus an in-order L1 MSHR file, which the engine always
+    builds.
     """
-    return (
-        config.prefetch is None
-        and config.l1_bypass is None
-        and config.l1.replacement == "lru"
-        and config.l2.replacement == "lru"
-    )
+    return _lru_l1_l2(config) and config.prefetch is None and config.l1_bypass is None
 
 
 def require_batch_eligible(configs: "list[MachineConfig]") -> None:
@@ -708,20 +712,19 @@ class HierarchySimulator:
     def _use_fast_path(self) -> bool:
         """Whether this run takes the specialized fast issue loop.
 
-        Eligibility is structural, decided once per run: the config passes
-        :func:`batch_eligible` and the L1 MSHR file is in-order.  Anything
-        else routes through the reference loop, whose behaviour the fast
-        loop is pinned to bit-for-bit by the equivalence suite
+        Eligibility is structural, decided once per run: LRU L1 and L2 and
+        an in-order L1 MSHR file.  Prefetch and bypass configs qualify.
+        Anything else routes through the reference loop, whose behaviour
+        the fast loop is pinned to bit-for-bit by the equivalence suite
         (``tests/sim/test_engine_equivalence.py``).
         """
         if self.engine == "reference":
             return False
-        eligible = batch_eligible(self.config) and self.l1_mshrs.in_order
+        eligible = _lru_l1_l2(self.config) and self.l1_mshrs.in_order
         if self.engine == "fast" and not eligible:
             raise ConfigError(
-                "engine='fast' requires no prefetcher, no L1 bypass, LRU L1 "
-                "and L2, and an in-order L1 MSHR file; use engine='auto' to "
-                "fall back to the reference loop"
+                "engine='fast' requires LRU L1 and L2 and an in-order L1 MSHR "
+                "file; use engine='auto' to fall back to the reference loop"
             )
         return eligible
 
@@ -949,9 +952,19 @@ class HierarchySimulator:
           into the scheduler/cache objects at the end of the run.
 
         The miss walk is inlined too — the in-order L1 MSHR present/complete,
-        the L2 bank grant and the L2 LRU probe all run in the loop body; only
-        an L2 miss leaves through :meth:`_l2_miss_walk` (L2 MSHRs, optional
-        L3, DRAM — exactly the reference walk).
+        the L2 bank grant and the L2 LRU probe all run in the loop body.
+        The L2 MSHRs and DRAM are inlined for an in-order L2 MSHR file; an
+        optional L3 goes through :meth:`_access_l3`, and an out-of-order
+        (shared) L2 MSHR file through :meth:`_l2_miss_walk`, exactly the
+        reference walk.
+
+        The stride prefetcher and the stream-bypass detector keep the
+        reference loop's order.  The detector trains on every access and
+        only a primary miss's L1 fill reads it.  The prefetcher trains on
+        hits, late-prefetch hits and primary misses, not on L1-MSHR
+        secondary misses.  Its requests take the same inlined L2 walk as
+        the demand miss that triggers them, after it, so they share its
+        request clamp, L2 banks, L2 MSHRs, L3 and DRAM.
         """
         cfg = self.config
         n = trace.n_instructions
@@ -1073,6 +1086,26 @@ class HierarchySimulator:
         cache_hits = 0
         cache_misses = 0
 
+        # Prefetcher and stream detector.  Their training tables stay in
+        # the shared StridePrefetcher/StreamDetector objects.  A plain
+        # config pays two local tests per L1 hit for them: `extras` and
+        # `walk`.
+        prefetcher = self.prefetcher
+        has_pf = prefetcher is not None
+        pf_observe = prefetcher.observe if has_pf else None
+        pf_max = prefetcher.config.max_outstanding if has_pf else 0
+        pf_fills = self._prefetch_fills
+        pf_todo: list[int] = []
+        pf_issued = 0
+        pf_useful = 0
+        pf_late = 0
+        has_bypass = self.bypass is not None
+        bypass_classify = self.bypass.observe_and_classify if has_bypass else None
+        bypass_fill = False
+        extras = has_pf or has_bypass
+        walk = False  # this access has L2 requests or trains the prefetcher
+        demand = False  # ... and the first is its own primary miss
+
         mem_i = 0  # memory-access row index
         executed = n
         for i in range(n):
@@ -1151,46 +1184,109 @@ class HierarchySimulator:
                     l1_he[mem_i] = hit_end
                     l1_complete[mem_i] = hit_end
                     c = hit_end
+                    if extras:
+                        if has_bypass:
+                            bypass_classify(addr)  # trains on every access
+                        if has_pf:
+                            if pf_fills.pop(block, None) is not None:
+                                pf_useful += 1
+                            walk = True
                 else:
                     cache_misses += 1
                     l1_hs[mem_i] = t_port
                     l1_he[mem_i] = hit_end
                     l1_miss[mem_i] = True
-                    # L1 MSHR present, inline (in-order MSHRFile.present):
-                    # clamp to the file's never-rewinding clock, expire
-                    # returned fills, then coalesce or allocate.
-                    arr = hit_end if hit_end >= l1_now else l1_now
-                    while l1_rel and l1_rel[0][0] <= arr:
-                        rel_block = heappop(l1_rel)[1]
-                        f = l1_out.get(rel_block)
-                        if f is not None and f <= arr:
-                            del l1_out[rel_block]
-                    fill = l1_out.get(block)
-                    if fill is not None and fill > arr:
-                        # Secondary miss: ride the outstanding fill.
-                        l1m_secondary += 1
-                        c = fill if fill > hit_end else hit_end
+                    pending = None
+                    if extras:
+                        if has_bypass:
+                            bypass_fill = bypass_classify(addr)
+                        if has_pf:
+                            # The demand consumes its prefetch entry; one
+                            # that already landed counts neither useful
+                            # nor late.
+                            pending = pf_fills.pop(block, None)
+                            if pending is not None and pending <= t_port:
+                                pending = None
+                    if pending is not None:
+                        # Late prefetch: the fill is already on its way;
+                        # ride it without touching the MSHR file.
+                        pf_late += 1
+                        c = pending if pending > hit_end else hit_end
                         l1_sec[mem_i] = True
                         l1_ms[mem_i] = hit_end
                         l1_me[mem_i] = c
                         l1_complete[mem_i] = c
+                        walk = True
                     else:
-                        grant = arr
-                        if len(l1_out) >= l1_cap:
-                            # Full: stall until the earliest fill returns.
-                            earliest = l1_rel[0][0]
-                            if earliest > grant:
-                                grant = earliest
-                            while l1_rel and l1_rel[0][0] <= grant:
-                                rel_block = heappop(l1_rel)[1]
-                                f = l1_out.get(rel_block)
-                                if f is not None and f <= grant:
-                                    del l1_out[rel_block]
-                        l1_now = grant
-                        l1m_primary += 1
-                        l1m_stall += grant - arr
-                        # L2 request (in-order miss queue: clamp monotonic).
-                        t_l2 = grant + l1_to_l2
+                        # L1 MSHR present, inline (in-order MSHRFile.present):
+                        # clamp to the file's never-rewinding clock, expire
+                        # returned fills, then coalesce or allocate.
+                        arr = hit_end if hit_end >= l1_now else l1_now
+                        while l1_rel and l1_rel[0][0] <= arr:
+                            rel_block = heappop(l1_rel)[1]
+                            f = l1_out.get(rel_block)
+                            if f is not None and f <= arr:
+                                del l1_out[rel_block]
+                        fill = l1_out.get(block)
+                        if fill is not None and fill > arr:
+                            # Secondary miss: ride the outstanding fill.  The
+                            # prefetcher does not train on it.
+                            l1m_secondary += 1
+                            c = fill if fill > hit_end else hit_end
+                            l1_sec[mem_i] = True
+                            l1_ms[mem_i] = hit_end
+                            l1_me[mem_i] = c
+                            l1_complete[mem_i] = c
+                        else:
+                            grant = arr
+                            if len(l1_out) >= l1_cap:
+                                # Full: stall until the earliest fill returns.
+                                earliest = l1_rel[0][0]
+                                if earliest > grant:
+                                    grant = earliest
+                                while l1_rel and l1_rel[0][0] <= grant:
+                                    rel_block = heappop(l1_rel)[1]
+                                    f = l1_out.get(rel_block)
+                                    if f is not None and f <= grant:
+                                        del l1_out[rel_block]
+                            l1_now = grant
+                            l1m_primary += 1
+                            l1m_stall += grant - arr
+                            t_l2 = grant + l1_to_l2
+                            demand = True
+                            walk = True
+                if walk:
+                    # L2 requests of this access: the primary miss's own
+                    # (`demand`), then the prefetches it triggers.
+                    walk = False
+                    if has_pf:
+                        # Train on the access; keep the candidates the
+                        # reference's _issue_prefetches would issue.  Filter
+                        # them all first: an L2 walk changes nothing the
+                        # filters read, and the candidates are distinct.
+                        candidates = pf_observe(addr)
+                        if candidates:
+                            pf_budget = pf_max - len(
+                                [t for t in pf_fills.values() if t > hit_end]
+                            )
+                            for pf_block in candidates:
+                                if pf_budget <= 0:
+                                    break
+                                if pf_block < 0 or pf_fills.get(pf_block, hit_end) > hit_end:
+                                    continue  # invalid, or already in flight
+                                fs = l1_sets.get(pf_block & set_mask)
+                                if fs is not None and pf_block >> set_bits in fs:
+                                    continue  # already resident
+                                pf_todo.append(pf_block)
+                                pf_budget -= 1
+                            pf_todo.reverse()  # popped from the tail, in order
+                    while demand or pf_todo:
+                        if not demand:
+                            block = pf_todo.pop()
+                            addr = block << offset_bits
+                            t_l2 = hit_end + 1
+                        # One L2 walk of (addr, block, t_l2).  In-order miss
+                        # queue: the request cycle clamps monotonic.
                         if t_l2 < last_l2_req:
                             t_l2 = last_l2_req
                         last_l2_req = t_l2
@@ -1312,18 +1408,28 @@ class HierarchySimulator:
                                 else l2_hit_end
                             )
                             data_at_l1 = mem_ready + l1_to_l2
-                        l2_index[mem_i] = l2_row
-                        # L1 fill + MSHR completion, inline.
-                        heappush(fills_heap, (data_at_l1, addr))
-                        l1_out[block] = data_at_l1
-                        heappush(l1_rel, (data_at_l1, block))
-                        occ = len(l1_out)
-                        if occ > l1m_peak:
-                            l1m_peak = occ
-                        l1_ms[mem_i] = hit_end
-                        c = data_at_l1 if data_at_l1 > hit_end else hit_end
-                        l1_me[mem_i] = c
-                        l1_complete[mem_i] = c
+                        if demand:
+                            demand = False
+                            l2_index[mem_i] = l2_row
+                            # L1 fill (unless a confirmed stream bypasses
+                            # the L1) + MSHR completion, inline.
+                            if not bypass_fill:
+                                heappush(fills_heap, (data_at_l1, addr))
+                            l1_out[block] = data_at_l1
+                            heappush(l1_rel, (data_at_l1, block))
+                            occ = len(l1_out)
+                            if occ > l1m_peak:
+                                l1m_peak = occ
+                            l1_ms[mem_i] = hit_end
+                            c = data_at_l1 if data_at_l1 > hit_end else hit_end
+                            l1_me[mem_i] = c
+                            l1_complete[mem_i] = c
+                        else:
+                            # Prefetch fill: into the L1 fill queue, never
+                            # bypassed.
+                            heappush(fills_heap, (data_at_l1, addr))
+                            pf_fills[block] = data_at_l1
+                            pf_issued += 1
                 heappush(lsq, c)
                 last_mem_complete = c
                 mem_i += 1
@@ -1369,6 +1475,10 @@ class HierarchySimulator:
         l1_cache.evictions += l1_evict
         l2_cache.evictions += l2_evict
         self._last_l2_req = last_l2_req
+        if has_pf:
+            prefetcher.issued += pf_issued
+            prefetcher.useful += pf_useful
+            prefetcher.late += pf_late
         if l2m_inline:
             # Only the inline path tracked these locally; the out-of-order
             # walk mutated the MSHR file (and _last_mem_req) directly.

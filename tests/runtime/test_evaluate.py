@@ -330,6 +330,36 @@ class TestFaultyEvaluate:
         assert out[0] == direct
         assert rt.counters.retries > 0
 
+    def test_fault_draws_do_not_depend_on_the_engine_version(self, trace, monkeypatch):
+        # The evaluation-cache key embeds ENGINE_VERSION; a version bump
+        # must not re-roll which attempts of which requests get corrupted.
+        import repro.sim.engine as engine
+
+        fired = []
+
+        class RecordingInjector(evaluate.FaultInjector):
+            def _fire(self, rate, kind):
+                hit = super()._fire(rate, kind)
+                fired.append((kind, hit))
+                return hit
+
+        monkeypatch.setattr(evaluate, "FaultInjector", RecordingInjector)
+
+        def fates(version):
+            monkeypatch.setattr(engine, "ENGINE_VERSION", version)
+            fired.clear()
+            rt = EvaluationRuntime(
+                pool=PoolConfig(max_workers=0,
+                                retry=RetryPolicy(max_retries=10, backoff_base=0.001)),
+                faults=FaultConfig.uniform(0.5, seed=5),
+            )
+            _stats(rt, _requests(trace, "ABCD"))
+            return list(fired)
+
+        first = fates(engine.ENGINE_VERSION)
+        assert any(hit for _, hit in first) and not all(hit for _, hit in first)
+        assert fates(engine.ENGINE_VERSION + 1) == first
+
     def test_profile_benchmarks_under_faults_uses_scalar_jobs(self, monkeypatch):
         from repro.sched.nuca import NUCAMachine, profile_benchmarks
 

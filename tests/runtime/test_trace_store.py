@@ -74,8 +74,8 @@ class TestStore:
         t = _trace()
         config = MachineConfig()
         digest = trace_store.register(t)
-        by_digest = _simulate_job(config, digest, 0, True, None, "k")
-        by_trace = _simulate_job(config, t, 0, True, None, "k")
+        by_digest = _simulate_job(config, digest, 0, True, None)
+        by_trace = _simulate_job(config, t, 0, True, None)
         assert by_digest.to_dict() == by_trace.to_dict()
 
 
@@ -85,8 +85,8 @@ class TestPayloadScaling:
         payloads = {}
         for n in (500, 8_000):
             t = _trace(n)
-            digest_args = pickle.dumps((config, t.content_digest(), 0, True, None, "k"))
-            full_args = pickle.dumps((config, t, 0, True, None, "k"))
+            digest_args = pickle.dumps((config, t.content_digest(), 0, True, None))
+            full_args = pickle.dumps((config, t, 0, True, None))
             payloads[n] = (len(digest_args), len(full_args))
         # Digest payloads are constant-size; pickled traces grow ~linearly.
         assert payloads[500][0] == payloads[8_000][0]

@@ -32,11 +32,11 @@ def _trace(n=200, seed=9):
     )
 
 
-def _gated_job(gate, config, trace, seed, warm, faults, label, _attempt=1):
+def _gated_job(gate, config, trace, seed, warm, faults, _attempt=1):
     """Job body that waits for the file *gate* before measuring seed 0."""
     while seed == 0 and not os.path.exists(gate):
         time.sleep(0.01)
-    return _simulate_job(config, trace, seed, warm, faults, label, _attempt)
+    return _simulate_job(config, trace, seed, warm, faults, _attempt)
 
 
 def _record(job_id, trace, seed):

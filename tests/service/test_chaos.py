@@ -3,7 +3,7 @@
 import asyncio
 
 from repro.runtime.errors import WorkerCrashed
-from repro.runtime.evalcache import EvaluationCache, evaluation_cache_key
+from repro.runtime.evalcache import EvaluationCache
 from repro.runtime.evaluate import EvaluationRequest, EvaluationRuntime
 from repro.runtime.journal import CheckpointJournal
 from repro.runtime.pool import PoolConfig, RetryPolicy
@@ -64,8 +64,8 @@ class TestWorkerChaos:
         assert _dicts(chaotic, reqs) == _dicts(clean, reqs)
 
     def test_draws_do_not_depend_on_the_engine_version(self, monkeypatch):
-        # The runtime passes each job its evaluation-cache key, which embeds
-        # ENGINE_VERSION; a version bump must not re-roll which jobs stall.
+        # The evaluation-cache key embeds ENGINE_VERSION; a version bump
+        # must not re-roll which jobs stall.
         import repro.service.chaos as chaos_module
         import repro.sim.engine as engine
 
@@ -82,7 +82,6 @@ class TestWorkerChaos:
                 before = len(stalled)
                 chaos_simulate_job(
                     r.config, r.trace.content_digest(), r.seed, r.warm, None,
-                    evaluation_cache_key(r.trace, r.config, r.seed, r.warm),
                     chaos=chaos,
                 )
                 out.append(len(stalled) > before)

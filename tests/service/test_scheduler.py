@@ -31,11 +31,11 @@ def _record(job_id, trace, *, client="c1", seed=0):
     return JobRecord(job_id=job_id, client=client, request=request)
 
 
-def _crash_below_seed_3(config, trace, seed, warm, faults, label, _attempt=1):
+def _crash_below_seed_3(config, trace, seed, warm, faults, _attempt=1):
     """Job body raising an infrastructure failure for seeds 0..2."""
     if seed < 3:
         raise WorkerCrashed(f"synthetic crash for seed {seed}")
-    return _simulate_job(config, trace, seed, warm, faults, label, _attempt)
+    return _simulate_job(config, trace, seed, warm, faults, _attempt)
 
 
 def _inline_runtime(**kwargs):
@@ -176,17 +176,17 @@ class TestBreakerIntegration:
         asyncio.run(main())
 
 
-def _raise_measurement(config, trace, seed, warm, faults, label, _attempt=1):
+def _raise_measurement(config, trace, seed, warm, faults, _attempt=1):
     from repro.runtime.errors import MeasurementError
 
     raise MeasurementError("synthetic unusable measurement")
 
 
-def _slow_simulate(config, trace, seed, warm, faults, label, _attempt=1):
+def _slow_simulate(config, trace, seed, warm, faults, _attempt=1):
     import time
 
     time.sleep(0.25)
-    return _simulate_job(config, trace, seed, warm, faults, label, _attempt)
+    return _simulate_job(config, trace, seed, warm, faults, _attempt)
 
 
 class TestDrain:

@@ -137,9 +137,9 @@ class TestKeySeparation:
         memo = PerfectPassMemo()
         faults = FaultConfig(truncate_rate=1.0)
         with pytest.raises(MeasurementError):
-            _simulate_job(DEFAULT_MACHINE, trace, 0, True, faults, "job", 1, _state=memo)
+            _simulate_job(DEFAULT_MACHINE, trace, 0, True, faults, 1, _state=memo)
         assert len(memo) == 1 and perfect_runs[0] == 1
-        stats = _simulate_job(DEFAULT_MACHINE, trace, 0, True, None, "job", 2, _state=memo)
+        stats = _simulate_job(DEFAULT_MACHINE, trace, 0, True, None, 2, _state=memo)
         assert perfect_runs[0] == 2 and len(memo) == 2
         assert stats == simulate_and_measure(DEFAULT_MACHINE, trace)[1]
 
