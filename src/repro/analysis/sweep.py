@@ -27,7 +27,6 @@ from typing import TYPE_CHECKING
 
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
-from repro.sim.engine import require_batch_eligible
 from repro.sim.params import MachineConfig
 from repro.sim.stats import (
     HierarchyStats,
@@ -113,8 +112,6 @@ def _measure_engine(
     engine: str,
 ) -> "list[tuple[HierarchyStats, str]]":
     """Engine-fidelity measurement of *configs*, with per-row provenance."""
-    if engine == "batch":
-        require_batch_eligible(configs)
     if runtime is not None:
         from repro.runtime.evaluate import EvaluationRequest
 
@@ -155,16 +152,13 @@ def sweep_configs(
 
     With a *runtime*, engine-fidelity points are evaluated through the
     supervised pool (:meth:`EvaluationRuntime.evaluate`): under
-    ``engine="auto"``/``"batch"`` its pending configs dispatch as **one**
-    batch job per trace, under ``"scalar"`` as one isolated job per
-    config.  Without a runtime, ``"auto"`` and ``"batch"`` measure through
+    ``engine="auto"`` its pending configs dispatch as **one** batch job
+    per trace, under ``"scalar"`` as one isolated job per config.  Without
+    a runtime, ``"auto"`` measures through
     :func:`~repro.sim.stats.simulate_and_measure_batch`, whose dispatch
     plan runs wide groups of batch-eligible configs in one kernel call
     and the rest on the scalar path, and ``"scalar"`` forces one full
-    scalar evaluation per config.  Either way, ``"batch"`` raises
-    :class:`~repro.runtime.errors.ConfigError` on any ineligible config
-    that would be simulated.
-    All engines are bit-identical.
+    scalar evaluation per config.  Both engines are bit-identical.
 
     *fidelity* selects what "measure" means (see the module docstring);
     *top_k*/*margin* shape the ``"multi"`` escalation frontier and
@@ -172,10 +166,8 @@ def sweep_configs(
     across sweeps of the same trace) so the one-pass profiling cost is
     not repaid per sweep.
     """
-    if engine not in ("auto", "batch", "scalar"):
-        raise ValueError(
-            f"engine must be 'auto', 'batch' or 'scalar', got {engine!r}"
-        )
+    if engine not in ("auto", "scalar"):
+        raise ValueError(f"engine must be 'auto' or 'scalar', got {engine!r}")
     if fidelity not in FIDELITIES:
         raise ValueError(
             f"fidelity must be one of {FIDELITIES}, got {fidelity!r}"

@@ -129,13 +129,12 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--seed", type=int, default=3)
     sweep.add_argument("--sizes", default="4,16,32,64",
                        help="comma-separated L1 sizes in KB")
-    sweep.add_argument("--engine", choices=("auto", "batch", "scalar"),
+    sweep.add_argument("--engine", choices=("auto", "scalar"),
                        default="auto",
                        help="'auto' runs a wide group of batch-eligible "
                             "configs in one kernel call and a narrow one on "
-                            "the scalar path, 'batch' also requires all configs "
-                            "eligible, 'scalar' forces per-config runs "
-                            "(all bit-identical)")
+                            "the scalar path, 'scalar' forces per-config runs "
+                            "(both bit-identical)")
 
     sched = sub.add_parser("schedule", parents=[obs, cache_p],
                            help="the Fig. 8 scheduling comparison")

@@ -1,12 +1,14 @@
 """Vectorized batch engine: step N machine configurations per kernel call.
 
 The Fig. 3 walk and the Table I sweep evaluate many :class:`MachineConfig`
-design points over the *same* trace.  The scalar fast path (PR 4) makes one
-such run ~1.6x cheaper; this module restructures the problem instead: one
+design points over the *same* trace.  The scalar fast path makes one such
+run ~1.6x cheaper; this module restructures the problem instead: one
 :class:`BatchHierarchySimulator` holds a struct-of-arrays copy of the
 per-lane pipeline state (one array dimension per config — a *lane*) and a
 single Python-level pass over the shared trace advances every lane with
-numpy operations.
+numpy operations.  Every run covers the whole trace from cycle 0 on every
+lane, so no lane ever stops early and runs of independent compute
+instructions always step as one block.
 
 Layout (L = number of lanes)::
 
@@ -74,7 +76,6 @@ from repro.sim.engine import (
     SimulationResult,
     batch_eligible,
     build_simulation_result,
-    require_batch_eligible,
 )
 from repro.sim.params import MachineConfig
 from repro.util.validation import check_int
@@ -90,16 +91,23 @@ class BatchHierarchySimulator:
 
     Like :class:`HierarchySimulator`, an instance carries warm state
     (cache contents, port/bank/DRAM timing) across :meth:`run` calls;
-    construct a fresh instance for independent experiments.  ``resume``
-    and :meth:`HierarchySimulator.reconfigure` are not supported — batch
-    runs are whole-trace evaluations of fixed design points.
+    construct a fresh instance for independent experiments.  Each run is
+    a whole-trace evaluation of fixed design points from cycle 0: there
+    are no quanta, no ``resume`` and no
+    :meth:`HierarchySimulator.reconfigure`.
     """
 
     def __init__(self, configs: "list[MachineConfig]", *, seed: int = 0) -> None:
         configs = list(configs)
         if not configs:
             raise ConfigError("batch simulation needs at least one config")
-        require_batch_eligible(configs)
+        bad = [c.name for c in configs if not batch_eligible(c)]
+        if bad:
+            raise ConfigError(
+                "the batch kernel requires no prefetcher, no L1 bypass and "
+                f"LRU L1/L2; ineligible configs: {bad} (use "
+                "repro.sim.stats.dispatch_plan() to split the batch)"
+            )
         self.configs = configs
         self.seed = seed
         self.n_lanes = L = len(configs)
@@ -141,6 +149,7 @@ class BatchHierarchySimulator:
         self._max_ways = max_ways
         self._l1_tags = np.full((L, max_sets, max_ways), -1, dtype=i64)
         self._l1_age = np.zeros((L, max_sets, max_ways), dtype=i64)
+        # Starts above every age a warm-up loads, so promotions are newer.
         self._l1_clock = np.array(list(self._assoc), dtype=i64)
         # Flat per-lane views for the scalar fill path (same memory), plus
         # a plain-list mirror of the tags so the fill drain scans Python
@@ -164,95 +173,70 @@ class BatchHierarchySimulator:
         self._next_fill = np.full(L, _HUGE, dtype=i64)
 
         self._lane_idx = np.arange(L, dtype=np.intp)
-        #: Whether any run or warm has touched the cache arrays (selects
-        #: the cheap deduplicated warm path for pristine simulators).
+        #: Whether any run or warm has touched the cache arrays; only a
+        #: pristine simulator can be warmed.
         self._touched = False
 
     # -- warm-up ---------------------------------------------------------
     def warm_caches(self, trace: Trace) -> None:
         """Touch the trace's addresses functionally in every lane.
 
-        Matches :meth:`HierarchySimulator.warm_caches` per lane.  On a
-        pristine simulator the warm walk runs once per *distinct* cache
-        geometry and the resulting contents are copied across lanes; after
-        any run each lane is warmed from its own current contents.
+        Matches :meth:`HierarchySimulator.warm_caches` per lane on a
+        pristine simulator: the warm walk runs once per *distinct* cache
+        geometry and the resulting contents are copied across lanes.  A
+        simulator that has already been warmed or run raises
+        :class:`ConfigError`.
         """
+        if self._touched:
+            raise ConfigError(
+                "warm_caches() needs a pristine batch simulator; build a new "
+                "one instead of warming after a warm or a run"
+            )
         addresses = trace.memory_addresses
-        if not self._touched:
-            scratch_l1: "dict[object, FunctionalCache]" = {}
-            scratch_l2: "dict[object, FunctionalCache]" = {}
-            scratch_l3: "dict[object, FunctionalCache]" = {}
-            for lane, cfg in enumerate(self.configs):
-                sim = self.lane_sims[lane]
-                c1 = scratch_l1.get(cfg.l1)
-                if c1 is None:
-                    c1 = FunctionalCache(cfg.l1, seed=self.seed)
-                    c1.warm_lookup_array(addresses)
-                    scratch_l1[cfg.l1] = c1
-                self._load_l1_lane(lane, c1)
-                c2 = scratch_l2.get(cfg.l2)
-                if c2 is None:
-                    c2 = FunctionalCache(cfg.l2, seed=self.seed + 1)
-                    c2.warm_lookup_array(addresses)
-                    scratch_l2[cfg.l2] = c2
-                sim.l2_cache._sets.clear()
-                sim.l2_cache._sets.update(
-                    {k: dict(v) for k, v in c2._sets.items()}
-                )
-                if sim.l3_cache is not None:
-                    c3 = scratch_l3.get(cfg.l3)
-                    if c3 is None:
-                        c3 = FunctionalCache(cfg.l3, seed=self.seed + 2)
-                        c3.warm_lookup_array(addresses)
-                        scratch_l3[cfg.l3] = c3
-                    sim.l3_cache._sets.clear()
-                    sim.l3_cache._sets.update(
-                        {k: dict(v) for k, v in c3._sets.items()}
-                    )
-        else:
-            for lane in range(self.n_lanes):
-                sim = self.lane_sims[lane]
-                c1 = self._l1_lane_to_cache(lane)
+        scratch_l1: "dict[object, FunctionalCache]" = {}
+        scratch_l2: "dict[object, FunctionalCache]" = {}
+        scratch_l3: "dict[object, FunctionalCache]" = {}
+        for lane, cfg in enumerate(self.configs):
+            sim = self.lane_sims[lane]
+            c1 = scratch_l1.get(cfg.l1)
+            if c1 is None:
+                c1 = FunctionalCache(cfg.l1, seed=self.seed)
                 c1.warm_lookup_array(addresses)
-                self._load_l1_lane(lane, c1)
-                sim.l2_cache.warm_lookup_array(addresses)
-                if sim.l3_cache is not None:
-                    sim.l3_cache.warm_lookup_array(addresses)
+                scratch_l1[cfg.l1] = c1
+            self._load_l1_lane(lane, c1)
+            c2 = scratch_l2.get(cfg.l2)
+            if c2 is None:
+                c2 = FunctionalCache(cfg.l2, seed=self.seed + 1)
+                c2.warm_lookup_array(addresses)
+                scratch_l2[cfg.l2] = c2
+            sim.l2_cache._sets.update(
+                {k: dict(v) for k, v in c2._sets.items()}
+            )
+            if sim.l3_cache is not None:
+                c3 = scratch_l3.get(cfg.l3)
+                if c3 is None:
+                    c3 = FunctionalCache(cfg.l3, seed=self.seed + 2)
+                    c3.warm_lookup_array(addresses)
+                    scratch_l3[cfg.l3] = c3
+                sim.l3_cache._sets.update(
+                    {k: dict(v) for k, v in c3._sets.items()}
+                )
         self._touched = True
 
     def _load_l1_lane(self, lane: int, cache: FunctionalCache) -> None:
-        """Convert a dict-LRU cache's contents into lane tag/age arrays.
+        """Copy a dict-LRU cache's contents into a pristine lane's tag/age
+        arrays.
 
         Dict insertion order (oldest first) becomes ascending age, so the
         array kernel's argmin-age eviction picks exactly the dict head.
         """
         tags = self._l1_tags[lane]
         age = self._l1_age[lane]
-        tags[:] = -1
-        age[:] = 0
         for set_idx, s in cache._sets.items():
             for way, tag in enumerate(s):
                 tags[set_idx, way] = tag
                 age[set_idx, way] = way
-        # Future promotions must always be newer than any resident age.
-        self._l1_clock[lane] = self._assoc[lane]
         self._l1_tags_list[lane] = self._l1_tags_flat[lane].tolist()
-
-    def _l1_lane_to_cache(self, lane: int) -> FunctionalCache:
-        """Rebuild a dict-LRU cache from one lane's tag/age arrays."""
-        cache = FunctionalCache(self.configs[lane].l1, seed=self.seed)
-        tags = self._l1_tags[lane]
-        age = self._l1_age[lane]
-        assoc = self._assoc[lane]
-        n_sets = self._smask_i[lane] + 1
-        for set_idx in range(n_sets):
-            row_t = tags[set_idx, :assoc]
-            valid = np.nonzero(row_t >= 0)[0]
-            if valid.size == 0:
-                continue
-            order = valid[np.argsort(age[set_idx, :assoc][valid], kind="stable")]
-            cache._sets[set_idx] = {int(row_t[w]): None for w in order}
-        return cache
 
     def _drain_lane_fills(self, lane: int, now: int) -> "tuple[int, int]":
         """Apply one lane's due L1 fills to its tag/age arrays.
@@ -305,20 +289,13 @@ class BatchHierarchySimulator:
 
     # -- the kernel ------------------------------------------------------
     def run(
-        self,
-        trace: Trace,
-        *,
-        perfect: bool = False,
-        start_cycle: int = 0,
-        stop_cycle: "int | None" = None,
+        self, trace: Trace, *, perfect: bool = False
     ) -> "list[SimulationResult]":
-        """Execute *trace* on every lane; one result per config, in order.
+        """Execute the whole *trace* on every lane from cycle 0; one result
+        per config, in order.
 
-        Semantics per lane are exactly ``HierarchySimulator.run`` with the
-        same keyword arguments (``resume`` is unsupported).  Frozen lanes
-        (those whose dispatch reached ``stop_cycle``) drop out of the
-        persistent-state updates but the pass continues until every lane
-        has stopped or the trace is exhausted.
+        Semantics per lane are exactly ``HierarchySimulator.run(trace,
+        perfect=perfect)``.
 
         With observability enabled the whole call is one ``sim.run_batch``
         span and each lane's finished result is folded into the metrics
@@ -326,10 +303,7 @@ class BatchHierarchySimulator:
         are engine-independent.
         """
         if not (obs_trace.tracing_enabled() or obs_metrics.metrics_enabled()):
-            return self._run_kernel(
-                trace, perfect=perfect, start_cycle=start_cycle,
-                stop_cycle=stop_cycle,
-            )
+            return self._run_kernel(trace, perfect=perfect)
         with obs_trace.span(
             "sim.run_batch", trace=trace.name, lanes=self.n_lanes,
             perfect=perfect,
@@ -339,10 +313,7 @@ class BatchHierarchySimulator:
                  sim.l2_mshrs.full_stall_cycles)
                 for sim in self.lane_sims
             ]
-            results = self._run_kernel(
-                trace, perfect=perfect, start_cycle=start_cycle,
-                stop_cycle=stop_cycle,
-            )
+            results = self._run_kernel(trace, perfect=perfect)
             span.set(
                 instructions=sum(r.instructions_executed for r in results),
                 cycles=max(r.total_cycles for r in results),
@@ -354,17 +325,11 @@ class BatchHierarchySimulator:
         return results
 
     def _run_kernel(
-        self,
-        trace: Trace,
-        *,
-        perfect: bool = False,
-        start_cycle: int = 0,
-        stop_cycle: "int | None" = None,
+        self, trace: Trace, *, perfect: bool = False
     ) -> "list[SimulationResult]":
         """The vectorized issue loop behind :meth:`run` (no instrumentation)."""
         n = trace.n_instructions
         check_int("n_instructions", n, minimum=0)
-        check_int("start_cycle", start_cycle, minimum=0)
         L = self.n_lanes
         lane_idx = self._lane_idx
         self._touched = True
@@ -388,7 +353,7 @@ class BatchHierarchySimulator:
         min_iw = self._min_iw
 
         # Records: one row per instruction / memory access, one column per
-        # lane.  Per-lane results are column slices of these at the end.
+        # lane.  Per-lane results are the columns of these at the end.
         n_mem_total = trace.n_mem
         dispatch_a = np.zeros((n, L), dtype=i64)
         complete_a = np.zeros((n, L), dtype=i64)
@@ -411,10 +376,10 @@ class BatchHierarchySimulator:
             sim._l3_rec = tuple([] for _ in range(7))
             sim._l2_l3_index = []
 
-        # Pipeline state as potentials (fresh per run; no resume support).
-        p_d = w_arr * start_cycle - 1
-        last_mem_complete = np.full(L, start_cycle, dtype=i64)
-        last_compute_complete = np.full(L, start_cycle, dtype=i64)
+        # Pipeline state as potentials, fresh at cycle 0 every run.
+        p_d = np.full(L, -1, dtype=i64)
+        last_mem_complete = np.zeros(L, dtype=i64)
+        last_compute_complete = np.zeros(L, dtype=i64)
 
         # Retire is not stepped per instruction: the recurrence
         # ``p_r(i) = max(p_r(i-1) + 1, w*c_i)`` unrolls to
@@ -429,7 +394,7 @@ class BatchHierarchySimulator:
         # rows only for memory instructions.
         B = min_rob if min_rob > 0 else 1
         wret_a = np.empty((n, L), dtype=i64)
-        q_carry = w_arr * (start_cycle - 1)
+        q_carry = -w_arr
         scan_buf = np.empty((min(B, n) if n else 1, L), dtype=i64)
         idx_col = np.arange(n, dtype=i64)[:, None]
         comp_col = (~trace.is_mem)[:, None]
@@ -561,7 +526,6 @@ class BatchHierarchySimulator:
         hit_end = np.empty(L, dtype=i64)
         tmp = np.empty(L, dtype=i64)
         b2 = np.empty(L, dtype=bool)
-        b3 = np.empty(L, dtype=bool)
         b_arg = np.empty(L, dtype=bool)
         bhit = np.empty(L, dtype=bool)
         bdue = np.empty(L, dtype=bool)
@@ -587,28 +551,16 @@ class BatchHierarchySimulator:
         # ``p_d(i) = max(p_d(i-1) + 1, R(i))`` with ``R(i)`` the lagged
         # ``w*retire`` row, which unrolls to a running maximum of
         # ``R(k) - k`` just as retire does.  A block stops at the next
-        # retire flush, so every row it reads is already flushed; quanta
-        # (``stop_cycle``) keep the per-instruction loop.
+        # retire flush, so every row it reads is already flushed.
         independent = ~trace.is_mem
         if depends is not None:
             independent &= ~depends
         breaks = np.flatnonzero(~independent)
-        run_end_l = (
-            np.append(breaks, n)[np.searchsorted(breaks, np.arange(n))].tolist()
-            if stop_cycle is None else None
-        )
+        run_end_l = np.append(breaks, n)[np.searchsorted(breaks, np.arange(n))].tolist()
         skip_to = 0
         run_rows = np.empty((min(B, n) if n else 1, L), dtype=i64)
         run_at = np.empty((min(B, n) if n else 1, L), dtype=np.intp)
         row_base = idx_col * L
-
-        stop = stop_cycle
-        active = np.ones(L, dtype=bool)
-        act_idx = lane_idx
-        n_active = L
-        partial = False
-        executed = [n] * L
-        mem_executed = [n_mem_total] * L
 
         mem_i = 0
         for i in range(n):
@@ -619,7 +571,7 @@ class BatchHierarchySimulator:
                 _flush_retire(flushed, i)
                 flushed = i
                 flush_at += B
-            if run_end_l is not None and i >= max_rob:
+            if i >= max_rob:
                 end = run_end_l[i]
                 if end > flush_at:
                     end = flush_at
@@ -690,21 +642,6 @@ class BatchHierarchySimulator:
                     np_max(p_d, tmp, out=p_d)
                 np_fdiv(p_d, w_arr, out=d)
 
-            if stop is not None:
-                np.greater_equal(d, stop, out=b2)
-                b2 &= active
-                if np_cnz(b2):
-                    for lf in b2.nonzero()[0]:
-                        lf = int(lf)
-                        executed[lf] = i
-                        mem_executed[lf] = mem_i
-                    active &= ~b2
-                    partial = True
-                    act_idx = active.nonzero()[0]
-                    n_active = int(act_idx.size)
-                    if n_active == 0:
-                        break
-
             dispatch_a[i] = d
 
             # --- execute -------------------------------------------------
@@ -718,11 +655,7 @@ class BatchHierarchySimulator:
                     # L1 port grant (replace-argmin == heapreplace).
                     if single_port:
                         np.maximum(d, port_free0, out=t_port)
-                        if partial:
-                            np.add(t_port, occ_arr, out=tmp)
-                            np.copyto(port_free0, tmp, where=active)
-                        else:
-                            np.add(t_port, occ_arr, out=port_free0)
+                        np.add(t_port, occ_arr, out=port_free0)
                     elif two_port:
                         # Replace-argmin on two columns; ties pick either
                         # port (the free-time multiset is all that matters).
@@ -730,30 +663,18 @@ class BatchHierarchySimulator:
                         np.maximum(d, tmp, out=t_port)
                         np.less(port_free1, port_free0, out=b_arg)
                         np.add(t_port, occ_arr, out=tmp)
-                        if partial:
-                            np.logical_and(b_arg, active, out=b3)
-                            np.copyto(port_free1, tmp, where=b3)
-                            np.logical_not(b_arg, out=b_arg)
-                            np.logical_and(b_arg, active, out=b3)
-                            np.copyto(port_free0, tmp, where=b3)
-                        else:
-                            np.copyto(port_free1, tmp, where=b_arg)
-                            np.logical_not(b_arg, out=b_arg)
-                            np.copyto(port_free0, tmp, where=b_arg)
+                        np.copyto(port_free1, tmp, where=b_arg)
+                        np.logical_not(b_arg, out=b_arg)
+                        np.copyto(port_free0, tmp, where=b_arg)
                     else:
                         port_free.min(axis=1, out=tmp)
                         np.maximum(d, tmp, out=t_port)
                         am = port_free.argmin(axis=1)
                         np.add(t_port, occ_arr, out=tmp)
-                        if partial:
-                            port_free[act_idx, am[act_idx]] = tmp[act_idx]
-                        else:
-                            port_free[lane_idx, am] = tmp
+                        port_free[lane_idx, am] = tmp
                     # Due L1 fills (only lanes with a pending fill).
                     if fills_pending:
                         np.less_equal(next_fill, t_port, out=bdue)
-                        if partial:
-                            bdue &= active
                         if np.count_nonzero(bdue):
                             for ld in bdue.nonzero()[0]:
                                 ld = int(ld)
@@ -776,8 +697,6 @@ class BatchHierarchySimulator:
                     np.logical_or.reduce(eqbuf, axis=1, out=bhit)
                     np_add(t_port, h1_arr, out=hit_end)
                     np_copyto(c, hit_end)
-                    if partial:
-                        bhit &= active
                     n_hit = np_cnz(bhit)
                     if n_hit:
                         hidx = bhit.nonzero()[0]
@@ -787,10 +706,8 @@ class BatchHierarchySimulator:
                         else:
                             l1_age[hidx, si_a[hidx], way[hidx]] = l1_clock[hidx]
                         np_add(l1_clock, 1, out=l1_clock, where=bhit)
-                    if n_hit != n_active:
+                    if n_hit != L:
                         np_not(bhit, out=b2)
-                        if partial:
-                            b2 &= active
                         midx = b2.nonzero()[0]
                         l1_miss[mem_i, midx] = True
                         # Per-miss results are collected in plain lists and
@@ -1002,12 +919,7 @@ class BatchHierarchySimulator:
                 if lu >= W:
                     # Physical compaction: a descending sort packs live
                     # entries to the left (order-free — only the live
-                    # count and minimum ever matter).  Frozen lanes reset
-                    # to empty so their garbage pushes never pin the
-                    # cursor at the end of the window.
-                    if partial:
-                        np.logical_not(active, out=b2)
-                        lsq[b2] = -1
+                    # count and minimum ever matter).
                     lsq[:] = np.sort(lsq, axis=1)[:, ::-1]
                     np.greater(lsq, d[:, None], out=stale_buf)
                     lu = int(np.count_nonzero(stale_buf, axis=1).max())
@@ -1034,31 +946,20 @@ class BatchHierarchySimulator:
         # reference loop exactly.  Port wait and L1 hit/miss counts are
         # derived from the record arrays (one vectorized pass) instead of
         # being accumulated per instruction.
-        if not perfect and n_mem_total:
-            mem_rows = np.nonzero(trace.is_mem)[0]
-            disp_mem = dispatch_a[mem_rows]
-            pw_all = (l1_hs - disp_mem).sum(axis=0)
-            miss_all = l1_miss.sum(axis=0)
+        if not perfect:
+            pw_all = (l1_hs - dispatch_a[trace.is_mem]).sum(axis=0).tolist()
+            miss_all = l1_miss.sum(axis=0).tolist()
         for lane in range(L):
             sim = lane_sims[lane]
             if not perfect:
-                me_l = mem_executed[lane]
-                if n_mem_total == 0:
-                    pw = nmiss = 0
-                elif me_l == n_mem_total:
-                    pw = int(pw_all[lane])
-                    nmiss = int(miss_all[lane])
-                else:
-                    pw = int(
-                        (l1_hs[:me_l, lane] - disp_mem[:me_l, lane]).sum()
-                    )
-                    nmiss = int(l1_miss[:me_l, lane].sum())
-                sim.l1_ports.grants += me_l
+                pw = pw_all[lane]
+                nmiss = miss_all[lane]
+                sim.l1_ports.grants += n_mem_total
                 sim.l1_ports.total_wait += pw
                 sim.l1_ports._free_times = sorted(
                     int(v) for v in port_free[lane, : self._n_ports[lane]]
                 )
-                sim.l1_cache.hits += me_l - nmiss
+                sim.l1_cache.hits += n_mem_total - nmiss
                 sim.l1_cache.misses += nmiss
                 sim.l1_cache.evictions += l1evict[lane]
                 l1m = sim.l1_mshrs
@@ -1096,26 +997,24 @@ class BatchHierarchySimulator:
                 "dram_row_hit_rate": sim.dram.row_hit_rate,
                 "dram_mean_bank_wait": sim.dram.mean_bank_wait,
             }
-            ex = executed[lane]
-            me = mem_executed[lane]
             (r_l2_hs, r_l2_he, r_l2_ms, r_l2_me, r_l2_miss, r_l2_sec,
              r_mem_index, r_mem_s, r_mem_e) = l2_rec[lane]
             results.append(build_simulation_result(
                 config=self.configs[lane],
                 trace_name=trace.name,
-                executed=ex,
-                dispatch=dispatch_a[:ex, lane],
-                complete=complete_a[:ex, lane],
-                retire=retire_a[:ex, lane],
-                is_mem=trace.is_mem[:ex],
-                l1_hit_start=l1_hs[:me, lane],
-                l1_hit_end=l1_he[:me, lane],
-                l1_miss_start=l1_ms[:me, lane],
-                l1_miss_end=l1_me[:me, lane],
-                l1_is_miss=l1_miss[:me, lane],
-                l1_is_secondary=l1_sec[:me, lane],
-                l1_complete=l1_cmp[:me, lane],
-                l2_index=l2_index[:me, lane],
+                executed=n,
+                dispatch=dispatch_a[:, lane],
+                complete=complete_a[:, lane],
+                retire=retire_a[:, lane],
+                is_mem=trace.is_mem,
+                l1_hit_start=l1_hs[:, lane],
+                l1_hit_end=l1_he[:, lane],
+                l1_miss_start=l1_ms[:, lane],
+                l1_miss_end=l1_me[:, lane],
+                l1_is_miss=l1_miss[:, lane],
+                l1_is_secondary=l1_sec[:, lane],
+                l1_complete=l1_cmp[:, lane],
+                l2_index=l2_index[:, lane],
                 l2_hit_start=r_l2_hs, l2_hit_end=r_l2_he,
                 l2_miss_start=r_l2_ms, l2_miss_end=r_l2_me,
                 l2_is_miss=r_l2_miss, l2_is_secondary=r_l2_sec,

@@ -35,7 +35,6 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -56,9 +55,6 @@ from repro.sim.prefetch import (
 from repro.sim.records import AccessRecords, InstructionRecords
 from repro.util.validation import check_int
 from repro.workloads.trace import Trace
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sim.batch import BatchHierarchySimulator
 
 __all__ = ["ENGINE_VERSION", "HierarchySimulator", "SimulationResult", "batch_eligible"]
 
@@ -94,18 +90,6 @@ def batch_eligible(config: MachineConfig) -> bool:
     builds.
     """
     return _lru_l1_l2(config) and config.prefetch is None and config.l1_bypass is None
-
-
-def require_batch_eligible(configs: "list[MachineConfig]") -> None:
-    """Raise :class:`ConfigError` naming every *configs* entry the kernel
-    cannot run (the ``engine="batch"`` contract)."""
-    bad = [c.name for c in configs if not batch_eligible(c)]
-    if bad:
-        raise ConfigError(
-            "engine='batch' requires no prefetcher, no L1 bypass and LRU "
-            f"L1/L2; ineligible configs: {bad} (use engine='auto' per "
-            "config, or repro.sim.stats.dispatch_plan() to split the batch)"
-        )
 
 
 @dataclass
@@ -177,8 +161,9 @@ def build_simulation_result(
     one coercion, one validation path, one set of formulas.
 
     *l3_records* is the 7-tuple of L3 record columns (hit/miss intervals,
-    miss/secondary flags, memory cross-reference) collected by the reference
-    loop when a third level is configured; ``None`` means "no L3".
+    miss/secondary flags, memory cross-reference) that every issue loop
+    collects through :meth:`HierarchySimulator._access_l3` when a third
+    level is configured; ``None`` means "no L3".
     """
     if l3_records is None:
         l3_records = ((), (), (), (), (), (), ())
@@ -256,19 +241,18 @@ class HierarchySimulator:
     def __init__(
         self, config: MachineConfig, *, seed: int = 0, engine: str = "auto"
     ) -> None:
-        if engine not in ("auto", "fast", "reference", "batch"):
+        if engine not in ("auto", "fast", "reference"):
             raise ConfigError(
-                "engine must be 'auto', 'fast', 'reference' or 'batch', "
-                f"got {engine!r}"
+                f"engine must be 'auto', 'fast' or 'reference', got {engine!r}"
             )
         self.config = config
         self.seed = seed
         #: Issue-loop selection: ``auto`` takes the specialized fast loop
         #: whenever the configuration is eligible, ``reference`` always runs
         #: the obviously-correct loop, ``fast`` demands the fast loop and
-        #: raises when the configuration cannot use it, ``batch`` routes
-        #: through the vectorized batch kernel (:mod:`repro.sim.batch`) as
-        #: a single-lane batch and raises eagerly on ineligible configs.
+        #: raises when the configuration cannot use it.  Many configs over
+        #: one trace run on the vectorized kernel instead
+        #: (:class:`repro.sim.batch.BatchHierarchySimulator`).
         self.engine = engine
         self.reset()
         if engine == "fast":
@@ -323,22 +307,12 @@ class HierarchySimulator:
                     f"got {type(cfg.l1_bypass).__name__}"
                 )
             self.bypass = StreamDetector(cfg.l1_bypass, cfg.l1.line_bytes)
-        # Single-lane delegate for engine="batch"; its constructor raises
-        # ConfigError eagerly when the config is ineligible for batching.
-        self._batch: "BatchHierarchySimulator | None" = None
-        if self.engine == "batch":
-            from repro.sim.batch import BatchHierarchySimulator
-
-            self._batch = BatchHierarchySimulator([cfg], seed=self.seed)
 
     def warm_caches(self, trace: Trace) -> None:
         """Touch the trace's addresses functionally (no timing, no stats).
 
         Used to measure steady-state behaviour without cold-start misses.
         """
-        if self._batch is not None:
-            self._batch.warm_caches(trace)
-            return
         with obs_trace.span("engine.warm", trace=trace.name, config=self.config.name):
             addresses = trace.memory_addresses
             caches = [self.l1_cache, self.l2_cache]
@@ -360,11 +334,6 @@ class HierarchySimulator:
         of them).  In-flight timing at the boundary is carried by the next
         :meth:`run` call's ``start_cycle``.
         """
-        if self._batch is not None:
-            raise ConfigError(
-                "engine='batch' does not support reconfigure(); use the "
-                "auto/fast/reference engines for online reconfiguration"
-            )
         old = self.config
         if (config.l1, config.l2, config.l3) != (old.l1, old.l2, old.l3):
             raise ConfigError("reconfigure() cannot change cache geometry")
@@ -429,9 +398,7 @@ class HierarchySimulator:
         per-instruction loop itself is never instrumented, so the disabled
         fast path costs two boolean checks per run.
         """
-        if self._batch is not None:
-            impl = partial(self._run_impl_batch, perfect=perfect)
-        elif perfect and self.engine != "reference":
+        if perfect and self.engine != "reference":
             impl = self._run_impl_perfect
         elif self._use_fast_path():
             impl = self._run_impl_fast
@@ -507,29 +474,6 @@ class HierarchySimulator:
             reg.counter("sim.l3.hits").inc(n_l3 - l3_miss)
             reg.counter("sim.l3.misses").inc(l3_miss)
         reg.counter("sim.mem.accesses").inc(len(acc.mem_start))
-
-    def _run_impl_batch(
-        self,
-        trace: Trace,
-        *,
-        perfect: bool = False,
-        start_cycle: int = 0,
-        stop_cycle: "int | None" = None,
-        resume: bool = False,
-    ) -> SimulationResult:
-        """Route one run through the vectorized kernel as a 1-lane batch."""
-        batch = self._batch
-        if batch is None:  # pragma: no cover - run() dispatches here only then
-            raise ConfigError("batch delegate not initialised")
-        if resume:
-            raise ConfigError(
-                "engine='batch' does not support resume=True; use the "
-                "auto/fast/reference engines for quantum continuation"
-            )
-        return batch.run(
-            trace, perfect=perfect, start_cycle=start_cycle,
-            stop_cycle=stop_cycle,
-        )[0]
 
     def _run_impl(
         self,

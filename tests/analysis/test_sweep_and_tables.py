@@ -43,36 +43,28 @@ class TestSweepEngines:
         configs = [table1_config("A"), table1_config("C")]
         per_engine = {
             engine: sweep_configs(configs, trace, seed=1, engine=engine)
-            for engine in ("auto", "batch", "scalar")
+            for engine in ("auto", "scalar")
         }
-        base = per_engine["scalar"]
-        for engine in ("auto", "batch"):
-            assert per_engine[engine].labels == base.labels
-            assert per_engine[engine].stats == base.stats
+        assert per_engine["auto"].labels == per_engine["scalar"].labels
+        assert per_engine["auto"].stats == per_engine["scalar"].stats
 
     def test_unknown_engine_rejected(self, trace):
-        with pytest.raises(ValueError):
-            sweep_configs([table1_config("A")], trace, engine="turbo")
+        for engine in ("turbo", "batch"):
+            with pytest.raises(ValueError):
+                sweep_configs([table1_config("A")], trace, engine=engine)
 
     def test_engine_batch_rejects_ineligible(self, trace):
         import dataclasses
 
         from repro.runtime.errors import ConfigError
+        from repro.sim.batch import BatchHierarchySimulator
         from repro.sim.prefetch import PrefetchConfig
 
         bad = dataclasses.replace(
             DEFAULT_MACHINE, prefetch=PrefetchConfig(), name="prefetching"
         )
-        from repro.runtime.evaluate import EvaluationRuntime
-
-        for runtime in (None, EvaluationRuntime()):
-            with pytest.raises(ConfigError):
-                sweep_configs([table1_config("A"), bad], trace, engine="batch",
-                              runtime=runtime)
-        # The check covers simulated configs only: tier-0 predictions run.
-        predicted = sweep_configs([table1_config("A"), bad], trace,
-                                  engine="batch", fidelity="surrogate")
-        assert predicted.sources == ["predicted", "predicted"]
+        with pytest.raises(ConfigError, match="prefetching"):
+            BatchHierarchySimulator([table1_config("A"), bad])
         # "auto" degrades that lane to the scalar path instead.
         result = sweep_configs([table1_config("A"), bad], trace, seed=1)
         assert result.labels == ["A", "prefetching"]

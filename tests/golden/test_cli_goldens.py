@@ -40,9 +40,9 @@ CASES = {
         "diagnose", "--benchmark", "429.mcf", "--config", "A",
         "--accesses", "3000", "--seed", "7",
     ],
-    "sweep_gcc_engine_batch": [
+    "sweep_gcc_engine_auto": [
         "sweep", "--benchmark", "403.gcc", "--accesses", "3000",
-        "--seed", "7", "--engine", "batch",
+        "--seed", "7", "--engine", "auto",
     ],
     "benchmarks_listing": ["benchmarks"],
     "lint_list_rules": ["lint", "--list-rules"],

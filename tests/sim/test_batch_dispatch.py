@@ -314,9 +314,3 @@ class TestDispatch:
         assert [r for r in runs if r[2]] == [("kernel", BATCH_MIN_LANES, True)]
         runs.clear()
         assert [s.to_dict() for _, s in pairs] == _scalar_stats(configs, trace)
-
-    @pytest.mark.parametrize("width", [1, BATCH_MIN_LANES])
-    def test_engine_batch_still_refuses_ineligible_configs(self, width):
-        configs = _core_grid()[:width] + _ineligible_twins()[:1]
-        with pytest.raises(ConfigError, match="prefetch"):
-            sweep_configs(configs, _trace(n=50), engine="batch")

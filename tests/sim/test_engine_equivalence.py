@@ -1,16 +1,16 @@
 """Bit-for-bit equivalence of the fast, batch and reference engines.
 
 The fast path (`engine="fast"`) and the vectorized batch kernel
-(`engine="batch"`, :mod:`repro.sim.batch`) are specializations of the
-reference issue loop, not approximations: on every eligible
+(:class:`~repro.sim.batch.BatchHierarchySimulator`) are specializations of
+the reference issue loop, not approximations: on every eligible
 workload/machine pair they must produce byte-identical access records,
 instruction records and component statistics.  This suite sweeps the
 workload-generator matrix (strided / working-set / zipf / pointer-chase),
-warm and cold caches, and the Table I machines three ways; the batch
-kernel additionally runs *multi-lane* — one kernel call stepping a
-heterogeneous config slice — against per-config reference runs, with
-failure diffs that name the config lane, the divergent field and the
-first divergent row.  The fast loop also runs the stride prefetcher and
+warm and cold caches, and the Table I machines three ways, the kernel as
+a one-lane batch; the kernel additionally runs *multi-lane* — one kernel
+call stepping a heterogeneous config slice — against per-config reference
+runs, with failure diffs that name the config lane, the divergent field
+and the first divergent row.  The fast loop also runs the stride prefetcher and
 the stream-bypass detector: prefetch, bypass and prefetch+bypass configs
 match the reference loop on every `SimulationResult` field and on the
 units' training state over the generator matrix, across resumed quanta,
@@ -132,42 +132,40 @@ def _assert_same_result(got, want, *, lane: str) -> None:
 
 def _run_both(config: MachineConfig, trace: Trace, *, warm: bool,
               engines=("fast", "reference")):
+    """One result per engine; ``"batch"`` is the kernel with one lane."""
     results = []
     for engine in engines:
-        sim = HierarchySimulator(config, seed=0, engine=engine)
-        if warm:
-            sim.run(trace)
-            results.append(sim.run(trace))
+        if engine == "batch":
+            kernel = BatchHierarchySimulator([config], seed=0)
+            runs = [kernel.run(trace)[0] for _ in range(1 + warm)]
         else:
-            results.append(sim.run(trace))
+            sim = HierarchySimulator(config, seed=0, engine=engine)
+            runs = [sim.run(trace) for _ in range(1 + warm)]
+        results.append(runs[-1])
     return results
 
 
-def _reference_runs(configs, trace, *, warm: bool, perfect: bool = False,
-                    stop_cycle=None):
+def _reference_runs(configs, trace, *, warm: bool, perfect: bool = False):
     out = []
     for config in configs:
         sim = HierarchySimulator(config, seed=0, engine="reference")
         if warm:
             sim.run(trace)
-        out.append(sim.run(trace, perfect=perfect, stop_cycle=stop_cycle))
+        out.append(sim.run(trace, perfect=perfect))
     return out
 
 
-def _batch_runs(configs, trace, *, warm: bool, perfect: bool = False,
-                stop_cycle=None):
+def _batch_runs(configs, trace, *, warm: bool, perfect: bool = False):
     sim = BatchHierarchySimulator(configs, seed=0)
     if warm:
         sim.run(trace)
-    return sim.run(trace, perfect=perfect, stop_cycle=stop_cycle)
+    return sim.run(trace, perfect=perfect)
 
 
 def _assert_batch_matches_reference(configs, trace, *, warm: bool,
-                                    perfect: bool = False, stop_cycle=None):
-    ref = _reference_runs(configs, trace, warm=warm, perfect=perfect,
-                          stop_cycle=stop_cycle)
-    got = _batch_runs(configs, trace, warm=warm, perfect=perfect,
-                      stop_cycle=stop_cycle)
+                                    perfect: bool = False):
+    ref = _reference_runs(configs, trace, warm=warm, perfect=perfect)
+    got = _batch_runs(configs, trace, warm=warm, perfect=perfect)
     assert len(got) == len(configs)
     for idx, (config, res_ref, res_batch) in enumerate(zip(configs, ref, got)):
         _assert_identical(res_batch, res_ref, lane=f"lane {idx} ({config.name})")
@@ -208,13 +206,10 @@ class TestGeneratorMatrix:
     def test_stop_cycle_truncation(self):
         trace = _make_trace("working_set")
         sims = [HierarchySimulator(DEFAULT_MACHINE, seed=0, engine=e)
-                for e in ("fast", "batch", "reference")]
-        res_fast, res_batch, res_ref = (
-            s.run(trace, stop_cycle=5_000) for s in sims
-        )
+                for e in ("fast", "reference")]
+        res_fast, res_ref = (s.run(trace, stop_cycle=5_000) for s in sims)
         assert res_fast.instructions.n_instructions < trace.n_instructions
         _assert_identical(res_fast, res_ref, lane="fast")
-        _assert_identical(res_batch, res_ref, lane="batch")
 
 
 class TestBatchMultiLane:
@@ -230,12 +225,6 @@ class TestBatchMultiLane:
     def test_perfect_mode(self):
         _assert_batch_matches_reference(BATCH_SLICE, _make_trace("zipf"),
                                         warm=False, perfect=True)
-
-    @pytest.mark.parametrize("stop", [500, 5_000])
-    def test_stop_cycle_per_lane_early_exit(self, stop):
-        _assert_batch_matches_reference(BATCH_SLICE,
-                                        _make_trace("working_set"),
-                                        warm=False, stop_cycle=stop)
 
     def test_l3_configured_lane(self):
         l3_config = dataclasses.replace(
@@ -471,8 +460,9 @@ class TestEligibilityGate:
                         ), config
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ConfigError):
-            HierarchySimulator(DEFAULT_MACHINE, seed=0, engine="turbo")
+        for engine in ("turbo", "batch"):
+            with pytest.raises(ConfigError):
+                HierarchySimulator(DEFAULT_MACHINE, seed=0, engine=engine)
 
     def test_prefetch_reference_results_unchanged(self):
         # engine="auto" (the fast loop) and engine="reference" agree.
@@ -498,19 +488,15 @@ class TestBatchEligibilityGate:
         with pytest.raises(ConfigError):
             BatchHierarchySimulator([], seed=0)
 
-    def test_engine_batch_rejects_ineligible_scalar(self):
-        with pytest.raises(ConfigError):
-            HierarchySimulator(self._prefetch_config(), seed=0, engine="batch")
-
-    def test_engine_batch_matches_reference_single_lane(self):
+    def test_warm_caches_needs_a_pristine_kernel(self):
         trace = _make_trace("zipf")
-        res_batch = HierarchySimulator(
-            DEFAULT_MACHINE, seed=0, engine="batch"
-        ).run(trace)
-        res_ref = HierarchySimulator(
-            DEFAULT_MACHINE, seed=0, engine="reference"
-        ).run(trace)
-        _assert_identical(res_batch, res_ref, lane="batch")
+        warmed = BatchHierarchySimulator(BATCH_SLICE, seed=0)
+        warmed.warm_caches(trace)
+        ran = BatchHierarchySimulator(BATCH_SLICE, seed=0)
+        ran.run(trace)
+        for sim in (warmed, ran):
+            with pytest.raises(ConfigError, match="pristine"):
+                sim.warm_caches(trace)
 
     def test_dispatch_plan_splits_by_gate(self):
         non_lru = dataclasses.replace(

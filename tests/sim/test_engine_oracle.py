@@ -4,8 +4,10 @@ The equivalence matrix (``test_engine_equivalence.py``) holds the fast and
 batch loops to the reference loop, but it cannot see a change in code all
 loops share: the stride prefetcher, the stream-bypass detector, the L3 walk
 or the DRAM model.  This suite pins the reference loop itself.  Every case
-runs ``engine="reference"`` on a prefetch or bypass config over the
-workload-generator matrix, warm and cold, and hashes every
+runs ``engine="reference"`` over the workload-generator matrix, warm and
+cold, on the plain default machine (the config the batch kernel and every
+end-to-end workload run), a PLRU L1+L2 config and prefetch, bypass and L3
+configs, plus cold perfect-L1 runs of the default machine.  It hashes every
 :class:`SimulationResult` field (all record columns with their dtypes, the
 component statistics, the config key, the trace name and the executed
 count).  The digests live in ``tests/golden/engine_oracle.json``.
@@ -36,6 +38,12 @@ KINDS = ("strided", "working_set", "zipf", "pointer_chase")
 
 #: One config per shared unit the digests must pin, alone and combined.
 ORACLE_CONFIGS = [
+    DEFAULT_MACHINE,
+    DEFAULT_MACHINE.with_(
+        l1=dataclasses.replace(DEFAULT_MACHINE.l1, replacement="plru"),
+        l2=dataclasses.replace(DEFAULT_MACHINE.l2, replacement="plru"),
+        name="plru",
+    ),
     DEFAULT_MACHINE.with_(prefetch=PrefetchConfig(degree=4, distance=2),
                           name="prefetch"),
     DEFAULT_MACHINE.with_(l1_bypass=BypassConfig(), name="bypass"),
@@ -50,13 +58,14 @@ ORACLE_CONFIGS = [
 ]
 
 CASES = [
-    (config, kind, warm)
+    (config, kind, warm, False)
     for config in ORACLE_CONFIGS for kind in KINDS for warm in (False, True)
-]
+] + [(DEFAULT_MACHINE, kind, False, True) for kind in KINDS]
 
 
-def _case_id(config, kind, warm) -> str:
-    return f"{config.name}|{kind}|{'warm' if warm else 'cold'}"
+def _case_id(config, kind, warm, perfect) -> str:
+    case = f"{config.name}|{kind}|{'warm' if warm else 'cold'}"
+    return case + "|perfect" if perfect else case
 
 
 def result_digest(result) -> str:
@@ -74,12 +83,12 @@ def result_digest(result) -> str:
     return h.hexdigest()
 
 
-def _reference_digest(config, kind, warm) -> str:
+def _reference_digest(config, kind, warm, perfect) -> str:
     trace = _make_trace(kind)
     sim = HierarchySimulator(config, seed=0, engine="reference")
     if warm:
         sim.run(trace)
-    return result_digest(sim.run(trace))
+    return result_digest(sim.run(trace, perfect=perfect))
 
 
 @pytest.fixture(scope="module")
@@ -94,7 +103,8 @@ def test_golden_covers_exactly_the_cases(golden):
     assert sorted(golden) == sorted(_case_id(*case) for case in CASES)
 
 
-@pytest.mark.parametrize("config,kind,warm", CASES,
+@pytest.mark.parametrize("config,kind,warm,perfect", CASES,
                          ids=[_case_id(*case) for case in CASES])
-def test_reference_loop_matches_committed_digest(golden, config, kind, warm):
-    assert _reference_digest(config, kind, warm) == golden[_case_id(config, kind, warm)]
+def test_reference_loop_matches_committed_digest(golden, config, kind, warm, perfect):
+    case = (config, kind, warm, perfect)
+    assert _reference_digest(*case) == golden[_case_id(*case)]

@@ -54,7 +54,7 @@ def perfect_runs(monkeypatch):
     scalar_run, kernel_run = HierarchySimulator.run, BatchHierarchySimulator.run
 
     def run(self, trace, **kwargs):
-        count[0] += bool(kwargs.get("perfect", False)) and self.engine != "batch"
+        count[0] += bool(kwargs.get("perfect", False))
         return scalar_run(self, trace, **kwargs)
 
     def run_batch(self, trace, **kwargs):
