@@ -35,8 +35,9 @@ Exact identities (proved by the definitions, property-tested in
 
 Two implementations are provided:
 
-* :func:`measure_layer` — vectorized (numpy difference arrays), used by the
-  simulator; cost is O(accesses + active cycle span);
+* :func:`measure_layer` — vectorized over the sorted interval endpoints,
+  used by the simulator; cost is O(accesses log accesses), independent of
+  the cycle span;
 * :class:`HitConcurrencyDetector` / :class:`MissConcurrencyDetector` — the
   cycle-by-cycle streaming detectors of Fig. 4, used online by the LPM
   algorithm's interval-based measurement and to cross-validate the
@@ -60,8 +61,6 @@ from repro.util.validation import safe_ratio
 __all__ = [
     "LayerMeasurement",
     "measure_layer",
-    "concurrency_profile",
-    "active_cycle_count",
     "HitConcurrencyDetector",
     "MissConcurrencyDetector",
     "CAMATAnalyzer",
@@ -75,31 +74,24 @@ def _as_cycle_array(name: str, values: "np.ndarray | list[int]") -> np.ndarray:
     return arr
 
 
-def concurrency_profile(
-    starts: np.ndarray, ends: np.ndarray, lo: int, hi: int
-) -> np.ndarray:
-    """Per-cycle concurrency over ``[lo, hi)`` from half-open intervals.
+def _union(starts: np.ndarray, ends: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+    """Disjoint, sorted components of the union of non-empty intervals.
 
-    Returns an array ``c`` of length ``hi - lo`` where ``c[t - lo]`` is the
-    number of intervals containing cycle ``t``.  Built with a difference
-    array + cumulative sum, so the cost is O(intervals + span) rather than
-    O(intervals * span).
+    With the starts ``S`` and the ends ``E`` each sorted on its own, the
+    union has a gap after the ``i+1`` earliest ends exactly when
+    ``E[i] < S[i+1]``: at any cycle in ``[E[i], S[i+1])`` as many intervals
+    have ended as have started.  So the components start at ``S[0]`` and
+    after every gap, and end before every gap and at ``E[-1]``.  The
+    engines emit intervals nearly in start order, which the stable sort
+    (a merge of sorted runs) turns into close to linear time.
     """
-    if hi < lo:
-        raise ValueError(f"hi ({hi}) must be >= lo ({lo})")
-    span = hi - lo
-    diff = np.zeros(span + 1, dtype=np.int64)
-    s = np.clip(starts, lo, hi) - lo
-    e = np.clip(ends, lo, hi) - lo
-    keep = e > s
-    np.add.at(diff, s[keep], 1)
-    np.add.at(diff, e[keep], -1)
-    return np.cumsum(diff[:-1])
-
-
-def active_cycle_count(profile: np.ndarray) -> int:
-    """Number of cycles with any activity in a concurrency profile."""
-    return int(np.count_nonzero(profile))
+    s = np.sort(starts, kind="stable")
+    e = np.sort(ends, kind="stable")
+    gap = np.flatnonzero(e[:-1] < s[1:])
+    return (
+        np.concatenate((s[:1], s[gap + 1])),
+        np.concatenate((e[gap], e[-1:])),
+    )
 
 
 @dataclass(frozen=True)
@@ -205,9 +197,16 @@ def measure_layer(
 
     Notes
     -----
-    Cost is O(accesses + cycle span) in time and O(span) in memory, using
-    difference arrays instead of per-cycle simulation (see the module
-    docstring of :mod:`repro.core.analyzer`).
+    Hit and miss concurrency only change at interval endpoints, so every
+    per-cycle sum of the detectors is an exact integer sum over the sorted
+    endpoints: the hit-active cycles are the length of the union of the
+    hit intervals; the concurrency summed over them is the total hit
+    interval length (each interval adds one per cycle it covers); the same
+    holds for the misses; and the pure-miss cycles of an access are its
+    miss length minus the hit-union cycles inside it, read off a prefix
+    sum of the union's component lengths.  Cost is O(accesses log
+    accesses) in time and O(accesses) in memory, independent of the cycle
+    span, so a stalled run costs no more to measure than a fast one.
     """
     hs = _as_cycle_array("hit_start", hit_start)
     he = _as_cycle_array("hit_end", hit_end)
@@ -229,69 +228,61 @@ def measure_layer(
     if np.any(he == hs):
         raise ValueError("every access must have a non-empty hit-operation interval")
 
-    lo = int(min(hs.min(), ms.min()))
-    hi = int(max(he.max(), me.max()))
+    hit_s, hit_e = _union(hs, he)
+    hit_len = hit_e - hit_s
+    hit_active_cycles = int(hit_len.sum())
+    hit_cycles_total = int(he.sum()) - int(hs.sum())
+    prefix = np.cumsum(hit_len) - hit_len  # hit-union cycles before each component
 
-    hit_conc = concurrency_profile(hs, he, lo, hi)
-    miss_conc = concurrency_profile(ms, me, lo, hi)
+    def hit_cycles_before(t: np.ndarray) -> np.ndarray:
+        # The components starting at or before t count whole, the last of
+        # them only up to t.
+        j = np.searchsorted(hit_s, t, side="right")
+        j -= 1
+        np.maximum(j, 0, out=j)
+        out = t - hit_s[j]
+        np.clip(out, 0, hit_len[j], out=out)
+        out += prefix[j]
+        return out
 
-    hit_active = hit_conc > 0
-    miss_active = miss_conc > 0
-    pure_cycle = miss_active & ~hit_active
+    missed = np.flatnonzero(me > ms)
+    miss_count = missed.shape[0]
+    m_s, m_e = ms[missed], me[missed]
+    m_len = m_e - m_s
+    miss_cycles_total = int(m_len.sum())
+    miss_s, miss_e = _union(m_s, m_e)
+    miss_active_cycles = int((miss_e - miss_s).sum())
 
-    hit_active_cycles = int(np.count_nonzero(hit_active))
-    miss_active_cycles = int(np.count_nonzero(miss_active))
-    pure_miss_cycles = int(np.count_nonzero(pure_cycle))
-    active_cycles = int(np.count_nonzero(hit_active | miss_active))
-
-    hit_time = float(np.mean(he - hs))
-    c_h = float(hit_conc[hit_active].sum() / hit_active_cycles) if hit_active_cycles else 1.0
-    c_m_sum = int(miss_conc[pure_cycle].sum())
-    c_m = float(c_m_sum / pure_miss_cycles) if pure_miss_cycles else 1.0
-    cm_conv = (
-        float(miss_conc[miss_active].sum() / miss_active_cycles) if miss_active_cycles else 1.0
+    # Pure cycles: miss cycles outside the hit union, per access and over
+    # the miss union.
+    pure_per_access = m_len - (hit_cycles_before(m_e) - hit_cycles_before(m_s))
+    pure_miss_cycles = miss_active_cycles - (
+        int(hit_cycles_before(miss_e).sum()) - int(hit_cycles_before(miss_s).sum())
     )
-
-    # Per-access pure miss cycles: |miss interval| minus the hit-active
-    # cycles it overlaps, via a prefix sum over the hit-active mask.
-    miss_len = me - ms
-    is_miss = miss_len > 0
-    miss_count = int(np.count_nonzero(is_miss))
-    amp = float(miss_len[is_miss].mean()) if miss_count else 0.0
-
-    if miss_count:
-        prefix = np.concatenate(([0], np.cumsum(hit_active.astype(np.int64))))
-        s_idx = np.clip(ms - lo, 0, hi - lo)
-        e_idx = np.clip(me - lo, 0, hi - lo)
-        overlapped = prefix[e_idx] - prefix[s_idx]
-        pure_per_access = np.where(is_miss, miss_len - overlapped, 0)
-        pure_mask = pure_per_access > 0
-        pure_miss_count = int(np.count_nonzero(pure_mask))
-        pamp = (
-            float(pure_per_access[pure_mask].sum() / pure_miss_count)
-            if pure_miss_count
-            else 0.0
-        )
-    else:
-        pure_miss_count = 0
-        pamp = 0.0
+    pure_miss_count = int(np.count_nonzero(pure_per_access))
+    # Miss concurrency summed over the pure cycles (C_M's numerator) is the
+    # accesses' pure cycles summed (pAMP's): both count (access, pure
+    # cycle) incidences.
+    pure_concurrency_sum = int(pure_per_access.sum())
 
     return LayerMeasurement(
         accesses=n,
-        hit_time=hit_time,
-        hit_concurrency=c_h,
+        hit_time=hit_cycles_total / n,
+        hit_concurrency=safe_ratio(hit_cycles_total, hit_active_cycles, default=1.0),
         miss_count=miss_count,
         miss_rate=miss_count / n,
-        avg_miss_penalty=amp,
-        miss_concurrency=cm_conv,
+        avg_miss_penalty=safe_ratio(miss_cycles_total, miss_count),
+        miss_concurrency=safe_ratio(miss_cycles_total, miss_active_cycles, default=1.0),
         pure_miss_count=pure_miss_count,
         pure_miss_rate=pure_miss_count / n,
-        pure_miss_penalty=pamp,
-        pure_miss_concurrency=c_m,
+        pure_miss_penalty=safe_ratio(pure_concurrency_sum, pure_miss_count),
+        pure_miss_concurrency=safe_ratio(
+            pure_concurrency_sum, pure_miss_cycles, default=1.0
+        ),
         hit_active_cycles=hit_active_cycles,
         miss_active_cycles=miss_active_cycles,
         pure_miss_cycles=pure_miss_cycles,
-        active_cycles=active_cycles,
+        active_cycles=hit_active_cycles + pure_miss_cycles,
     )
 
 

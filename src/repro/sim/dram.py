@@ -17,20 +17,21 @@ each way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.sim.params import DRAMTiming
 
 __all__ = ["DRAMModel", "DRAMAccessResult"]
 
 
-@dataclass(frozen=True)
-class DRAMAccessResult:
+class DRAMAccessResult(NamedTuple):
     """Timing of one DRAM access.
 
     ``service_start``/``service_end`` delimit the bank's busy window (the
     memory layer's activity interval for the C-AMAT analyzer);
-    ``data_ready`` adds the return bus hop.
+    ``data_ready`` adds the return bus hop.  A named tuple: the engines
+    make one per memory access, and a tuple costs a fraction of a frozen
+    dataclass to build.
     """
 
     bank: int
@@ -72,9 +73,11 @@ class DRAMModel:
     def access(self, block: int, request_time: int) -> DRAMAccessResult:
         """Serve a line read; updates row-buffer and bank-busy state."""
         t = self.timing
-        bank, row = self.map_address(block)
+        bank = block & self._bank_mask  # the map_address mapping, inline
+        row = (block >> self._bank_bits) >> self._row_shift
         arrival = request_time + t.t_bus  # request hop on the channel
-        start = max(arrival, self._bank_free[bank])
+        free = self._bank_free[bank]
+        start = arrival if arrival >= free else free
 
         open_row = self._open_row[bank]
         if open_row == row:
@@ -97,14 +100,7 @@ class DRAMModel:
 
         self.accesses += 1
         self.total_wait += start - arrival
-        return DRAMAccessResult(
-            bank=bank,
-            row=row,
-            kind=kind,
-            service_start=start,
-            service_end=service_end,
-            data_ready=data_ready,
-        )
+        return DRAMAccessResult(bank, row, kind, start, service_end, data_ready)
 
     @property
     def row_hit_rate(self) -> float:

@@ -1039,6 +1039,15 @@ class HierarchySimulator:
         pf_observe = prefetcher.observe if has_pf else None
         pf_max = prefetcher.config.max_outstanding if has_pf else 0
         pf_fills = self._prefetch_fills
+        # The prefetches still in flight, for the outstanding budget: the
+        # pf_fills entries not yet seen to land, and a heap of their fill
+        # times to retire them by.  hit_end never decreases within a run,
+        # so a fill landed by one trigger's hit_end has landed for every
+        # later one.  Rebuilt per run: between runs, reconfigure() may lower
+        # l1_hit_time or re-provision the L1 ports, and so hit_end.
+        pf_inflight = dict(pf_fills)
+        pf_due = [(t, b) for b, t in pf_fills.items()]
+        heapq.heapify(pf_due)
         pf_todo: list[int] = []
         pf_issued = 0
         pf_useful = 0
@@ -1134,6 +1143,7 @@ class HierarchySimulator:
                         if has_pf:
                             if pf_fills.pop(block, None) is not None:
                                 pf_useful += 1
+                                pf_inflight.pop(block, None)
                             walk = True
                 else:
                     cache_misses += 1
@@ -1149,8 +1159,10 @@ class HierarchySimulator:
                             # that already landed counts neither useful
                             # nor late.
                             pending = pf_fills.pop(block, None)
-                            if pending is not None and pending <= t_port:
-                                pending = None
+                            if pending is not None:
+                                pf_inflight.pop(block, None)
+                                if pending <= t_port:
+                                    pending = None
                     if pending is not None:
                         # Late prefetch: the fill is already on its way;
                         # ride it without touching the MSHR file.
@@ -1210,9 +1222,11 @@ class HierarchySimulator:
                         # filters read, and the candidates are distinct.
                         candidates = pf_observe(addr)
                         if candidates:
-                            pf_budget = pf_max - len(
-                                [t for t in pf_fills.values() if t > hit_end]
-                            )
+                            while pf_due and pf_due[0][0] <= hit_end:
+                                due, due_block = heappop(pf_due)
+                                if pf_inflight.get(due_block) == due:
+                                    del pf_inflight[due_block]
+                            pf_budget = pf_max - len(pf_inflight)
                             for pf_block in candidates:
                                 if pf_budget <= 0:
                                     break
@@ -1373,6 +1387,8 @@ class HierarchySimulator:
                             # bypassed.
                             heappush(fills_heap, (data_at_l1, addr))
                             pf_fills[block] = data_at_l1
+                            pf_inflight[block] = data_at_l1
+                            heappush(pf_due, (data_at_l1, block))
                             pf_issued += 1
                 heappush(lsq, c)
                 last_mem_complete = c

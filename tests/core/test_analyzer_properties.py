@@ -3,15 +3,19 @@
 Strategy: generate random access populations (hit interval of fixed length
 H at a random start; optional miss interval appended after the hit
 interval) and check the paper's structural identities on the vectorized
-measurement, plus agreement with the cycle-stepped streaming reference.
+measurement, plus exact agreement with the cycle-stepped streaming
+reference on populations crowded with ties and degenerate intervals.
 """
+
+import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.analyzer import CAMATAnalyzer, concurrency_profile, measure_layer
+from repro.core.analyzer import CAMATAnalyzer, LayerMeasurement, measure_layer
 
 
 @st.composite
@@ -32,6 +36,30 @@ def access_population(draw, max_accesses=40, max_start=60, hit_time=3, max_penal
             ms.append(0)
             me.append(0)
     return hs, he, ms, me
+
+
+@st.composite
+def crowded_population(draw, max_accesses=10, max_start=8):
+    """Few cycles, many accesses: endpoints tie, hit times vary, a miss may
+    start inside its own hit interval and may have zero length."""
+    n = draw(st.integers(min_value=1, max_value=max_accesses))
+    hs, he, ms, me = [], [], [], []
+    for _ in range(n):
+        start = draw(st.integers(min_value=0, max_value=max_start))
+        end = start + draw(st.integers(min_value=1, max_value=4))
+        miss_start = draw(st.integers(min_value=start, max_value=end + 3))
+        hs.append(start)
+        he.append(end)
+        ms.append(miss_start)
+        me.append(miss_start + draw(st.integers(min_value=0, max_value=6)))
+    return hs, he, ms, me
+
+
+def _reference(pop) -> LayerMeasurement:
+    analyzer = CAMATAnalyzer()
+    for access in zip(*pop):
+        analyzer.add_access(*access)
+    return analyzer.run()
 
 
 class TestAnalyzerIdentities:
@@ -123,6 +151,35 @@ class TestAnalyzerIdentities:
             <= m.avg_miss_penalty * m.miss_count + 1e-9
         )
 
+    @given(access_population())
+    @settings(max_examples=60, deadline=None)
+    def test_hit_mass_equals_total_hit_length(self, pop):
+        # Hit concurrency summed over the hit-active cycles counts every
+        # (access, hit cycle) incidence once.
+        hs, he, _, _ = pop
+        m = measure_layer(*pop)
+        total = sum(e - s for s, e in zip(hs, he))
+        assert m.hit_concurrency * m.hit_active_cycles == pytest.approx(total)
+        assert m.hit_active_cycles <= total
+
+    @given(crowded_population())
+    @settings(max_examples=200, deadline=None)
+    def test_exactly_equals_streaming_reference(self, pop):
+        # Every field is the same integer ratio on both paths, so floats
+        # compare with ==, not approx.
+        m = measure_layer(*pop)
+        r = _reference(pop)
+        for f in dataclasses.fields(m):
+            assert getattr(m, f.name) == getattr(r, f.name), f.name
+
+    @pytest.mark.parametrize("pop", [
+        ([5], [7], [5], [5]),                      # single access, zero-length miss
+        ([5], [9], [6], [12]),                     # miss starts inside its hit
+        ([0, 0, 3], [3, 3, 6], [3, 3, 6], [8, 8, 6]),  # tied endpoints
+    ])
+    def test_degenerate_populations_equal_reference(self, pop):
+        assert measure_layer(*pop) == _reference(pop)
+
     @given(access_population(max_accesses=12, max_start=20, max_penalty=6))
     @settings(max_examples=60, deadline=None)
     def test_vectorized_agrees_with_streaming_reference(self, pop):
@@ -140,39 +197,6 @@ class TestAnalyzerIdentities:
         assert r.avg_miss_penalty == pytest.approx(m.avg_miss_penalty)
         assert r.active_cycles == m.active_cycles
         assert r.camat == pytest.approx(m.camat)
-
-
-class TestConcurrencyProfile:
-    def test_simple_overlap(self):
-        starts = np.array([0, 1, 1])
-        ends = np.array([2, 3, 2])
-        prof = concurrency_profile(starts, ends, 0, 3)
-        assert prof.tolist() == [1, 3, 1]
-
-    def test_clipping_outside_window(self):
-        starts = np.array([-5, 10])
-        ends = np.array([2, 20])
-        prof = concurrency_profile(starts, ends, 0, 5)
-        assert prof.tolist() == [1, 1, 0, 0, 0]
-
-    def test_empty_intervals_ignored(self):
-        starts = np.array([0, 3])
-        ends = np.array([0, 3])
-        prof = concurrency_profile(starts, ends, 0, 5)
-        assert prof.sum() == 0
-
-    def test_rejects_inverted_window(self):
-        with pytest.raises(ValueError):
-            concurrency_profile(np.array([0]), np.array([1]), 5, 0)
-
-    @given(access_population())
-    @settings(max_examples=60, deadline=None)
-    def test_profile_mass_equals_total_interval_length(self, pop):
-        hs, he, _, _ = pop
-        hs = np.asarray(hs)
-        he = np.asarray(he)
-        prof = concurrency_profile(hs, he, int(hs.min()), int(he.max()))
-        assert prof.sum() == (he - hs).sum()
 
 
 class TestAnalyzerEdgeCases:
@@ -201,6 +225,22 @@ class TestAnalyzerEdgeCases:
         assert m.miss_count == 1
         assert m.pure_miss_count == 0
         assert m.pure_miss_rate == 0.0
+
+    def test_memory_is_independent_of_cycle_span(self):
+        # A handful of accesses spread over two million cycles: a per-cycle
+        # profile would allocate tens of MB here.
+        hs = np.array([0, 10, 700_000, 1_400_000, 1_999_000], dtype=np.int64)
+        he = hs + 3
+        ms = np.array([3, 0, 700_003, 1_400_003, 1_999_003], dtype=np.int64)
+        me = np.array([650_000, 0, 1_300_000, 1_400_003, 2_000_000], dtype=np.int64)
+        tracemalloc.start()
+        try:
+            m = measure_layer(hs, he, ms, me)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert m.miss_active_cycles == 649_997 + 599_997 + 997
 
     def test_rejects_empty_hit_interval(self):
         with pytest.raises(ValueError):

@@ -349,6 +349,24 @@ class TestPrefetchBypassLoop:
             step += 1
         assert step > 2
 
+    @pytest.mark.parametrize("kind", ["strided", "interleaved"])
+    def test_hit_time_lowered_between_runs(self, kind):
+        # reconfigure() lowers the L1 hit time and re-provisions the ports,
+        # so the next run's hit_end starts far below the last one of the
+        # run before: the prefetches that had landed by then are in
+        # flight again and count against the budget.
+        slow = PREFETCH_BYPASS_CONFIGS[0].with_(l1_hit_time=8, name="prefetch-h8")
+        quick = slow.with_(l1_hit_time=1, l1_ports=2, name="prefetch-h1")
+        trace = _make_trace(kind)
+        sims = [HierarchySimulator(slow, seed=0, engine=e) for e in ("fast", "reference")]
+        for round_no, config in enumerate((slow, quick, slow, quick)):
+            for sim in sims:
+                sim.reconfigure(config)
+            got, want = (sim.run(trace) for sim in sims)
+            _assert_same_result(got, want, lane=f"{config.name} round {round_no}")
+            assert _unit_state(sims[0]) == _unit_state(sims[1])
+        assert sims[1].prefetcher.issued > 0
+
     @pytest.mark.parametrize("kind", KINDS)
     def test_with_l3(self, kind):
         config = PREFETCH_BYPASS_CONFIGS[2].with_(
