@@ -1,7 +1,9 @@
 """Speedup gates: the optimized paths must stay faster than what they replace.
 
 Four ratios of two paths timed in alternating rounds in one process,
-each side's time being its fastest round.  The ratio does not depend on
+each side's time being its fastest round.  Each side runs a set number of
+rounds and at least :data:`MIN_SIDE_SECONDS` in total, so a burst of host
+load cannot cover all of one side's rounds.  The ratio does not depend on
 the host the way an absolute throughput does, so CI gates on it.  Each
 gate also checks that the fast path computes the same thing, since a
 speedup for a wrong answer means nothing.
@@ -45,6 +47,8 @@ BATCH_FLOOR = 4.0
 SURROGATE_FLOOR = 3.073
 #: Minimum configurations per engine escalation in the multi-fidelity sweep.
 MIN_SIM_REDUCTION = 20.0
+#: Minimum total seconds each side of a gate is timed for (see _speedup).
+MIN_SIDE_SECONDS = 1.5
 
 #: Access-record fields every identity check compares.
 IDENTITY_FIELDS = (
@@ -57,17 +61,24 @@ IDENTITY_FIELDS = (
 def _speedup(rounds, baseline, candidate):
     """(baseline / candidate ratio of the fastest rounds, their results).
 
-    The two sides alternate within each of *rounds* rounds, so a burst of
-    host load lands on both sides alike instead of on one side's block of
-    rounds.  Each side's time is its minimum over the rounds.
+    The two sides alternate, round by round, so a burst of host load lands
+    on both sides alike instead of on one side's block of rounds.  They
+    keep alternating until each side has run at least *rounds* rounds and
+    :data:`MIN_SIDE_SECONDS` in total, so a burst shorter than that cannot
+    cover every round of one side.  Each side's time is its minimum over its rounds.
     """
     best = {baseline: math.inf, candidate: math.inf}
+    total = {baseline: 0.0, candidate: 0.0}
     results = {}
-    for _ in range(rounds):
+    done = 0
+    while done < rounds or min(total.values()) < MIN_SIDE_SECONDS:
         for fn in (baseline, candidate):
             t0 = time.perf_counter()
             results[fn] = fn()
-            best[fn] = min(best[fn], time.perf_counter() - t0)
+            elapsed = time.perf_counter() - t0
+            best[fn] = min(best[fn], elapsed)
+            total[fn] += elapsed
+        done += 1
     return best[baseline] / best[candidate], results[baseline], results[candidate]
 
 

@@ -164,10 +164,12 @@ class LayerMeasurement:
 
     # -- serialization (checkpoint journal) -------------------------------
     def to_dict(self) -> dict:
-        """Plain-scalar dictionary for JSON checkpointing."""
-        from dataclasses import asdict
+        """Plain-scalar dictionary for JSON checkpointing.
 
-        return asdict(self)
+        Equal to ``dataclasses.asdict(self)``: every field is a scalar, so
+        the recursive deepcopy ``asdict`` makes is skipped.
+        """
+        return {name: getattr(self, name) for name in self.__dataclass_fields__}
 
     @classmethod
     def from_dict(cls, data: dict) -> "LayerMeasurement":

@@ -32,6 +32,25 @@ Storage layout is two-level (``root/ab/abcdef....json``) to keep directory
 fan-out bounded; writes go through a temp file + ``os.replace`` so a killed
 process never leaves a torn entry behind.
 
+Entry layout and the two read branches
+--------------------------------------
+:meth:`EvaluationCache.put` serializes the stats once, in the canonical
+form (sorted keys, compact separators), and writes exactly::
+
+    {"engine_version":V,"sha":S,"stats":<canonical stats>}
+
+where ``S`` is the first 16 hex digits of ``sha256`` over the canonical
+stats bytes.  :meth:`EvaluationCache.get` has two branches:
+
+* **hit branch** — the bytes are exactly that template for the current
+  ``ENGINE_VERSION``, the stats slice hashes to ``S``, and it parses to a
+  dict.  Only the stats slice is parsed; nothing is re-serialized.
+* **general branch** — anything else: entries in another key order or
+  spacing (older writers), entries with no ``sha``, other versions, torn
+  files and bit flips.  The whole entry is parsed, the digest is checked
+  over a canonical re-dump of ``stats``, and the version and quarantine
+  rules below apply.
+
 Corrupt-entry quarantine
 ------------------------
 Even with atomic writes, a shard can rot under the store's feet: a crash
@@ -85,10 +104,28 @@ def evaluation_cache_key(
     return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
 
+def _canonical(stats_dict: dict) -> bytes:
+    """The canonical form of one stats payload: sorted keys, compact."""
+    return json.dumps(stats_dict, separators=(",", ":"), sort_keys=True).encode("utf-8")
+
+
+def _sha(canonical: bytes) -> str:
+    """Entry-integrity digest of one canonical stats payload."""
+    return hashlib.sha256(canonical).hexdigest()[:16]
+
+
 def _stats_digest(stats_dict: dict) -> str:
     """Content digest of one canonicalized stats payload (entry integrity)."""
-    canonical = json.dumps(stats_dict, separators=(",", ":"), sort_keys=True)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+    return _sha(_canonical(stats_dict))
+
+
+def _head(engine_version: int) -> bytes:
+    """Everything a canonical entry holds before its 16-hex-digit sha."""
+    return b'{"engine_version":%d,"sha":"' % engine_version
+
+
+#: What a canonical entry holds between its sha and its stats.
+_MID = b'","stats":'
 
 
 class EvaluationCache:
@@ -104,6 +141,7 @@ class EvaluationCache:
     def __init__(self, root: "str | os.PathLike[str]") -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        self._root = str(self.root)
         self.hits = 0
         self.misses = 0
         self.quarantined = 0
@@ -131,12 +169,31 @@ class EvaluationCache:
         """
         from repro.sim.engine import ENGINE_VERSION
 
-        path = self._path(key)
         try:
-            raw = path.read_bytes()
+            with open(f"{self._root}/{key[:2]}/{key}.json", "rb") as fh:
+                raw = fh.read()
         except OSError:
             self._record(hit=False)
             return None
+        head = _head(ENGINE_VERSION)
+        sha_end = len(head) + 16
+        body = raw[sha_end + len(_MID):-1]
+        if (
+            raw.startswith(head)
+            and raw.startswith(_MID, sha_end)
+            and raw.endswith(b"}")
+            and _sha(body).encode("ascii") == raw[len(head):sha_end]
+        ):
+            # A canonical entry whose stats bytes hash to its sha: the only
+            # parse left is the stats themselves.
+            try:
+                stats = json.loads(body)
+            except ValueError:
+                stats = None
+            if isinstance(stats, dict):
+                self._record(hit=True, n_bytes=len(raw))
+                return stats
+        path = self._path(key)
         try:
             entry = json.loads(raw)
         except (json.JSONDecodeError, UnicodeDecodeError):
@@ -160,14 +217,10 @@ class EvaluationCache:
 
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        payload = json.dumps(
-            {
-                "engine_version": ENGINE_VERSION,
-                "sha": _stats_digest(stats_dict),
-                "stats": stats_dict,
-            },
-            separators=(",", ":"),
-        ).encode("utf-8")
+        canonical = _canonical(stats_dict)
+        payload = b"".join(
+            (_head(ENGINE_VERSION), _sha(canonical).encode("ascii"), _MID, canonical, b"}")
+        )
         tmp = path.with_suffix(".json.tmp")
         tmp.write_bytes(payload)
         os.replace(tmp, path)

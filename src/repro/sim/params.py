@@ -32,7 +32,8 @@ Parameter semantics in this simulator:
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from typing import Any
 
 from repro.runtime.errors import ConfigError
 from repro.util.validation import check_int, check_power_of_two
@@ -268,12 +269,40 @@ class MachineConfig:
         of their display ``name`` — this is what measurement caches and
         checkpoint journals must key on (keying on ``name`` lets two
         configurations sharing a label alias each other's results).
+
+        The text is ``repr(sorted(asdict(self) minus name))``, built by
+        :func:`_plain` without ``asdict``'s deepcopy and memoized in the
+        instance ``__dict__``, outside the dataclass fields: ``==``,
+        ``hash``, ``repr``, ``asdict`` and ``replace`` never see it, and
+        :meth:`__getstate__` leaves it out of copies and pickles.
         """
-        fields = asdict(self)
-        fields.pop("name")
-        # Non-dataclass extension objects (prefetcher, bypass) fall back to
-        # their reprs, which the sim modules keep parameter-complete.
-        return repr(sorted(fields.items()))
+        key = self.__dict__.get("_cache_key")
+        if key is None:
+            items = _plain(self)
+            del items["name"]
+            key = repr(sorted(items.items()))
+            object.__setattr__(self, "_cache_key", key)
+        return key
+
+    def __getstate__(self) -> dict:
+        """Pickle/copy state: the fields only, so every copy keys itself."""
+        state = dict(self.__dict__)
+        state.pop("_cache_key", None)
+        return state
+
+
+def _plain(obj: Any) -> dict:
+    """``dataclasses.asdict(obj)`` for a tree of dataclasses over scalars.
+
+    Recurses into every dataclass-valued field (``fields()`` lists them, so
+    a new field cannot be left out) and keeps any other value as is, whose
+    repr equals that of ``asdict``'s deepcopy.
+    """
+    out = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        out[f.name] = _plain(value) if is_dataclass(value) else value
+    return out
 
 
 DEFAULT_MACHINE = MachineConfig()

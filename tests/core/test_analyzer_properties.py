@@ -270,3 +270,14 @@ class TestAnalyzerEdgeCases:
         hcd.reset()
         assert hcd.hit_active_cycles == 0
         assert hcd.hit_concurrency == 1.0
+
+
+class TestSerialization:
+    @given(st.one_of(access_population(), crowded_population()))
+    @settings(max_examples=80, deadline=None)
+    def test_to_dict_is_asdict_and_round_trips(self, pop):
+        m = measure_layer(*pop)
+        data = m.to_dict()
+        assert data == dataclasses.asdict(m)
+        assert list(data) == list(dataclasses.asdict(m))  # same key order
+        assert LayerMeasurement.from_dict(data) == m

@@ -193,6 +193,172 @@ class TestCorruptQuarantine:
         assert third.counters.cache_hits == 1
 
 
+@pytest.fixture(scope="module")
+def measured_stats() -> dict:
+    """One real ``HierarchyStats.to_dict()`` payload (about 1.3 KB)."""
+    from repro.sim.stats import simulate_and_measure
+
+    _, stats = simulate_and_measure(MachineConfig(), _trace(300), seed=0)
+    return stats.to_dict()
+
+
+def _quarantine_counters(cache: EvaluationCache, key: str) -> dict:
+    """Counters of one ``get`` with metrics on; asserts it was a miss."""
+    from repro.obs import metrics as obs_metrics
+
+    obs_metrics.set_metrics_enabled(True)
+    try:
+        obs_metrics.get_registry().reset()
+        assert cache.get(key) is None
+        return obs_metrics.get_registry().snapshot_and_reset()["counters"]
+    finally:
+        obs_metrics.set_metrics_enabled(False)
+
+
+class TestCanonicalRead:
+    """The hit branch serves only byte-verified canonical entries; every
+    other entry takes the general parse/quarantine/version path."""
+
+    def test_put_writes_the_canonical_template(self, tmp_path, measured_stats):
+        from repro.runtime.evalcache import _stats_digest
+        from repro.sim.engine import ENGINE_VERSION
+
+        cache = EvaluationCache(tmp_path / "c")
+        key = "a1" * 32
+        cache.put(key, measured_stats)
+        raw = cache._path(key).read_bytes()
+        canonical = json.dumps(measured_stats, separators=(",", ":"), sort_keys=True)
+        sha = _stats_digest(measured_stats)
+        assert raw == (f'{{"engine_version":{ENGINE_VERSION},"sha":"{sha}",'
+                       f'"stats":{canonical}}}').encode()
+        # Same fields and byte count as an insertion-order compact dump.
+        legacy = json.dumps({"engine_version": ENGINE_VERSION, "sha": sha,
+                             "stats": measured_stats}, separators=(",", ":"))
+        assert len(raw) == len(legacy.encode()) == cache.bytes_written
+
+    def test_hit_equals_put_and_rebuilds_identical_stats(self, tmp_path, measured_stats):
+        from repro.sim.stats import HierarchyStats
+
+        cache = EvaluationCache(tmp_path / "c")
+        key = "a2" * 32
+        cache.put(key, measured_stats)
+        got = cache.get(key)
+        assert got == measured_stats
+        assert cache.hits == 1 and cache.bytes_read == cache.bytes_written
+        rebuilt = HierarchyStats.from_dict(got)
+        original = HierarchyStats.from_dict(measured_stats)
+        assert rebuilt == original
+        assert json.dumps(rebuilt.to_dict()) == json.dumps(original.to_dict())
+
+    def test_bit_flip_in_stats_body_is_digest_mismatch(self, tmp_path, measured_stats):
+        cache = EvaluationCache(tmp_path / "c")
+        key = "a3" * 32
+        cache.put(key, measured_stats)
+        path = cache._path(key)
+        raw = bytearray(path.read_bytes())
+        # Flip one bit of the last digit of the CPI: still valid JSON.
+        at = raw.index(b",", raw.index(b'"cpi":')) - 1
+        assert chr(raw[at]).isdigit()
+        raw[at] ^= 0x01
+        path.write_bytes(bytes(raw))
+        counters = _quarantine_counters(cache, key)
+        assert counters["evalcache.corrupt.digest-mismatch"] == 1
+        assert cache.quarantined == 1 and not path.exists()
+
+    def test_tampered_sha_is_quarantined(self, tmp_path, measured_stats):
+        cache = EvaluationCache(tmp_path / "c")
+        key = "a4" * 32
+        cache.put(key, measured_stats)
+        path = cache._path(key)
+        sha = json.loads(path.read_bytes())["sha"]
+        bad = ("1" if sha[0] == "0" else "0") + sha[1:]
+        path.write_bytes(path.read_bytes().replace(sha.encode(), bad.encode(), 1))
+        counters = _quarantine_counters(cache, key)
+        assert counters["evalcache.corrupt.digest-mismatch"] == 1
+        assert cache.hits == 0
+
+    @pytest.mark.parametrize("delta", [-1, 1, 10])
+    def test_tampered_version_is_a_miss_not_a_hit(self, tmp_path, measured_stats, delta):
+        from repro.sim.engine import ENGINE_VERSION
+
+        cache = EvaluationCache(tmp_path / "c")
+        key = "a5" * 32
+        cache.put(key, measured_stats)
+        path = cache._path(key)
+        head = f'{{"engine_version":{ENGINE_VERSION},'.encode()
+        path.write_bytes(path.read_bytes().replace(
+            head, f'{{"engine_version":{ENGINE_VERSION + delta},'.encode(), 1))
+        assert cache.get(key) is None
+        assert (cache.hits, cache.misses, cache.quarantined) == (0, 1, 0)
+        assert path.exists()
+
+    @pytest.mark.parametrize("dumps", [
+        # Today's earlier writer: insertion-order stats keys, compact.
+        lambda entry: json.dumps(entry, separators=(",", ":")),
+        # json.dumps default spacing.
+        lambda entry: json.dumps(entry),
+        # Canonical stats, but the entry's own keys in another order.
+        lambda entry: json.dumps(dict(reversed(list(entry.items()))),
+                                 separators=(",", ":")),
+    ])
+    def test_other_layouts_served_when_digest_verifies(self, tmp_path,
+                                                      measured_stats, dumps):
+        from repro.runtime.evalcache import _stats_digest
+        from repro.sim.engine import ENGINE_VERSION
+
+        assert list(measured_stats) != sorted(measured_stats)  # not canonical
+        cache = EvaluationCache(tmp_path / "c")
+        key = "a6" * 32
+        path = cache._path(key)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        raw = dumps({"engine_version": ENGINE_VERSION,
+                     "sha": _stats_digest(measured_stats),
+                     "stats": measured_stats}).encode()
+        path.write_bytes(raw)
+        assert cache.get(key) == measured_stats
+        assert (cache.hits, cache.quarantined, cache.bytes_read) == (1, 0, len(raw))
+
+    def test_other_version_is_a_miss_not_quarantined(self, tmp_path, measured_stats,
+                                                    monkeypatch):
+        import repro.sim.engine as engine
+
+        cache = EvaluationCache(tmp_path / "c")
+        key = "a7" * 32
+        monkeypatch.setattr(engine, "ENGINE_VERSION", engine.ENGINE_VERSION - 1)
+        cache.put(key, measured_stats)
+        monkeypatch.undo()
+        assert cache.get(key) is None
+        assert (cache.hits, cache.misses, cache.quarantined) == (0, 1, 0)
+        assert cache._path(key).exists()
+
+    @pytest.mark.parametrize("cut", [1, 2, 40])
+    def test_truncated_entry_is_quarantined_as_torn(self, tmp_path, measured_stats, cut):
+        cache = EvaluationCache(tmp_path / "c")
+        key = "a8" * 32
+        cache.put(key, measured_stats)
+        path = cache._path(key)
+        path.write_bytes(path.read_bytes()[:-cut])
+        counters = _quarantine_counters(cache, key)
+        assert counters["evalcache.corrupt.torn"] == 1
+
+    def test_counters_mirror_into_obs(self, tmp_path, measured_stats):
+        from repro.obs import metrics as obs_metrics
+
+        cache = EvaluationCache(tmp_path / "c")
+        key = "a9" * 32
+        cache.put(key, measured_stats)
+        obs_metrics.set_metrics_enabled(True)
+        try:
+            obs_metrics.get_registry().reset()
+            assert cache.get(key) == measured_stats
+            assert cache.get("b0" * 32) is None
+            counters = obs_metrics.get_registry().snapshot_and_reset()["counters"]
+        finally:
+            obs_metrics.set_metrics_enabled(False)
+        assert counters["evalcache.hits"] == 1 and counters["evalcache.misses"] == 1
+        assert counters["evalcache.bytes_read"] == cache.bytes_read == cache.bytes_written
+
+
 class TestRuntimeIntegration:
     def test_second_run_hits_cache_with_zero_simulations(self, tmp_path):
         # Both job splits share one cache namespace (the batch kernel is
