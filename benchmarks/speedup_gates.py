@@ -124,7 +124,7 @@ def _fast_over_reference(config):
     def run(engine):
         return lambda: HierarchySimulator(config, seed=0, engine=engine).run(trace)
 
-    return _speedup(5, run("reference"), run("fast"))
+    return _speedup(5, run("reference"), run("auto"))
 
 
 def test_fast_engine_over_reference(capsys):
@@ -153,7 +153,7 @@ def test_batch_kernel_over_scalar(capsys):
     def scalar():
         results = []
         for config in configs:
-            sim = HierarchySimulator(config, seed=0, engine="fast")
+            sim = HierarchySimulator(config, seed=0)
             sim.warm_caches(trace)
             results.append(sim.run(trace))
         return results

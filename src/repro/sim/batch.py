@@ -52,12 +52,11 @@ The vectorized L1 pieces have exact scalar equivalents:
   scalar upper-bound screen so the full-window check costs nothing while
   the window is slack.
 
-Eligibility is the fast path's gate (LRU L1 and L2; the single-core L1
-MSHR file is in-order by construction) plus no prefetcher and no bypass
-detector, which only the scalar loops model;
-:class:`BatchHierarchySimulator` raises :class:`ConfigError` eagerly on
-ineligible configs.  The three-way equivalence suite
-(``tests/sim/test_engine_equivalence.py``) pins every
+Eligibility is no prefetcher and no bypass detector, which only the
+scalar loops model (the single-core L1 MSHR file is in-order by
+construction); :class:`BatchHierarchySimulator` raises
+:class:`ConfigError` eagerly on ineligible configs.  The three-way
+equivalence suite (``tests/sim/test_engine_equivalence.py``) pins every
 ``SimulationResult`` field to the reference engine bit for bit.
 """
 
@@ -104,8 +103,8 @@ class BatchHierarchySimulator:
         bad = [c.name for c in configs if not batch_eligible(c)]
         if bad:
             raise ConfigError(
-                "the batch kernel requires no prefetcher, no L1 bypass and "
-                f"LRU L1/L2; ineligible configs: {bad} (use "
+                "the batch kernel requires no prefetcher and no L1 bypass; "
+                f"ineligible configs: {bad} (use "
                 "repro.sim.stats.dispatch_plan() to split the batch)"
             )
         self.configs = configs
@@ -200,13 +199,13 @@ class BatchHierarchySimulator:
             sim = self.lane_sims[lane]
             c1 = scratch_l1.get(cfg.l1)
             if c1 is None:
-                c1 = FunctionalCache(cfg.l1, seed=self.seed)
+                c1 = FunctionalCache(cfg.l1)
                 c1.warm_lookup_array(addresses)
                 scratch_l1[cfg.l1] = c1
             self._load_l1_lane(lane, c1)
             c2 = scratch_l2.get(cfg.l2)
             if c2 is None:
-                c2 = FunctionalCache(cfg.l2, seed=self.seed + 1)
+                c2 = FunctionalCache(cfg.l2)
                 c2.warm_lookup_array(addresses)
                 scratch_l2[cfg.l2] = c2
             sim.l2_cache._sets.update(
@@ -215,7 +214,7 @@ class BatchHierarchySimulator:
             if sim.l3_cache is not None:
                 c3 = scratch_l3.get(cfg.l3)
                 if c3 is None:
-                    c3 = FunctionalCache(cfg.l3, seed=self.seed + 2)
+                    c3 = FunctionalCache(cfg.l3)
                     c3.warm_lookup_array(addresses)
                     scratch_l3[cfg.l3] = c3
                 sim.l3_cache._sets.update(
@@ -238,15 +237,15 @@ class BatchHierarchySimulator:
                 age[set_idx, way] = way
         self._l1_tags_list[lane] = self._l1_tags_flat[lane].tolist()
 
-    def _drain_lane_fills(self, lane: int, now: int) -> "tuple[int, int]":
+    def _drain_lane_fills(self, lane: int, now: int) -> int:
         """Apply one lane's due L1 fills to its tag/age arrays.
 
         Mirrors the reference fill semantics (``_FillQueue.apply_until`` +
         dict-LRU ``insert``): a resident block refreshes its position, an
         absent block fills a free way or evicts the least-recent one.
         Pure-Python list scans over the (tiny) set row — an order of
-        magnitude cheaper per fill than numpy row kernels.  Returns
-        ``(evictions, fills_applied)``.
+        magnitude cheaper per fill than numpy row kernels.  Returns the
+        number of fills applied.
         """
         heap = self._fills[lane]
         mirror = self._l1_tags_list[lane]
@@ -258,7 +257,6 @@ class BatchHierarchySimulator:
         assoc = self._assoc[lane]
         mw = self._max_ways
         clock = int(self._l1_clock[lane])
-        evict = 0
         npop = 0
         heappop = heapq.heappop
         while heap and heap[0][0] <= now:
@@ -277,7 +275,6 @@ class BatchHierarchySimulator:
                 else:
                     ages = age[base:end].tolist()
                     way = ages.index(min(ages))  # dict head == oldest age
-                    evict += 1
                 pos = base + way
                 mirror[pos] = tag
                 tags[pos] = tag
@@ -285,7 +282,7 @@ class BatchHierarchySimulator:
             clock += 1
         self._l1_clock[lane] = clock
         self._next_fill[lane] = heap[0][0] if heap else _HUGE
-        return evict, npop
+        return npop
 
     # -- the kernel ------------------------------------------------------
     def run(
@@ -469,7 +466,6 @@ class BatchHierarchySimulator:
         l1msec = [0] * L
         l1mstall = [0] * L
         l1mpeak = [s.l1_mshrs.peak_occupancy for s in lane_sims]
-        l1evict = [0] * L
         l1tol2 = [c.l1_to_l2_delay for c in self.configs]
         h2l = [c.l2_hit_time for c in self.configs]
         l2occl = [
@@ -487,9 +483,6 @@ class BatchHierarchySimulator:
             l2sbitsl.append(sbits2)
             l2offl.append(off2)
         l2assocl = [c.l2.associativity for c in self.configs]
-        l2hitsn = [0] * L
-        l2missn = [0] * L
-        l2evictn = [0] * L
         l2fheapl = [s._l2_fills._heap for s in lane_sims]
         l2outl = [s.l2_mshrs._outstanding for s in lane_sims]
         l2rell = [s.l2_mshrs._releases for s in lane_sims]
@@ -678,9 +671,7 @@ class BatchHierarchySimulator:
                         if np.count_nonzero(bdue):
                             for ld in bdue.nonzero()[0]:
                                 ld = int(ld)
-                                ev, npop = drain(ld, int(t_port[ld]))
-                                l1evict[ld] += ev
-                                fills_pending -= npop
+                                fills_pending -= drain(ld, int(t_port[ld]))
                     # L1 LRU probe.
                     if homo_l1:
                         block0 = addr >> off0
@@ -786,7 +777,6 @@ class BatchHierarchySimulator:
                                     else:
                                         if len(fs) >= l2assocl[lm]:
                                             del fs[next(iter(fs))]
-                                            l2evictn[lm] += 1
                                         fs[ft] = None
                                 # L2 LRU probe, inline.
                                 (rl2hs, rl2he, rl2ms, rl2me, rl2miss,
@@ -801,7 +791,6 @@ class BatchHierarchySimulator:
                                 if s2 is not None and l2t in s2:
                                     del s2[l2t]
                                     s2[l2t] = None
-                                    l2hitsn[lm] += 1
                                     rl2ms.append(0)
                                     rl2me.append(0)
                                     rl2miss.append(False)
@@ -810,14 +799,12 @@ class BatchHierarchySimulator:
                                     l2l3app[lm](-1)
                                     data = l2he_t + l1tol2[lm]
                                 elif not l2inl[lm]:
-                                    l2missn[lm] += 1
                                     data = walkl[lm](
                                         addr, block, l2he_t,
                                         rl2ms, rl2me, rl2miss, rl2sec,
                                         rmemi, rmems, rmeme,
                                     ) + l1tol2[lm]
                                 else:
-                                    l2missn[lm] += 1
                                     rl2miss.append(True)
                                     # L2 MSHR present, inline (in-order).
                                     out2 = l2outl[lm]
@@ -943,25 +930,19 @@ class BatchHierarchySimulator:
 
         # Fold the locally accumulated clocks and counters back into the
         # shared component objects so per-lane statistics match the
-        # reference loop exactly.  Port wait and L1 hit/miss counts are
-        # derived from the record arrays (one vectorized pass) instead of
-        # being accumulated per instruction.
+        # reference loop exactly.  Port wait is derived from the record
+        # arrays (one vectorized pass) instead of being accumulated per
+        # instruction.
         if not perfect:
             pw_all = (l1_hs - dispatch_a[trace.is_mem]).sum(axis=0).tolist()
-            miss_all = l1_miss.sum(axis=0).tolist()
         for lane in range(L):
             sim = lane_sims[lane]
             if not perfect:
-                pw = pw_all[lane]
-                nmiss = miss_all[lane]
                 sim.l1_ports.grants += n_mem_total
-                sim.l1_ports.total_wait += pw
+                sim.l1_ports.total_wait += pw_all[lane]
                 sim.l1_ports._free_times = sorted(
                     int(v) for v in port_free[lane, : self._n_ports[lane]]
                 )
-                sim.l1_cache.hits += n_mem_total - nmiss
-                sim.l1_cache.misses += nmiss
-                sim.l1_cache.evictions += l1evict[lane]
                 l1m = sim.l1_mshrs
                 l1m._now = l1nowl[lane]
                 l1m.primary_misses += l1mprim[lane]
@@ -971,9 +952,6 @@ class BatchHierarchySimulator:
                 l2b = sim.l2_banks
                 l2b.grants += l2grants[lane]
                 l2b.total_wait += l2wait[lane]
-                sim.l2_cache.hits += l2hitsn[lane]
-                sim.l2_cache.misses += l2missn[lane]
-                sim.l2_cache.evictions += l2evictn[lane]
                 sim._last_l2_req = lastl2[lane]
                 if l2inl[lane]:
                     l2m = sim.l2_mshrs

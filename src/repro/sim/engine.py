@@ -75,21 +75,11 @@ __all__ = ["ENGINE_VERSION", "HierarchySimulator", "SimulationResult", "batch_el
 ENGINE_VERSION = 4
 
 
-def _lru_l1_l2(config: MachineConfig) -> bool:
-    """Whether *config*'s L1 and L2 both replace LRU, the one clause the
-    scalar fast loop and the batch kernel share."""
-    return config.l1.replacement == "lru" and config.l2.replacement == "lru"
-
-
 def batch_eligible(config: MachineConfig) -> bool:
-    """Whether *config* can run on the vectorized batch kernel.
-
-    LRU L1 and L2, no prefetcher and no L1 bypass detector.  The scalar
-    fast loop (:meth:`HierarchySimulator._use_fast_path`) needs only the
-    LRU clause, plus an in-order L1 MSHR file, which the engine always
-    builds.
-    """
-    return _lru_l1_l2(config) and config.prefetch is None and config.l1_bypass is None
+    """Whether *config* can run on the vectorized batch kernel: no
+    prefetcher and no L1 bypass detector, which only the scalar fast loop
+    (:meth:`HierarchySimulator._run_impl_fast`) models."""
+    return config.prefetch is None and config.l1_bypass is None
 
 
 @dataclass
@@ -241,28 +231,23 @@ class HierarchySimulator:
     def __init__(
         self, config: MachineConfig, *, seed: int = 0, engine: str = "auto"
     ) -> None:
-        if engine not in ("auto", "fast", "reference"):
-            raise ConfigError(
-                f"engine must be 'auto', 'fast' or 'reference', got {engine!r}"
-            )
+        if engine not in ("auto", "reference"):
+            raise ConfigError(f"engine must be 'auto' or 'reference', got {engine!r}")
         self.config = config
         self.seed = seed
-        #: Issue-loop selection: ``auto`` takes the specialized fast loop
-        #: whenever the configuration is eligible, ``reference`` always runs
-        #: the obviously-correct loop, ``fast`` demands the fast loop and
-        #: raises when the configuration cannot use it.  Many configs over
-        #: one trace run on the vectorized kernel instead
+        #: Issue-loop selection: ``auto`` runs every config on the
+        #: specialized fast loop; ``reference`` always runs the
+        #: obviously-correct loop, the oracle the fast loop is pinned to.
+        #: Many configs over one trace run on the vectorized kernel instead
         #: (:class:`repro.sim.batch.BatchHierarchySimulator`).
         self.engine = engine
         self.reset()
-        if engine == "fast":
-            self._use_fast_path()  # raises eagerly on ineligible configs
 
     def reset(self) -> None:
         """Recreate all functional and timing state."""
         cfg = self.config
-        self.l1_cache = FunctionalCache(cfg.l1, seed=self.seed)
-        self.l2_cache = FunctionalCache(cfg.l2, seed=self.seed + 1)
+        self.l1_cache = FunctionalCache(cfg.l1)
+        self.l2_cache = FunctionalCache(cfg.l2)
         self.l1_ports = PortScheduler(cfg.l1_ports)
         self.l2_banks = BankScheduler(cfg.l2_banks)
         self.l1_mshrs = MSHRFile(cfg.mshr_count)
@@ -279,7 +264,7 @@ class HierarchySimulator:
         self._last_mem_req = 0
         self.l3_cache: FunctionalCache | None = None
         if cfg.l3 is not None:
-            self.l3_cache = FunctionalCache(cfg.l3, seed=self.seed + 2)
+            self.l3_cache = FunctionalCache(cfg.l3)
             self.l3_banks = BankScheduler(cfg.l3_banks)
             self.l3_mshrs = MSHRFile(cfg.l3_mshr_count)
             self._l3_fills = _FillQueue()
@@ -387,8 +372,8 @@ class HierarchySimulator:
         — issue width, ILP chains, ROB — so that the LPMR request rate
         ``IPC_exe * f_mem`` expresses true demand.  If L1 bandwidth limits
         were included here they would cancel out of the matching ratios.
-        On the ``auto`` and ``fast`` engines a perfect run takes the
-        core-only loop (:meth:`_run_impl_perfect`) for every config;
+        On the ``auto`` engine a perfect run takes the core-only loop
+        (:meth:`_run_impl_perfect`) for every config;
         ``engine="reference"`` keeps the reference loop's perfect branch
         as the oracle the equivalence suite compares it to.
 
@@ -656,21 +641,14 @@ class HierarchySimulator:
     def _use_fast_path(self) -> bool:
         """Whether this run takes the specialized fast issue loop.
 
-        Eligibility is structural, decided once per run: LRU L1 and L2 and
-        an in-order L1 MSHR file.  Prefetch and bypass configs qualify.
-        Anything else routes through the reference loop, whose behaviour
-        the fast loop is pinned to bit-for-bit by the equivalence suite
-        (``tests/sim/test_engine_equivalence.py``).
+        Every config does unless ``engine="reference"``: the fast loop
+        inlines an in-order L1 MSHR file, which :meth:`reset` always builds
+        (:class:`repro.sim.multicore.MulticoreSimulator` swaps only the
+        shared L2/L3 files).  The equivalence suite
+        (``tests/sim/test_engine_equivalence.py``) pins the fast loop to the
+        reference loop bit for bit.
         """
-        if self.engine == "reference":
-            return False
-        eligible = _lru_l1_l2(self.config) and self.l1_mshrs.in_order
-        if self.engine == "fast" and not eligible:
-            raise ConfigError(
-                "engine='fast' requires LRU L1 and L2 and an in-order L1 MSHR "
-                "file; use engine='auto' to fall back to the reference loop"
-            )
-        return eligible
+        return self.engine != "reference"
 
     def _pipe_start(self, start_cycle: int, resume: bool, rob: int) -> tuple:
         """Issue/retire state a run starts from.
@@ -756,7 +734,7 @@ class HierarchySimulator:
 
         A perfect L1 hits every access in ``l1_hit_time`` with no port
         contention, so the pass never reaches the prefetcher, the bypass
-        detector, a replacement policy or anything below the L1.  What is
+        detector, the L1 contents or anything below the L1.  What is
         left is dispatch, the ROB, the window heap and in-order retire:
         the loop tracks only those and records only dispatch and retire
         cycles.  Completion times and the L1 record columns follow from
@@ -892,8 +870,8 @@ class HierarchySimulator:
           per run) instead of numpy scalar indexing;
         * record columns built as append-lists and materialized into arrays
           once, after the loop;
-        * port/cache/MSHR/bank counters accumulated in locals and folded
-          into the scheduler/cache objects at the end of the run.
+        * port/MSHR/bank counters accumulated in locals and folded into the
+          scheduler objects at the end of the run.
 
         The miss walk is inlined too — the in-order L1 MSHR present/complete,
         the L2 bank grant and the L2 LRU probe all run in the loop body.
@@ -961,8 +939,7 @@ class HierarchySimulator:
         # Hot-loop bindings: everything the L1-hit path touches, resolved
         # once.  The LRU set dict is shared engine/cache state, so fills
         # applied through the fill queue stay visible to the inline probe.
-        l1_cache = self.l1_cache
-        l1_sets, set_mask, set_bits, offset_bits = l1_cache.lru_hot_state()
+        l1_sets, set_mask, set_bits, offset_bits = self.l1_cache.lru_hot_state()
         port_heap = self.l1_ports._free_times
         single_port = len(port_heap) == 1
         port_occ = 1 if cfg.l1_pipelined else h1
@@ -992,8 +969,9 @@ class HierarchySimulator:
         l2_banks = self.l2_banks
         l2_free = l2_banks._free_times
         l2_bank_mask = l2_banks._mask
-        l2_cache = self.l2_cache
-        l2_sets, l2_set_mask, l2_set_bits, l2_offset_bits = l2_cache.lru_hot_state()
+        l2_sets, l2_set_mask, l2_set_bits, l2_offset_bits = (
+            self.l2_cache.lru_hot_state()
+        )
         l2_assoc = cfg.l2.associativity
         l2_fills_heap = self._l2_fills._heap
         l2_l3_append = self._l2_l3_index.append
@@ -1001,10 +979,6 @@ class HierarchySimulator:
         last_l2_req = self._last_l2_req
         l2_grants = 0
         l2_wait = 0
-        l2_hits_n = 0
-        l2_misses_n = 0
-        l1_evict = 0
-        l2_evict = 0
 
         # L2 MSHR + memory dispatch, inlined only for a private in-order L2
         # MSHR file; a shared out-of-order file (multicore) leaves through
@@ -1027,8 +1001,6 @@ class HierarchySimulator:
 
         port_grants = 0
         port_wait = 0
-        cache_hits = 0
-        cache_misses = 0
 
         # Prefetcher and stream detector.  Their training tables stay in
         # the shared StridePrefetcher/StreamDetector objects.  A plain
@@ -1122,7 +1094,6 @@ class HierarchySimulator:
                     else:
                         if len(fs) >= l1_assoc:
                             del fs[next(iter(fs))]
-                            l1_evict += 1
                         fs[ft] = None
                 # LRU probe, inline (FunctionalCache.lookup).
                 block = addr >> offset_bits
@@ -1132,7 +1103,6 @@ class HierarchySimulator:
                 if s is not None and tag in s:
                     del s[tag]  # LRU promotion: reinsert at the tail
                     s[tag] = None
-                    cache_hits += 1
                     l1_hs[mem_i] = t_port
                     l1_he[mem_i] = hit_end
                     l1_complete[mem_i] = hit_end
@@ -1146,7 +1116,6 @@ class HierarchySimulator:
                                 pf_inflight.pop(block, None)
                             walk = True
                 else:
-                    cache_misses += 1
                     l1_hs[mem_i] = t_port
                     l1_he[mem_i] = hit_end
                     l1_miss[mem_i] = True
@@ -1268,7 +1237,6 @@ class HierarchySimulator:
                             else:
                                 if len(fs) >= l2_assoc:
                                     del fs[next(iter(fs))]
-                                    l2_evict += 1
                                 fs[ft] = None
                         # L2 LRU probe, inline.
                         l2_block = addr >> l2_offset_bits
@@ -1281,7 +1249,6 @@ class HierarchySimulator:
                         if s2 is not None and l2_tag in s2:
                             del s2[l2_tag]
                             s2[l2_tag] = None
-                            l2_hits_n += 1
                             l2_ms.append(0)
                             l2_me.append(0)
                             l2_miss.append(False)
@@ -1290,14 +1257,12 @@ class HierarchySimulator:
                             l2_l3_append(-1)
                             data_at_l1 = l2_hit_end + l1_to_l2
                         elif not l2m_inline:
-                            l2_misses_n += 1
                             data_at_l1 = l2_miss_walk(
                                 addr, block, l2_hit_end,
                                 l2_ms, l2_me, l2_miss, l2_sec,
                                 mem_index, mem_s, mem_e,
                             ) + l1_to_l2
                         else:
-                            l2_misses_n += 1
                             l2_miss.append(True)
                             # L2 MSHR present, inline (in-order).
                             arr2 = (
@@ -1417,12 +1382,10 @@ class HierarchySimulator:
             recent_retires.append(r)
 
         # Fold the locally accumulated counters back into the shared
-        # scheduler/cache objects so component statistics (and any direct
+        # scheduler objects so component statistics (and any direct
         # inspection of them) match the reference loop exactly.
         self.l1_ports.grants += port_grants
         self.l1_ports.total_wait += port_wait
-        l1_cache.hits += cache_hits
-        l1_cache.misses += cache_misses
         l1m._now = l1_now
         l1m.primary_misses += l1m_primary
         l1m.secondary_misses += l1m_secondary
@@ -1430,10 +1393,6 @@ class HierarchySimulator:
         l1m.peak_occupancy = l1m_peak
         l2_banks.grants += l2_grants
         l2_banks.total_wait += l2_wait
-        l2_cache.hits += l2_hits_n
-        l2_cache.misses += l2_misses_n
-        l1_cache.evictions += l1_evict
-        l2_cache.evictions += l2_evict
         self._last_l2_req = last_l2_req
         if has_pf:
             prefetcher.issued += pf_issued

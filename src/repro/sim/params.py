@@ -60,7 +60,6 @@ class CacheGeometry:
     size_bytes: int
     line_bytes: int = 64
     associativity: int = 8
-    replacement: str = "lru"
 
     def __post_init__(self) -> None:
         check_power_of_two("size_bytes", self.size_bytes)
@@ -71,8 +70,6 @@ class CacheGeometry:
                 f"cache of {self.size_bytes} B cannot hold {self.associativity} "
                 f"ways of {self.line_bytes} B lines"
             )
-        if self.replacement not in ("lru", "fifo", "random", "plru"):
-            raise ValueError(f"unknown replacement policy: {self.replacement!r}")
         if self.n_sets * self.line_bytes * self.associativity != self.size_bytes:
             raise ValueError(
                 "size_bytes must be line_bytes * associativity * (power-of-two sets); "

@@ -309,8 +309,8 @@ class PerfectPassMemo:
 
     Keyed on the content digest of the trace actually simulated and the
     config's :func:`perfect_projection`.  Nothing else can move the
-    result: the pass never touches cache, DRAM or RNG state (every access
-    hits in ``l1_hit_time``), so neither the simulator seed nor warm-up is
+    result: the pass never touches cache or DRAM state (every access hits
+    in ``l1_hit_time``), so neither the simulator seed nor warm-up is
     part of the key, and a memo held in memory cannot outlive the code
     that filled it.  ``tests/sim/test_batch_dispatch.py`` fails if the
     pass starts reading anything outside the key.
@@ -319,7 +319,7 @@ class PerfectPassMemo:
     evaluation runtime for inline runs, one per pool worker for the
     worker's lifetime — never module state, so callers that pass none
     (the default) hash and look up nothing.  Every config consults it,
-    prefetch, bypass, non-LRU and L3 configs included: the perfect pass
+    prefetch, bypass and L3 configs included: the perfect pass
     never reaches the units that make a config ineligible for the kernel.
     """
 
@@ -370,8 +370,8 @@ class DispatchPlan(NamedTuple):
     kernel: "list[int]"
     #: Configs simulated one by one on the scalar engine, in input order.
     scalar: "list[int]"
-    #: The scalar configs the kernel cannot run at all (prefetcher, L1
-    #: bypass, non-LRU L1/L2).  Only their real pass is theirs alone; the
+    #: The scalar configs the kernel cannot run at all (prefetcher or L1
+    #: bypass).  Only their real pass is theirs alone; the
     #: perfect pass is shared with every config of the same projection.
     ineligible: "list[int]"
 

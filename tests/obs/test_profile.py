@@ -53,7 +53,7 @@ class TestPhaseSpans:
             "sim.run", "sim.run", "analysis.measure",
         ]
 
-    @pytest.mark.parametrize("engine", ["fast", "reference"])
+    @pytest.mark.parametrize("engine", ["auto", "reference"])
     def test_no_result_carries_phase_stats(self, trace, tmp_path, engine):
         obs_trace.configure_tracing(tmp_path / "trace.jsonl")
         sim = HierarchySimulator(table1_config("A"), seed=0, engine=engine)

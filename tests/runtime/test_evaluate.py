@@ -13,7 +13,7 @@ import repro.runtime.evaluate as evaluate
 from repro.runtime.errors import MeasurementError
 from repro.runtime.evalcache import evaluation_cache_key
 from repro.runtime.evaluate import EvaluationRequest, EvaluationRuntime, _simulate_job
-from repro.runtime.faults import FaultConfig
+from repro.runtime.faults import FaultConfig, FaultInjector
 from repro.runtime.journal import CheckpointJournal
 from repro.runtime.pool import PoolConfig, RetryPolicy
 from repro.sim.params import table1_config
@@ -35,6 +35,28 @@ def _requests(trace, labels="AB"):
 
 def _stats(rt, requests, **kwargs):
     return [outcome.result() for outcome in rt.evaluate(requests, **kwargs)]
+
+
+def _raising_faults(requests, rate):
+    """The first ``FaultConfig.uniform(rate)`` seed whose first attempts
+    raise for at least one request.
+
+    A retry test whose faults never fire proves nothing, so the seed is
+    chosen by the damage it causes rather than pinned.
+    """
+    def raises(faults, req):
+        injector = FaultInjector(faults, req.trace.content_digest(),
+                                 req.config.cache_key(), req.seed, req.warm, 1)
+        try:
+            injector.maybe_fail()
+        except MeasurementError:
+            return True
+        return False
+
+    return next(
+        faults for faults in (FaultConfig.uniform(rate, seed=s) for s in range(1, 1000))
+        if any(raises(faults, req) for req in requests)
+    )
 
 
 def _key(req):
@@ -321,11 +343,12 @@ class TestFaultyEvaluate:
     def test_retries_redraw_fault_randomness(self, trace):
         # With per-(job, attempt) injector seeding, a high fault rate still
         # converges given enough retries: attempts are independent draws.
+        requests = _requests(trace, "AB")
         rt = EvaluationRuntime(
             pool=PoolConfig(retry=RetryPolicy(max_retries=10, backoff_base=0.001)),
-            faults=FaultConfig.uniform(0.6, seed=3),
+            faults=_raising_faults(requests, 0.6),
         )
-        out = _stats(rt, _requests(trace, "AB"))
+        out = _stats(rt, requests)
         _, direct = simulate_and_measure(table1_config("A"), trace, seed=0)
         assert out[0] == direct
         assert rt.counters.retries > 0

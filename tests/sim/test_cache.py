@@ -9,12 +9,11 @@ from repro.sim.cache import FunctionalCache
 from repro.sim.params import CacheGeometry
 
 
-def small_cache(policy="lru", assoc=2, sets=4, line=64, seed=0):
+def small_cache(assoc=2, sets=4, line=64):
     geom = CacheGeometry(
         size_bytes=line * assoc * sets, line_bytes=line, associativity=assoc,
-        replacement=policy,
     )
-    return FunctionalCache(geom, seed=seed)
+    return FunctionalCache(geom)
 
 
 def addr(set_idx, tag, line=64, sets=4):
@@ -36,10 +35,6 @@ class TestGeometry:
         with pytest.raises(ValueError):
             CacheGeometry(32 * 1024, line_bytes=64, associativity=3)
 
-    def test_rejects_unknown_policy(self):
-        with pytest.raises(ValueError):
-            CacheGeometry(32 * 1024, replacement="belady")
-
     def test_rejects_cache_smaller_than_one_set(self):
         with pytest.raises(ValueError):
             CacheGeometry(64, line_bytes=64, associativity=2)
@@ -51,8 +46,6 @@ class TestBasicOperation:
         assert not c.lookup(0)
         c.insert(0)
         assert c.lookup(0)
-        assert c.hits == 1
-        assert c.misses == 1
 
     def test_same_line_different_word_hits(self):
         c = small_cache()
@@ -60,36 +53,33 @@ class TestBasicOperation:
         assert c.lookup(8)
         assert c.lookup(63)
 
-    def test_contains_does_not_touch_counters(self):
-        c = small_cache()
-        c.insert(0)
-        assert c.contains(0)
-        assert not c.contains(4096)
-        assert c.hits == 0 and c.misses == 0
-
-    def test_insert_returns_victim_address(self):
+    def test_contains_does_not_promote(self):
         c = small_cache(assoc=2)
         a0, a1, a2 = addr(0, 0), addr(0, 1), addr(0, 2)
-        assert c.insert(a0) is None
-        assert c.insert(a1) is None
-        victim = c.insert(a2)
-        assert victim == a0  # LRU victim is the oldest
+        c.insert(a0)
+        c.insert(a1)
+        assert c.contains(a0)
+        assert not c.contains(4096)
+        c.insert(a2)  # a0 is still the least recently used
+        assert not c.contains(a0)
+
+    def test_insert_evicts_the_least_recent_block(self):
+        c = small_cache(assoc=2)
+        a0, a1, a2 = addr(0, 0), addr(0, 1), addr(0, 2)
+        c.insert(a0)
+        c.insert(a1)
+        c.insert(a2)
         assert not c.contains(a0)
         assert c.contains(a1) and c.contains(a2)
-
-    def test_evict(self):
-        c = small_cache()
-        c.insert(0)
-        assert c.evict(0)
-        assert not c.contains(0)
-        assert not c.evict(0)
 
     def test_reinsert_resident_block_evicts_nothing(self):
         c = small_cache(assoc=2)
         c.insert(addr(0, 0))
         c.insert(addr(0, 1))
-        assert c.insert(addr(0, 0)) is None
+        c.insert(addr(0, 0))
         assert c.resident_blocks() == 2
+        c.insert(addr(0, 2))  # the refresh made addr(0, 1) the oldest
+        assert c.contains(addr(0, 0)) and not c.contains(addr(0, 1))
 
     def test_set_isolation(self):
         c = small_cache(assoc=1, sets=4)
@@ -97,21 +87,6 @@ class TestBasicOperation:
         c.insert(addr(1, 0))
         assert c.contains(addr(0, 0))
         assert c.contains(addr(1, 0))
-
-    def test_miss_rate_property(self):
-        c = small_cache()
-        c.lookup(0)          # miss
-        c.insert(0)
-        c.lookup(0)          # hit
-        assert c.miss_rate == pytest.approx(0.5)
-
-    def test_reset_counters_keeps_contents(self):
-        c = small_cache()
-        c.insert(0)
-        c.lookup(0)
-        c.reset_counters()
-        assert c.hits == 0
-        assert c.contains(0)
 
 
 class TestLRUStackProperty:
@@ -139,13 +114,14 @@ class TestLRUStackProperty:
     def test_miss_count_monotone_in_size(self, lines):
         small = small_cache(assoc=4, sets=1)
         big = small_cache(assoc=8, sets=1)
+        misses = [0, 0]
         for line_no in lines:
             a = line_no * 64
-            if not small.lookup(a):
-                small.insert(a)
-            if not big.lookup(a):
-                big.insert(a)
-        assert big.misses <= small.misses
+            for i, c in enumerate((small, big)):
+                if not c.lookup(a):
+                    misses[i] += 1
+                    c.insert(a)
+        assert misses[1] <= misses[0]
 
 
 class TestReplacementPolicies:
@@ -155,62 +131,11 @@ class TestReplacementPolicies:
         c.insert(a0)
         c.insert(a1)
         c.lookup(a0)          # promote a0
-        victim = c.insert(a2)
-        assert victim == a1
+        c.insert(a2)
+        assert c.contains(a0) and not c.contains(a1)
 
-    def test_fifo_ignores_hits(self):
-        c = small_cache(policy="fifo", assoc=2)
-        a0, a1, a2 = addr(0, 0), addr(0, 1), addr(0, 2)
-        c.insert(a0)
-        c.insert(a1)
-        c.lookup(a0)          # should NOT promote under FIFO
-        victim = c.insert(a2)
-        assert victim == a0
-
-    def test_random_is_deterministic_given_seed(self):
-        def run(seed):
-            c = small_cache(policy="random", assoc=4, seed=seed)
-            victims = []
-            for tag in range(20):
-                victims.append(c.insert(addr(0, tag)))
-            return victims
-
-        assert run(1) == run(1)
-
-    def test_random_evicts_resident_block(self):
-        c = small_cache(policy="random", assoc=2)
-        c.insert(addr(0, 0))
-        c.insert(addr(0, 1))
-        victim = c.insert(addr(0, 2))
-        assert victim in (addr(0, 0), addr(0, 1))
-        assert c.resident_blocks() == 2
-
-    def test_plru_requires_power_of_two_assoc(self):
-        with pytest.raises(ValueError):
-            small_cache(policy="plru", assoc=3, sets=4)
-
-    def test_plru_basic_hit_miss(self):
-        c = small_cache(policy="plru", assoc=4)
-        for tag in range(4):
-            assert not c.lookup(addr(0, tag))
-            c.insert(addr(0, tag))
-        for tag in range(4):
-            assert c.lookup(addr(0, tag))
-        victim = c.insert(addr(0, 10))
-        assert victim is not None
-        assert c.resident_blocks() == 4
-
-    def test_plru_victim_is_not_most_recent(self):
-        c = small_cache(policy="plru", assoc=4)
-        for tag in range(4):
-            c.insert(addr(0, tag))
-        c.lookup(addr(0, 3))  # touch way holding tag 3
-        victim = c.insert(addr(0, 9))
-        assert victim != addr(0, 3)
-
-    @pytest.mark.parametrize("policy", ["lru", "fifo", "random", "plru"])
-    def test_capacity_never_exceeded(self, policy):
-        c = small_cache(policy=policy, assoc=4, sets=2)
+    def test_capacity_never_exceeded(self):
+        c = small_cache(assoc=4, sets=2)
         rng = np.random.default_rng(0)
         for a in rng.integers(0, 64, 500):
             line = int(a) * 64
@@ -219,40 +144,32 @@ class TestReplacementPolicies:
         for s in range(2):
             assert c.set_occupancy(s) <= 4
 
-    @pytest.mark.parametrize("policy", ["lru", "fifo", "random", "plru"])
-    def test_working_set_within_capacity_has_no_capacity_misses(self, policy):
-        c = small_cache(policy=policy, assoc=4, sets=2)
+    def test_working_set_within_capacity_has_no_capacity_misses(self):
+        c = small_cache(assoc=4, sets=2)
         lines = [addr(s, t, sets=2) for s in range(2) for t in range(4)]
         for a in lines:
             c.insert(a)
-        c.reset_counters()
         for _ in range(10):
             for a in lines:
                 assert c.lookup(a)
-        assert c.misses == 0
 
 
 class TestWarming:
     def test_warm_lookup_array_fills_without_stats(self):
         c = small_cache(assoc=8, sets=1)
         c.warm_lookup_array(np.array([0, 64, 128]))
-        assert c.hits == 0 and c.misses == 0
         assert c.contains(0) and c.contains(64) and c.contains(128)
 
 
 def _replay_warm(cache, addresses):
-    """The per-address warm walk: probe, fill on a miss, keep the counters."""
-    saved = (cache.hits, cache.misses, cache.evictions)
+    """The per-address warm walk: probe, fill on a miss."""
     for a in addresses:
         if not cache.lookup(int(a)):
             cache.insert(int(a))
-    cache.hits, cache.misses, cache.evictions = saved
 
 
 def _contents(cache):
-    """Outer set order and, per set, the resident tags in policy order."""
-    if cache.replacement == "plru":
-        return [(i, list(s.ways), list(s.bits)) for i, s in cache._plru_sets.items()]
+    """Outer set order and, per set, the resident tags in LRU order."""
     return [(i, list(s)) for i, s in cache._sets.items()]
 
 
@@ -269,35 +186,25 @@ def warm_case(draw):
     return (
         assoc, sets, draw(addrs),
         draw(st.lists(addrs, min_size=1, max_size=3)),
-        draw(st.lists(st.integers(min_value=0, max_value=span), max_size=8)),
     )
 
 
 class TestWarmEquivalence:
     """``warm_lookup_array`` leaves exactly the state of a per-address walk."""
 
-    @given(warm_case(), st.sampled_from(["lru", "fifo", "random", "plru"]))
+    @given(warm_case())
     @settings(max_examples=150, deadline=None)
-    def test_matches_per_address_walk(self, case, policy):
-        assoc, sets, prefill, chunks, evictions = case
-        got = small_cache(policy, assoc=assoc, sets=sets, seed=3)
-        want = small_cache(policy, assoc=assoc, sets=sets, seed=3)
+    def test_matches_per_address_walk(self, case):
+        assoc, sets, prefill, chunks = case
+        got = small_cache(assoc=assoc, sets=sets)
+        want = small_cache(assoc=assoc, sets=sets)
         for cache in (got, want):
-            # Live traffic first, so warming starts from resident blocks,
-            # non-zero counters and sets that evictions emptied.
-            for a in prefill.tolist():
-                if not cache.lookup(a):
-                    cache.insert(a)
-            for block in evictions:
-                cache.evict(block * 64)
+            # Live traffic first, so warming starts from resident blocks.
+            _replay_warm(cache, prefill)
         for chunk in chunks:
             got.warm_lookup_array(chunk)
             _replay_warm(want, chunk)
             assert _contents(got) == _contents(want)
-            assert (got.hits, got.misses, got.evictions) == (
-                want.hits, want.misses, want.evictions
-            )
-            assert got._rng.bit_generator.state == want._rng.bit_generator.state
 
     def test_engine_keeps_its_bound_lru_state(self):
         c = small_cache(assoc=2, sets=4)

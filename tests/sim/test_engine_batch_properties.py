@@ -73,7 +73,7 @@ class TestBatchConfigAxis:
     @settings(max_examples=40, deadline=None)
     def test_batch_of_one_equals_scalar_fast_path(self, trace, machine):
         res_batch = BatchHierarchySimulator([machine], seed=0).run(trace)[0]
-        res_fast = HierarchySimulator(machine, seed=0, engine="fast").run(trace)
+        res_fast = HierarchySimulator(machine, seed=0, engine="auto").run(trace)
         _assert_same(res_batch, res_fast, lane="batch-of-1")
 
     @given(random_trace(), random_batch(min_size=2), st.randoms())

@@ -1,6 +1,6 @@
 """Bit-for-bit equivalence of the fast, batch and reference engines.
 
-The fast path (`engine="fast"`) and the vectorized batch kernel
+The fast path (`engine="auto"`) and the vectorized batch kernel
 (:class:`~repro.sim.batch.BatchHierarchySimulator`) are specializations of
 the reference issue loop, not approximations: on every eligible
 workload/machine pair they must produce byte-identical access records,
@@ -16,12 +16,13 @@ match the reference loop on every `SimulationResult` field and on the
 units' training state over the generator matrix, across resumed quanta,
 with an L3, with a shared out-of-order L2 MSHR file (`sim.multicore`)
 and in a hypothesis sweep of the `PrefetchConfig`/`BypassConfig` fields.
-The eligibility gates are pinned down too: non-LRU replacement falls back
-under `engine="auto"` and rejects `engine="fast"`; the batch kernel still
-rejects prefetch, bypass and non-LRU configs.  The core-only perfect-L1
-loop that `auto` and `fast` run for every config is held to the reference
-loop's perfect branch across resumed quanta.  The reference loop itself is
-pinned by committed digests (`test_engine_oracle.py`).
+The gates are pinned down too: `engine="auto"` never enters the
+reference loop, real or perfect, on any config (multicore included), and
+the batch kernel still rejects prefetch and bypass configs.  The
+core-only perfect-L1 loop that `auto` runs for every config is held to
+the reference loop's perfect branch across resumed quanta.  The
+reference loop itself is pinned by committed digests
+(`test_engine_oracle.py`).
 """
 
 import dataclasses
@@ -118,10 +119,6 @@ def _assert_identical(res_got, res_ref, *, lane: str = "single") -> None:
     )
 
 
-def _fast_eligible(config: MachineConfig) -> bool:
-    return HierarchySimulator(config, seed=0)._use_fast_path()
-
-
 def _assert_same_result(got, want, *, lane: str) -> None:
     """Every :class:`SimulationResult` field, records and scalars alike."""
     _assert_identical(got, want, lane=lane)
@@ -131,7 +128,7 @@ def _assert_same_result(got, want, *, lane: str) -> None:
 
 
 def _run_both(config: MachineConfig, trace: Trace, *, warm: bool,
-              engines=("fast", "reference")):
+              engines=("auto", "reference")):
     """One result per engine; ``"batch"`` is the kernel with one lane."""
     results = []
     for engine in engines:
@@ -178,7 +175,7 @@ class TestGeneratorMatrix:
     def test_bit_identical(self, kind, warm):
         res_fast, res_batch, res_ref = _run_both(
             DEFAULT_MACHINE, _make_trace(kind), warm=warm,
-            engines=("fast", "batch", "reference"),
+            engines=("auto", "batch", "reference"),
         )
         _assert_identical(res_fast, res_ref, lane="fast")
         _assert_identical(res_batch, res_ref, lane="batch")
@@ -187,7 +184,7 @@ class TestGeneratorMatrix:
     def test_table1_machines(self, label):
         res_fast, res_batch, res_ref = _run_both(
             table1_config(label), _make_trace("working_set"), warm=False,
-            engines=("fast", "batch", "reference"),
+            engines=("auto", "batch", "reference"),
         )
         _assert_identical(res_fast, res_ref, lane="fast")
         _assert_identical(res_batch, res_ref, lane="batch")
@@ -198,7 +195,7 @@ class TestGeneratorMatrix:
         trace = get_benchmark("403.gcc").trace(3_000, seed=1)
         res_fast, res_batch, res_ref = _run_both(
             DEFAULT_MACHINE, trace, warm=False,
-            engines=("fast", "batch", "reference"),
+            engines=("auto", "batch", "reference"),
         )
         _assert_identical(res_fast, res_ref, lane="fast")
         _assert_identical(res_batch, res_ref, lane="batch")
@@ -206,7 +203,7 @@ class TestGeneratorMatrix:
     def test_stop_cycle_truncation(self):
         trace = _make_trace("working_set")
         sims = [HierarchySimulator(DEFAULT_MACHINE, seed=0, engine=e)
-                for e in ("fast", "reference")]
+                for e in ("auto", "reference")]
         res_fast, res_ref = (s.run(trace, stop_cycle=5_000) for s in sims)
         assert res_fast.instructions.n_instructions < trace.n_instructions
         _assert_identical(res_fast, res_ref, lane="fast")
@@ -230,7 +227,7 @@ class TestBatchMultiLane:
         l3_config = dataclasses.replace(
             DEFAULT_MACHINE,
             l3=CacheGeometry(2 * 1024 * 1024, line_bytes=64,
-                             associativity=16, replacement="lru"),
+                             associativity=16),
             name="with-L3",
         )
         _assert_batch_matches_reference([DEFAULT_MACHINE, l3_config],
@@ -316,7 +313,7 @@ class TestPrefetchBypassLoop:
     @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
     def test_generator_matrix(self, config, kind, warm):
         trace = _make_trace(kind)
-        sims = [HierarchySimulator(config, seed=0, engine=e) for e in ("fast", "reference")]
+        sims = [HierarchySimulator(config, seed=0, engine=e) for e in ("auto", "reference")]
         for round_no in range(2 if warm else 1):
             got, want = (sim.run(trace) for sim in sims)
             _assert_same_result(got, want, lane=f"{config.name} round {round_no}")
@@ -330,7 +327,7 @@ class TestPrefetchBypassLoop:
     @pytest.mark.parametrize("kind", ["strided", "zipf"])
     def test_resumed_quanta(self, config, kind):
         trace = _make_trace(kind)
-        sims = {e: HierarchySimulator(config, seed=0, engine=e) for e in ("fast", "reference")}
+        sims = {e: HierarchySimulator(config, seed=0, engine=e) for e in ("auto", "reference")}
         total = HierarchySimulator(config, seed=0, engine="reference").run(trace).total_cycles
         done = dict.fromkeys(sims, 0)
         stop = 0
@@ -344,8 +341,8 @@ class TestPrefetchBypassLoop:
                                           resume=step > 0)
                 done[engine] += results[engine].instructions_executed
             lane = f"{config.name} quantum {step}"
-            _assert_same_result(results["fast"], results["reference"], lane=lane)
-            assert _unit_state(sims["fast"]) == _unit_state(sims["reference"]), lane
+            _assert_same_result(results["auto"], results["reference"], lane=lane)
+            assert _unit_state(sims["auto"]) == _unit_state(sims["reference"]), lane
             step += 1
         assert step > 2
 
@@ -358,7 +355,7 @@ class TestPrefetchBypassLoop:
         slow = PREFETCH_BYPASS_CONFIGS[0].with_(l1_hit_time=8, name="prefetch-h8")
         quick = slow.with_(l1_hit_time=1, l1_ports=2, name="prefetch-h1")
         trace = _make_trace(kind)
-        sims = [HierarchySimulator(slow, seed=0, engine=e) for e in ("fast", "reference")]
+        sims = [HierarchySimulator(slow, seed=0, engine=e) for e in ("auto", "reference")]
         for round_no, config in enumerate((slow, quick, slow, quick)):
             for sim in sims:
                 sim.reconfigure(config)
@@ -373,7 +370,7 @@ class TestPrefetchBypassLoop:
             l3=CacheGeometry(1024 * 1024, associativity=16), name="prefetch+bypass+l3",
         )
         trace = _make_trace(kind)
-        sims = [HierarchySimulator(config, seed=0, engine=e) for e in ("fast", "reference")]
+        sims = [HierarchySimulator(config, seed=0, engine=e) for e in ("auto", "reference")]
         for round_no in range(2):
             got, want = (sim.run(trace) for sim in sims)
             assert want.accesses.has_l3
@@ -420,7 +417,7 @@ class TestPrefetchBypassLoop:
         config = DEFAULT_MACHINE.with_knobs(mshr_count=mshr_count).with_(
             prefetch=prefetch, l1_bypass=bypass)
         trace = _make_trace(kind).slice(0, length)
-        sims = [HierarchySimulator(config, seed=0, engine=e) for e in ("fast", "reference")]
+        sims = [HierarchySimulator(config, seed=0, engine=e) for e in ("auto", "reference")]
         for round_no in range(2):
             got, want = (sim.run(trace) for sim in sims)
             _assert_same_result(got, want, lane=f"round {round_no}")
@@ -446,39 +443,39 @@ class TestEligibilityGate:
             res = sim.run(_make_trace("strided"))
             assert res.accesses.n_accesses == N
 
-    def test_prefetch_accepts_engine_fast(self):
-        for config in PREFETCH_BYPASS_CONFIGS:
-            assert HierarchySimulator(config, seed=0, engine="fast")._use_fast_path()
+    def test_auto_never_enters_the_reference_loop(self, monkeypatch):
+        def refuse(self, trace, **kwargs):
+            raise AssertionError("the reference loop ran")
 
-    def test_non_lru_falls_back(self):
-        for base in (DEFAULT_MACHINE, PREFETCH_BYPASS_CONFIGS[2]):
-            for level in ("l1", "l2"):
-                for replacement in ("fifo", "random", "plru"):
-                    config = base.with_(**{level: dataclasses.replace(
-                        getattr(base, level), replacement=replacement)})
-                    assert not HierarchySimulator(config, seed=0)._use_fast_path()
-                    with pytest.raises(ConfigError):
-                        HierarchySimulator(config, seed=0, engine="fast")
+        monkeypatch.setattr(HierarchySimulator, "_run_impl", refuse)
+        trace = _make_trace("zipf")
+        for config in PERFECT_CONFIGS:
+            sim = HierarchySimulator(config, seed=0)
+            sim.warm_caches(trace)
+            assert sim.run(trace).accesses.n_accesses == N, config.name
+        # Shared out-of-order L2 MSHRs: the L1 file each core inlines
+        # stays in-order.
+        from repro.sim.multicore import MulticoreSimulator
+
+        multi = MulticoreSimulator(
+            [DEFAULT_MACHINE, PREFETCH_BYPASS_CONFIGS[2]], quantum=400, seed=0
+        )
+        assert not multi.cores[0].l2_mshrs.in_order
+        assert all(core.l1_mshrs.in_order for core in multi.cores)
+        multi.run([_make_trace("strided"), trace])
 
     def test_batch_gate_is_unchanged(self):
-        # The kernel still takes exactly LRU L1/L2 with no prefetcher and
+        # The kernel still takes exactly the configs with no prefetcher and
         # no bypass detector, whatever the scalar loop learned.
         for prefetch in (None, PrefetchConfig()):
             for bypass in (None, BypassConfig()):
-                for l1_repl in ("lru", "fifo", "random", "plru"):
-                    for l2_repl in ("lru", "fifo", "random", "plru"):
-                        config = DEFAULT_MACHINE.with_(
-                            prefetch=prefetch, l1_bypass=bypass,
-                            l1=dataclasses.replace(DEFAULT_MACHINE.l1, replacement=l1_repl),
-                            l2=dataclasses.replace(DEFAULT_MACHINE.l2, replacement=l2_repl),
-                        )
-                        assert batch_eligible(config) == (
-                            prefetch is None and bypass is None
-                            and l1_repl == l2_repl == "lru"
-                        ), config
+                config = DEFAULT_MACHINE.with_(prefetch=prefetch, l1_bypass=bypass)
+                assert batch_eligible(config) == (
+                    prefetch is None and bypass is None
+                ), config
 
     def test_unknown_engine_rejected(self):
-        for engine in ("turbo", "batch"):
+        for engine in ("turbo", "batch", "fast"):
             with pytest.raises(ConfigError):
                 HierarchySimulator(DEFAULT_MACHINE, seed=0, engine=engine)
 
@@ -517,13 +514,9 @@ class TestBatchEligibilityGate:
                 sim.warm_caches(trace)
 
     def test_dispatch_plan_splits_by_gate(self):
-        non_lru = dataclasses.replace(
-            DEFAULT_MACHINE,
-            l1=dataclasses.replace(DEFAULT_MACHINE.l1, replacement="fifo"),
-            name="fifo-l1",
-        )
+        bypass = DEFAULT_MACHINE.with_(l1_bypass=BypassConfig(), name="bypass")
         configs = [DEFAULT_MACHINE, self._prefetch_config(),
-                   table1_config("C"), non_lru]
+                   table1_config("C"), bypass]
         wide = configs + [table1_config("D")] * BATCH_MIN_LANES
         plan = dispatch_plan(wide)
         assert plan.kernel == [0, 2] + list(range(4, len(wide)))
@@ -540,14 +533,6 @@ PERFECT_CONFIGS = [
     DEFAULT_MACHINE,
     DEFAULT_MACHINE.with_(prefetch=PrefetchConfig(degree=4, distance=2), name="prefetch"),
     DEFAULT_MACHINE.with_(l1_bypass=BypassConfig(), name="bypass"),
-    DEFAULT_MACHINE.with_(
-        l1=dataclasses.replace(DEFAULT_MACHINE.l1, replacement="fifo"), name="fifo-l1",
-    ),
-    DEFAULT_MACHINE.with_(
-        l1=dataclasses.replace(DEFAULT_MACHINE.l1, replacement="plru"),
-        l2=dataclasses.replace(DEFAULT_MACHINE.l2, replacement="plru"),
-        name="plru",
-    ),
     DEFAULT_MACHINE.with_(l3=CacheGeometry(1024 * 1024, associativity=16), name="l3"),
     table1_config("A").with_(l1_hit_time=2),
     # A one-entry window that the slow hits keep full, so quanta stop on a
@@ -563,7 +548,7 @@ class TestPerfectLoop:
     @pytest.mark.parametrize("kind", ["working_set", "pointer_chase"])
     def test_matches_reference_across_quanta(self, config, kind):
         trace = _make_trace(kind)
-        engines = ("auto", "fast") if _fast_eligible(config) else ("auto",)
+        engines = ("auto",)
         sims = {e: HierarchySimulator(config, seed=0, engine=e)
                 for e in engines + ("reference",)}
         ref = sims["reference"]
@@ -600,7 +585,7 @@ class TestPerfectLoop:
     def test_short_quanta_match_reference(self, config):
         """Quanta shorter than the ROB: the saved retire window is partial."""
         trace = _make_trace("zipf")
-        engines = ("auto", "fast") if _fast_eligible(config) else ("auto",)
+        engines = ("auto",)
         sims = {e: HierarchySimulator(config, seed=0, engine=e)
                 for e in engines + ("reference",)}
         done = dict.fromkeys(sims, 0)

@@ -6,8 +6,7 @@ loops share: the stride prefetcher, the stream-bypass detector, the L3 walk
 or the DRAM model.  This suite pins the reference loop itself.  Every case
 runs ``engine="reference"`` over the workload-generator matrix, warm and
 cold, on the plain default machine (the config the batch kernel and every
-end-to-end workload run), a PLRU L1+L2 config and prefetch, bypass and L3
-configs, plus cold perfect-L1 runs of the default machine.  It hashes every
+end-to-end workload run) and prefetch, bypass and L3 configs, plus cold perfect-L1 runs of the default machine.  It hashes every
 :class:`SimulationResult` field (all record columns with their dtypes, the
 component statistics, the config key, the trace name and the executed
 count).  The digests live in ``tests/golden/engine_oracle.json``.
@@ -39,11 +38,6 @@ KINDS = ("strided", "working_set", "zipf", "pointer_chase")
 #: One config per shared unit the digests must pin, alone and combined.
 ORACLE_CONFIGS = [
     DEFAULT_MACHINE,
-    DEFAULT_MACHINE.with_(
-        l1=dataclasses.replace(DEFAULT_MACHINE.l1, replacement="plru"),
-        l2=dataclasses.replace(DEFAULT_MACHINE.l2, replacement="plru"),
-        name="plru",
-    ),
     DEFAULT_MACHINE.with_(prefetch=PrefetchConfig(degree=4, distance=2),
                           name="prefetch"),
     DEFAULT_MACHINE.with_(l1_bypass=BypassConfig(), name="bypass"),

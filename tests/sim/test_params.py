@@ -73,9 +73,7 @@ def machine_configs(draw):
     def geometry():
         assoc = draw(st.sampled_from([1, 2, 4, 8, 16]))
         sets = draw(_pow2(0, 8))
-        return CacheGeometry(
-            line * assoc * sets, line_bytes=line, associativity=assoc,
-            replacement=draw(st.sampled_from(["lru", "fifo", "random", "plru"])))
+        return CacheGeometry(line * assoc * sets, line_bytes=line, associativity=assoc)
 
     small = st.integers(1, 64)
     return MachineConfig(
