@@ -59,7 +59,8 @@ IDENTITY_FIELDS = (
 
 
 def _speedup(rounds, baseline, candidate):
-    """(baseline / candidate ratio of the fastest rounds, their results).
+    """(baseline / candidate ratio of the fastest rounds, their results,
+    the two fastest rounds in seconds).
 
     The two sides alternate, round by round, so a burst of host load lands
     on both sides alike instead of on one side's block of rounds.  They
@@ -79,7 +80,10 @@ def _speedup(rounds, baseline, candidate):
             best[fn] = min(best[fn], elapsed)
             total[fn] += elapsed
         done += 1
-    return best[baseline] / best[candidate], results[baseline], results[candidate]
+    return (
+        best[baseline] / best[candidate], results[baseline], results[candidate],
+        (best[baseline], best[candidate]),
+    )
 
 
 def _same_accesses(a, b) -> bool:
@@ -128,14 +132,14 @@ def _fast_over_reference(config):
 
 
 def test_fast_engine_over_reference(capsys):
-    speedup, ref, fast = _fast_over_reference(DEFAULT_MACHINE)
+    speedup, ref, fast, _ = _fast_over_reference(DEFAULT_MACHINE)
     _report(capsys, f"fast/reference: {speedup:.3f}x (floor {ENGINE_FLOOR}x)")
     assert _same_accesses(fast, ref)
     assert speedup >= ENGINE_FLOOR
 
 
 def test_prefetch_fast_over_reference(capsys):
-    speedup, ref, fast = _fast_over_reference(DEFAULT_MACHINE.with_(
+    speedup, ref, fast, _ = _fast_over_reference(DEFAULT_MACHINE.with_(
         prefetch=PrefetchConfig(degree=4, distance=2), name="default+prefetch"))
     _report(capsys, f"prefetch fast/reference: {speedup:.3f}x (floor {PREFETCH_FLOOR}x)")
     assert _same_accesses(fast, ref)
@@ -163,9 +167,11 @@ def test_batch_kernel_over_scalar(capsys):
         sim.warm_caches(trace)
         return sim.run(trace)
 
-    speedup, scalar_results, batch_results = _speedup(3, scalar, batch)
+    speedup, scalar_results, batch_results, (scalar_s, batch_s) = _speedup(
+        3, scalar, batch)
     _report(capsys, f"batch/scalar: {speedup:.3f}x over {len(configs)} configs "
-                    f"(floor {BATCH_FLOOR}x)")
+                    f"(scalar {scalar_s:.3f} s, batch {batch_s:.3f} s; "
+                    f"floor {BATCH_FLOOR}x)")
     assert len(batch_results) == len(configs)
     assert all(_same_accesses(s, b) for s, b in zip(scalar_results, batch_results))
     assert speedup >= BATCH_FLOOR
@@ -173,7 +179,7 @@ def test_batch_kernel_over_scalar(capsys):
 
 def test_multi_fidelity_over_engine_only(capsys):
     trace, configs = _gate_workload()
-    speedup, engine, multi = _speedup(
+    speedup, engine, multi, _ = _speedup(
         3,
         lambda: sweep_configs(configs, trace, seed=0),
         lambda: sweep_configs(configs, trace, seed=0, fidelity="multi",

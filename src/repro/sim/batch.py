@@ -7,17 +7,27 @@ run ~1.6x cheaper; this module restructures the problem instead: one
 per-lane pipeline state (one array dimension per config — a *lane*) and a
 single Python-level pass over the shared trace advances every lane with
 numpy operations.  Every run covers the whole trace from cycle 0 on every
-lane, so no lane ever stops early and runs of independent compute
-instructions always step as one block.
+lane, so no lane ever stops early and runs of independent instructions
+always step as one block.  The kernel holds its lanes in ascending ROB
+size and hands results back in the caller's order.
 
 Layout (L = number of lanes)::
 
-    p_disp, p_ret          (L,)  dispatch/retire *potentials* (see below)
+    p_d                    (L,)  dispatch *potential* (see below)
     lsq                    (L, W) completion times, -1 = free/stale slot
     port_free              (L, max_ports), huge padding for narrow lanes
     l1_tags / l1_age       (L, max_sets, max_ways), tag -1 = invalid way
     dispatch/complete/retire records                    (n, L) int64
+    wret_a: row k, lane j = w_j * retire[k - rob_j, j]  (n, L) int64
     L1 record columns                                   (n_mem, L)
+
+**The skewed ROB clamp.**  Instruction i may not dispatch before
+instruction ``i - rob`` retires.  ``wret_a`` stores that bound already
+shifted by each lane's ROB size, so the clamp reads row i for every mix
+of ROB sizes, and a block of instructions reads one contiguous slice.
+Retire rows are computed in blocks of the smallest ROB size, and each
+ROB size's columns are written ``rob`` rows further down; with the lanes
+in ROB order, that is one basic-slice write per ROB size.
 
 **The potential trick.**  The scalar engines track issue bandwidth as a
 ``(cycle, count)`` pair with branchy reset logic.  Both dispatch and
@@ -29,7 +39,10 @@ clamp to cycle ``m > cycle`` is exactly ``w*m`` (count resets to 1), so
     p' = max(p + 1, w*m_1, w*m_2, ...)      and   cycle' = p' // w
 
 reproduces the reference recurrence bit for bit in three numpy ops per
-instruction instead of seven.
+instruction instead of seven.  Retire never steps per instruction: its
+recurrence unrolls to a running maximum over a block (see
+:meth:`BatchHierarchySimulator._run_kernel`), and so does dispatch over a
+run of instructions that no dependence or full window can stall.
 
 Only the dominant L1-hit path is vectorized.  The rare L1-miss walk drops
 to per-lane scalar code that *inlines* the reference component semantics
@@ -44,13 +57,16 @@ lane simulator's own ``_l2_miss_walk`` / ``_access_l3`` methods.
 
 The vectorized L1 pieces have exact scalar equivalents:
 
-* dict-ordered LRU == per-lane age arrays with a monotone event counter
-  (eviction = argmin age over valid ways; promotion/insert = age <- clock++);
-* the port heap's ``heapreplace`` == replace-argmin on a free-time array;
+* dict-ordered LRU == per-lane age arrays stamped from one monotone event
+  counter (eviction = argmin age over valid ways; promotion/insert =
+  age <- clock++);
+* the port heap's ``heapreplace`` == replace-argmin on a free-time array
+  (with two ports, a sorted pair);
 * the LSQ drain/pop == lazy staleness (an entry <= d can never influence a
   later decision because dispatch cycles are monotone per lane), with a
-  scalar upper-bound screen so the full-window check costs nothing while
-  the window is slack.
+  scalar upper-bound screen and a per-access bound from the trace (the
+  memory ops within one ROB of it), so the full-window check costs
+  nothing while the window is slack.
 
 Eligibility is no prefetcher and no bypass detector, which only the
 scalar loops model (the single-core L1 MSHR file is in-order by
@@ -118,19 +134,29 @@ class BatchHierarchySimulator:
         self.lane_sims = [
             HierarchySimulator(c, seed=seed, engine="reference") for c in configs
         ]
+        # The kernel holds its lanes in ascending ROB size, so each ROB
+        # size is one contiguous column block of the skewed clamp cache
+        # (see _run_kernel); run() hands results back in caller order.
+        self._order = sorted(range(L), key=lambda j: configs[j].core.rob_size)
+        configs = self._lanes = [configs[j] for j in self._order]
+        self._sims = [self.lane_sims[j] for j in self._order]
 
         i64 = np.int64
         self._issue_w = np.array([c.core.issue_width for c in configs], dtype=i64)
-        self._rob = np.array([c.core.rob_size for c in configs], dtype=i64)
         self._iw = np.array([c.core.iw_size for c in configs], dtype=i64)
         self._h1 = np.array([c.l1_hit_time for c in configs], dtype=i64)
         self._occ = np.array(
             [1 if c.l1_pipelined else c.l1_hit_time for c in configs], dtype=i64
         )
         self._min_iw = int(self._iw.min())
-        self._min_rob = int(self._rob.min())
-        self._max_rob = int(self._rob.max())
-        self._homo_rob = self._min_rob == self._max_rob
+        #: ``(first lane, end lane, rob_size)`` per ROB size, ascending.
+        self._rob_groups: "list[tuple[int, int, int]]" = []
+        for lane, c in enumerate(configs):
+            rob = c.core.rob_size
+            if self._rob_groups and self._rob_groups[-1][2] == rob:
+                self._rob_groups[-1] = (self._rob_groups[-1][0], lane + 1, rob)
+            else:
+                self._rob_groups.append((lane, lane + 1, rob))
 
         # L1 geometry, per lane; the arrays are padded to the widest lane.
         self._off = np.array([c.l1.offset_bits for c in configs], dtype=i64)
@@ -148,8 +174,10 @@ class BatchHierarchySimulator:
         self._max_ways = max_ways
         self._l1_tags = np.full((L, max_sets, max_ways), -1, dtype=i64)
         self._l1_age = np.zeros((L, max_sets, max_ways), dtype=i64)
-        # Starts above every age a warm-up loads, so promotions are newer.
-        self._l1_clock = np.array(list(self._assoc), dtype=i64)
+        # One LRU clock for every lane: only the order of ages within a
+        # set matters.  It starts above every age a warm-up loads, so
+        # promotions are newer.
+        self._l1_clock = max_ways
         # Flat per-lane views for the scalar fill path (same memory), plus
         # a plain-list mirror of the tags so the fill drain scans Python
         # lists instead of round-tripping numpy rows.  Only the drain and
@@ -195,8 +223,8 @@ class BatchHierarchySimulator:
         scratch_l1: "dict[object, FunctionalCache]" = {}
         scratch_l2: "dict[object, FunctionalCache]" = {}
         scratch_l3: "dict[object, FunctionalCache]" = {}
-        for lane, cfg in enumerate(self.configs):
-            sim = self.lane_sims[lane]
+        for lane, cfg in enumerate(self._lanes):
+            sim = self._sims[lane]
             c1 = scratch_l1.get(cfg.l1)
             if c1 is None:
                 c1 = FunctionalCache(cfg.l1)
@@ -237,7 +265,9 @@ class BatchHierarchySimulator:
                 age[set_idx, way] = way
         self._l1_tags_list[lane] = self._l1_tags_flat[lane].tolist()
 
-    def _drain_lane_fills(self, lane: int, now: int) -> int:
+    def _drain_lane_fills(
+        self, lane: int, now: int, clock: int
+    ) -> "tuple[int, int]":
         """Apply one lane's due L1 fills to its tag/age arrays.
 
         Mirrors the reference fill semantics (``_FillQueue.apply_until`` +
@@ -245,7 +275,7 @@ class BatchHierarchySimulator:
         absent block fills a free way or evicts the least-recent one.
         Pure-Python list scans over the (tiny) set row — an order of
         magnitude cheaper per fill than numpy row kernels.  Returns the
-        number of fills applied.
+        number of fills applied and the advanced LRU *clock*.
         """
         heap = self._fills[lane]
         mirror = self._l1_tags_list[lane]
@@ -256,7 +286,6 @@ class BatchHierarchySimulator:
         smask = self._smask_i[lane]
         assoc = self._assoc[lane]
         mw = self._max_ways
-        clock = int(self._l1_clock[lane])
         npop = 0
         heappop = heapq.heappop
         while heap and heap[0][0] <= now:
@@ -280,9 +309,8 @@ class BatchHierarchySimulator:
                 tags[pos] = tag
             age[base + way] = clock
             clock += 1
-        self._l1_clock[lane] = clock
         self._next_fill[lane] = heap[0][0] if heap else _HUGE
-        return npop
+        return npop, clock
 
     # -- the kernel ------------------------------------------------------
     def run(
@@ -339,15 +367,12 @@ class BatchHierarchySimulator:
 
         i64 = np.int64
         w_arr = self._issue_w
-        min_rob = self._min_rob
-        max_rob = self._max_rob
-        rob0 = min_rob
-        homo_rob = self._homo_rob
-        rob_arr = self._rob
         iw_arr = self._iw
         h1_arr = self._h1
         occ_arr = self._occ
         min_iw = self._min_iw
+        rob_groups = self._rob_groups
+        lanes = self._lanes
 
         # Records: one row per instruction / memory access, one column per
         # lane.  Per-lane results are the columns of these at the end.
@@ -368,15 +393,13 @@ class BatchHierarchySimulator:
         l2_rec = [
             tuple([] for _ in range(9)) for _ in range(L)
         ]  # l2_hs, l2_he, l2_ms, l2_me, l2_miss, l2_sec, mem_index, mem_s, mem_e
-        lane_sims = self.lane_sims
+        lane_sims = self._sims
         for sim in lane_sims:
             sim._l3_rec = tuple([] for _ in range(7))
             sim._l2_l3_index = []
 
-        # Pipeline state as potentials, fresh at cycle 0 every run.
+        # Dispatch state as potentials, fresh at cycle 0 every run.
         p_d = np.full(L, -1, dtype=i64)
-        last_mem_complete = np.zeros(L, dtype=i64)
-        last_compute_complete = np.zeros(L, dtype=i64)
 
         # Retire is not stepped per instruction: the recurrence
         # ``p_r(i) = max(p_r(i-1) + 1, w*c_i)`` unrolls to
@@ -385,22 +408,36 @@ class BatchHierarchySimulator:
         # ``maximum.accumulate`` sweep.  The only in-loop consumer is the
         # ROB clamp, which reads retire rows at lag >= min_rob, so
         # flushing a block every ``B = min_rob`` instructions always stays
-        # ahead of it; ``wret_a`` caches ``w*retire`` so the clamp itself
-        # is a single ``maximum``.  Compute completions are derived inside
-        # the flush (``dispatch + 1``), so the main loop stores completion
-        # rows only for memory instructions.
-        B = min_rob if min_rob > 0 else 1
-        wret_a = np.empty((n, L), dtype=i64)
+        # ahead of it.  The flush also fills in the completion rows:
+        # ``dispatch + 1``, then the memory ops' rows from ``l1_cmp``.
+        #
+        # The clamp reads ``wret_a``, stored skewed: row k, lane j holds
+        # ``w_j * retire[k - rob_j, j]``, so the clamp at instruction i is
+        # one row for every mix of ROB sizes.  Rows k < rob_j stay 0, which
+        # never binds because ``p_d(k) >= k``.  The flush writes each ROB
+        # group's block rob rows further down, a basic-slice copy because
+        # the lanes are held in ROB order.
+        B = rob_groups[0][2]
+        wret_a = np.zeros((n, L), dtype=i64)
+        wret_groups = [(g0, g1, rob, w_arr[g0:g1]) for g0, g1, rob in rob_groups]
         q_carry = -w_arr
         scan_buf = np.empty((min(B, n) if n else 1, L), dtype=i64)
         idx_col = np.arange(n, dtype=i64)[:, None]
-        comp_col = (~trace.is_mem)[:, None]
         flushed = 0
         flush_at = B
 
+        # Memory op positions, and the memory ops before each instruction.
+        mem_at = np.flatnonzero(trace.is_mem)
+        mem_before = np.r_[0, np.cumsum(trace.is_mem)]
+        mem_before_l = mem_before.tolist()
+
         def _flush_retire(i0: int, i1: int) -> None:
             cb = complete_a[i0:i1]
-            np.add(dispatch_a[i0:i1], 1, out=cb, where=comp_col[i0:i1])
+            np.add(dispatch_a[i0:i1], 1, out=cb)
+            k0 = mem_before_l[i0]
+            k1 = mem_before_l[i1]
+            if k1 > k0:
+                complete_a[mem_at[k0:k1]] = l1_cmp[k0:k1]
             sb = scan_buf[: i1 - i0]
             np.multiply(cb, w_arr, out=sb)
             np.subtract(sb, idx_col[i0:i1], out=sb)
@@ -410,7 +447,12 @@ class BatchHierarchySimulator:
             np.add(sb, idx_col[i0:i1], out=sb)
             rb = retire_a[i0:i1]
             np.floor_divide(sb, w_arr, out=rb)
-            np.multiply(rb, w_arr, out=wret_a[i0:i1])
+            for g0, g1, rob, w_g in wret_groups:
+                lo = i0 + rob
+                if lo >= n:
+                    break
+                hi = i1 + rob if i1 + rob < n else n
+                np.multiply(rb[: hi - lo, g0:g1], w_g, out=wret_a[lo:hi, g0:g1])
 
         # LSQ: completion times, -1 = free/stale slot.  Entries <= the
         # current dispatch cycle can never influence a later decision
@@ -439,7 +481,7 @@ class BatchHierarchySimulator:
         next_fill = self._next_fill
         l1_tags = self._l1_tags
         l1_age = self._l1_age
-        l1_clock = self._l1_clock
+        clock = self._l1_clock
         homo_l1 = self._homo_l1
         off0 = self._off_i[0]
         sbits0 = self._sbits_i[0]
@@ -466,10 +508,10 @@ class BatchHierarchySimulator:
         l1msec = [0] * L
         l1mstall = [0] * L
         l1mpeak = [s.l1_mshrs.peak_occupancy for s in lane_sims]
-        l1tol2 = [c.l1_to_l2_delay for c in self.configs]
-        h2l = [c.l2_hit_time for c in self.configs]
+        l1tol2 = [c.l1_to_l2_delay for c in lanes]
+        h2l = [c.l2_hit_time for c in lanes]
         l2occl = [
-            1 if c.l2_pipelined else c.l2_hit_time for c in self.configs
+            1 if c.l2_pipelined else c.l2_hit_time for c in lanes
         ]
         l2freel = [s.l2_banks._free_times for s in lane_sims]
         l2bmaskl = [s.l2_banks._mask for s in lane_sims]
@@ -482,7 +524,7 @@ class BatchHierarchySimulator:
             l2smaskl.append(smask2)
             l2sbitsl.append(sbits2)
             l2offl.append(off2)
-        l2assocl = [c.l2.associativity for c in self.configs]
+        l2assocl = [c.l2.associativity for c in lanes]
         l2fheapl = [s._l2_fills._heap for s in lane_sims]
         l2outl = [s.l2_mshrs._outstanding for s in lane_sims]
         l2rell = [s.l2_mshrs._releases for s in lane_sims]
@@ -495,8 +537,8 @@ class BatchHierarchySimulator:
         l2mpeakl = [s.l2_mshrs.peak_occupancy for s in lane_sims]
         hasl3 = [s.l3_cache is not None for s in lane_sims]
         accl3 = [s._access_l3 for s in lane_sims]
-        l2tol3 = [c.l2_to_l3_delay for c in self.configs]
-        l2tomem = [c.l2_to_mem_delay for c in self.configs]
+        l2tol3 = [c.l2_to_l3_delay for c in lanes]
+        l2tomem = [c.l2_to_mem_delay for c in lanes]
         lastl2 = [s._last_l2_req for s in lane_sims]
         lastmem = [s._last_mem_req for s in lane_sims]
         draml = [s.dram.access for s in lane_sims]
@@ -513,10 +555,6 @@ class BatchHierarchySimulator:
         np_le = np.less_equal
         np_cnz = np.count_nonzero
         np_not = np.logical_not
-        d = np.empty(L, dtype=i64)
-        c = np.empty(L, dtype=i64)
-        t_port = np.empty(L, dtype=i64)
-        hit_end = np.empty(L, dtype=i64)
         tmp = np.empty(L, dtype=i64)
         b2 = np.empty(L, dtype=bool)
         b_arg = np.empty(L, dtype=bool)
@@ -530,395 +568,393 @@ class BatchHierarchySimulator:
         # Row views as a Python list: list indexing is ~3x cheaper than
         # ndarray.__getitem__ for the one row the ROB clamp reads per
         # instruction.
-        wret_rows = list(wret_a) if n else []
-        # Mixed ROB sizes: lane j reads flat element (i - rob_j) * L + j of
-        # wret_a, one np.take per instruction instead of a 2-D fancy index.
-        wret_flat = wret_a.reshape(-1)
-        rob_off = lane_idx - rob_arr * L
-        rob_at = np.empty(L, dtype=np.intp)
-        rob_row = np.empty(L, dtype=i64)
-        np_take = np.take
+        wret_rows = list(wret_a)
 
-        # Runs of independent compute ops step as one block.  Between two
-        # such ops only the bandwidth step and the ROB clamp act,
-        # ``p_d(i) = max(p_d(i-1) + 1, R(i))`` with ``R(i)`` the lagged
-        # ``w*retire`` row, which unrolls to a running maximum of
-        # ``R(k) - k`` just as retire does.  A block stops at the next
-        # retire flush, so every row it reads is already flushed.
-        independent = ~trace.is_mem
-        if depends is not None:
-            independent &= ~depends
-        breaks = np.flatnonzero(~independent)
-        run_end_l = np.append(breaks, n)[np.searchsorted(breaks, np.arange(n))].tolist()
+        # A window check can find a full lane only when ``lsq_ub`` has
+        # reached ``min_iw`` and the trace itself allows it: the ROB clamp
+        # puts every memory op at least rob instructions back at or before
+        # the dispatch cycle, so a lane's live entries are at most the
+        # memory ops among the previous ``rob - 1`` instructions.
+        # ``check_l[k]`` marks the memory ops where that count reaches some
+        # ROB group's smallest IW size, and ``next_check_l[k]`` is the
+        # first such op at or after k.
+        check = np.zeros(n_mem_total, dtype=bool)
+        for g0, g1, rob in rob_groups:
+            recent = np.arange(n_mem_total) - mem_before[np.maximum(mem_at - rob + 1, 0)]
+            check |= recent >= int(iw_arr[g0:g1].min())
+        check_l = check.tolist()
+        next_check = np.where(check, np.arange(n_mem_total), n_mem_total)
+        next_check_l = np.minimum.accumulate(next_check[::-1])[::-1].tolist()
+        next_check_l += [n_mem_total] * (min_iw + 1)
+
+        # Ops that only the bandwidth step and the ROB clamp act on step as
+        # one block: independent compute ops, and independent memory ops
+        # that no window check would stop (``lsq_ub`` plus the block's
+        # memory ops stays under ``min_iw``, or ``check_l`` is clear).
+        # Between two such ops ``p_d(i) = max(p_d(i-1) + 1, R(i))`` with
+        # ``R(i)`` the skewed clamp row, which unrolls to a running maximum
+        # of ``R(k) - k`` just as retire does.  A block stops at the next
+        # retire flush, so every row it reads is already flushed; its
+        # memory ops then execute one by one at their block dispatch.
+        if has_dep:
+            breaks = np.flatnonzero(depends)
+            run_end_l = np.append(breaks, n)[
+                np.searchsorted(breaks, np.arange(n))].tolist()
+            # A dependent compute op chains through the previous compute
+            # op's completion (dispatch + 1); a dependent memory op through
+            # the previous memory op's (its l1_cmp row).
+            comp_at = np.where(trace.is_mem, -1, np.arange(n))
+            prev_comp_l = np.r_[-1, np.maximum.accumulate(comp_at)[:-1]].tolist()
+        else:
+            run_end_l = [n] * n
+        mem_at_l = mem_at.tolist() + [n]
         skip_to = 0
         run_rows = np.empty((min(B, n) if n else 1, L), dtype=i64)
-        run_at = np.empty((min(B, n) if n else 1, L), dtype=np.intp)
-        row_base = idx_col * L
 
         mem_i = 0
         for i in range(n):
+            mem_op = is_mem_l[i]
             if i < skip_to:
-                continue
-            # --- dispatch: bandwidth + ROB + (memory) window slots -------
-            if i == flush_at:
-                _flush_retire(flushed, i)
-                flushed = i
-                flush_at += B
-            if i >= max_rob:
+                if not mem_op:
+                    continue
+                d = dispatch_a[i]
+            else:
+                # --- dispatch: bandwidth + ROB + (memory) window slots ---
+                if i == flush_at:
+                    _flush_retire(flushed, i)
+                    flushed = i
+                    flush_at += B
                 end = run_end_l[i]
                 if end > flush_at:
                     end = flush_at
+                room = min_iw - lsq_ub if lsq_ub < min_iw else 0
+                slack = mem_at_l[next_check_l[mem_i + room]]
+                if end > slack:
+                    end = slack
                 if end - i >= 2:
                     rows = run_rows[: end - i]
-                    if homo_rob:
-                        np.subtract(wret_a[i - rob0:end - rob0], idx_col[i:end], out=rows)
-                    else:
-                        at = run_at[: end - i]
-                        np_add(row_base[i:end], rob_off, out=at)
-                        np_take(wret_flat, at, out=rows, mode="clip")
-                        np.subtract(rows, idx_col[i:end], out=rows)
+                    np.subtract(wret_a[i:end], idx_col[i:end], out=rows)
                     np.maximum.accumulate(rows, axis=0, out=rows)
                     np.subtract(p_d, i - 1, out=tmp)
                     np_max(rows, tmp, out=rows)
                     np_add(rows, idx_col[i:end], out=rows)
                     np_copyto(p_d, rows[-1])
                     np_fdiv(rows, w_arr, out=dispatch_a[i:end])
-                    np_copyto(d, dispatch_a[end - 1])
-                    if has_dep:
-                        np_add(d, 1, out=last_compute_complete)
                     skip_to = end
-                    continue
-            np_add(p_d, 1, out=p_d)
-            if i >= min_rob:
-                if homo_rob:
-                    np_max(p_d, wret_rows[i - rob0], out=p_d)
-                elif i >= max_rob:
-                    np_add(rob_off, i * L, out=rob_at)
-                    np_take(wret_flat, rob_at, out=rob_row, mode="clip")
-                    np_max(p_d, rob_row, out=p_d)
+                    if not mem_op:
+                        continue
+                    d = dispatch_a[i]
                 else:
-                    # Lanes with rob > i have no ROB constraint yet; clamp
-                    # their (negative) gather index to row 0 and mask the
-                    # result away.
-                    np.subtract(i, rob_arr, out=tmp)
-                    np_le(rob_arr, i, out=b2)
-                    np_max(tmp, 0, out=tmp)
-                    np_max(p_d, wret_a[tmp, lane_idx], out=p_d, where=b2)
-            mem_op = is_mem_l[i]
-            if mem_op:
-                if has_dep and depends_l[i]:
-                    np_mul(last_mem_complete, w_arr, out=tmp)
-                    np_max(p_d, tmp, out=p_d)
-                np_fdiv(p_d, w_arr, out=d)
-                if lsq_ub >= min_iw:
-                    # Exact window check: count live entries, pop the
-                    # earliest completion for full lanes (it is > d after
-                    # the logical drain, so d simply becomes it and the
-                    # popped entry goes stale by construction).  All raw
-                    # ufunc reductions — the np.count_nonzero/ndarray.min
-                    # wrappers cost more than the scans themselves here.
-                    np_le(lsq, d[:, None], out=stale_buf)
-                    add_reduce(stale_buf, axis=1, dtype=i64, out=cnt_buf)
-                    np.subtract(W, cnt_buf, out=cnt_buf)
-                    np.greater_equal(cnt_buf, iw_arr, out=b2)
-                    if np_cnz(b2):
-                        np_copyto(lsq_buf, lsq)
-                        np_copyto(lsq_buf, _HUGE, where=stale_buf)
-                        min_reduce(lsq_buf, axis=1, out=m_buf)
-                        np_copyto(d, m_buf, where=b2)
-                        np_mul(m_buf, w_arr, out=tmp)
-                        np_copyto(p_d, tmp, where=b2)
-                    lsq_ub = int(max_reduce(cnt_buf))
+                    np_add(p_d, 1, out=p_d)
+                    np_max(p_d, wret_rows[i], out=p_d)
+                    if has_dep and depends_l[i]:
+                        if mem_op:
+                            if mem_i:
+                                np_mul(l1_cmp[mem_i - 1], w_arr, out=tmp)
+                                np_max(p_d, tmp, out=p_d)
+                        elif prev_comp_l[i] >= 0:
+                            np_add(dispatch_a[prev_comp_l[i]], 1, out=tmp)
+                            np_mul(tmp, w_arr, out=tmp)
+                            np_max(p_d, tmp, out=p_d)
+                    d = dispatch_a[i]
+                    np_fdiv(p_d, w_arr, out=d)
+                    if not mem_op:
+                        continue
+                    if lsq_ub >= min_iw and check_l[mem_i]:
+                        # Exact window check: count live entries, pop the
+                        # earliest completion for full lanes (it is > d
+                        # after the logical drain, so d simply becomes it
+                        # and the popped entry goes stale by construction).
+                        # All raw ufunc reductions — the
+                        # np.count_nonzero/ndarray.min wrappers cost more
+                        # than the scans themselves here.
+                        np_le(lsq, d[:, None], out=stale_buf)
+                        add_reduce(stale_buf, axis=1, dtype=i64, out=cnt_buf)
+                        np.subtract(W, cnt_buf, out=cnt_buf)
+                        np.greater_equal(cnt_buf, iw_arr, out=b2)
+                        if np_cnz(b2):
+                            np_copyto(lsq_buf, lsq)
+                            np_copyto(lsq_buf, _HUGE, where=stale_buf)
+                            min_reduce(lsq_buf, axis=1, out=m_buf)
+                            np_copyto(d, m_buf, where=b2)
+                            np_mul(m_buf, w_arr, out=tmp)
+                            np_copyto(p_d, tmp, where=b2)
+                        lsq_ub = int(max_reduce(cnt_buf))
+
+            # --- execute (memory ops only) ------------------------------
+            # t_port and c are this access's own record rows.
+            c = l1_cmp[mem_i]
+            if perfect:
+                np_add(d, h1_arr, out=c)
+                l1_hs[mem_i] = d
             else:
-                if has_dep and depends_l[i]:
-                    np_mul(last_compute_complete, w_arr, out=tmp)
-                    np_max(p_d, tmp, out=p_d)
-                np_fdiv(p_d, w_arr, out=d)
-
-            dispatch_a[i] = d
-
-            # --- execute -------------------------------------------------
-            if mem_op:
-                if perfect:
-                    np_add(d, h1_arr, out=c)
-                    l1_hs[mem_i] = d
-                    l1_cmp[mem_i] = c
+                addr = address_l[i]
+                t_port = l1_hs[mem_i]
+                # L1 port grant (replace-argmin == heapreplace).
+                if single_port:
+                    np.maximum(d, port_free0, out=t_port)
+                    np.add(t_port, occ_arr, out=port_free0)
+                elif two_port:
+                    # The two columns are kept sorted (a one-port lane's
+                    # pad is the larger), so the grant takes column 0 and
+                    # its new free time is sorted back in.
+                    np.maximum(d, port_free0, out=t_port)
+                    np.add(t_port, occ_arr, out=tmp)
+                    np.minimum(tmp, port_free1, out=port_free0)
+                    np.maximum(tmp, port_free1, out=port_free1)
                 else:
-                    addr = address_l[i]
-                    # L1 port grant (replace-argmin == heapreplace).
-                    if single_port:
-                        np.maximum(d, port_free0, out=t_port)
-                        np.add(t_port, occ_arr, out=port_free0)
-                    elif two_port:
-                        # Replace-argmin on two columns; ties pick either
-                        # port (the free-time multiset is all that matters).
-                        np.minimum(port_free0, port_free1, out=tmp)
-                        np.maximum(d, tmp, out=t_port)
-                        np.less(port_free1, port_free0, out=b_arg)
-                        np.add(t_port, occ_arr, out=tmp)
-                        np.copyto(port_free1, tmp, where=b_arg)
-                        np.logical_not(b_arg, out=b_arg)
-                        np.copyto(port_free0, tmp, where=b_arg)
-                    else:
-                        port_free.min(axis=1, out=tmp)
-                        np.maximum(d, tmp, out=t_port)
-                        am = port_free.argmin(axis=1)
-                        np.add(t_port, occ_arr, out=tmp)
-                        port_free[lane_idx, am] = tmp
-                    # Due L1 fills (only lanes with a pending fill).
-                    if fills_pending:
-                        np.less_equal(next_fill, t_port, out=bdue)
-                        if np.count_nonzero(bdue):
-                            for ld in bdue.nonzero()[0]:
-                                ld = int(ld)
-                                fills_pending -= drain(ld, int(t_port[ld]))
-                    # L1 LRU probe.
+                    port_free.min(axis=1, out=tmp)
+                    np.maximum(d, tmp, out=t_port)
+                    am = port_free.argmin(axis=1)
+                    np.add(t_port, occ_arr, out=tmp)
+                    port_free[lane_idx, am] = tmp
+                # Due L1 fills (only lanes with a pending fill).
+                if fills_pending:
+                    np.less_equal(next_fill, t_port, out=bdue)
+                    if np.count_nonzero(bdue):
+                        for ld in bdue.nonzero()[0].tolist():
+                            npop, clock = drain(ld, int(t_port[ld]), clock)
+                            fills_pending -= npop
+                # L1 LRU probe.
+                if homo_l1:
+                    block0 = addr >> off0
+                    si = block0 & smask0
+                    tg = block0 >> sbits0
+                    row_t = l1_tags[:, si]
+                    np.equal(row_t, tg, out=eqbuf)
+                else:
+                    np.right_shift(addr, off_arr, out=blk_a)
+                    np.bitwise_and(blk_a, smask_arr, out=si_a)
+                    np.right_shift(blk_a, sbits_arr, out=tg_a)
+                    row_t = l1_tags[lane_idx, si_a]
+                    np.equal(row_t, tg_a[:, None], out=eqbuf)
+                np.logical_or.reduce(eqbuf, axis=1, out=bhit)
+                np_add(t_port, h1_arr, out=c)  # hit_end; misses overwrite
+                n_hit = np_cnz(bhit)
+                if n_hit:
+                    # LRU promotion.  A tag sits in at most one way of its
+                    # set, so eqbuf marks exactly the hit ways.
                     if homo_l1:
-                        block0 = addr >> off0
-                        si = block0 & smask0
-                        tg = block0 >> sbits0
-                        row_t = l1_tags[:, si]
-                        np.equal(row_t, tg, out=eqbuf)
+                        np_copyto(l1_age[:, si], clock, where=eqbuf)
                     else:
-                        np.right_shift(addr, off_arr, out=blk_a)
-                        np.bitwise_and(blk_a, smask_arr, out=si_a)
-                        np.right_shift(blk_a, sbits_arr, out=tg_a)
-                        row_t = l1_tags[lane_idx, si_a]
-                        np.equal(row_t, tg_a[:, None], out=eqbuf)
-                    np.logical_or.reduce(eqbuf, axis=1, out=bhit)
-                    np_add(t_port, h1_arr, out=hit_end)
-                    np_copyto(c, hit_end)
-                    n_hit = np_cnz(bhit)
-                    if n_hit:
                         hidx = bhit.nonzero()[0]
                         way = eqbuf.argmax(axis=1)
-                        if homo_l1:
-                            l1_age[hidx, si, way[hidx]] = l1_clock[hidx]
+                        l1_age[hidx, si_a[hidx], way[hidx]] = clock
+                    clock += 1
+                if n_hit != L:
+                    np_not(bhit, out=b2)
+                    midx = b2.nonzero()[0]
+                    l1_miss[mem_i, midx] = True
+                    # Per-miss results are collected in plain lists and
+                    # written back with one fancy store per array —
+                    # scalar ``arr[i, j] = v`` assignments inside the
+                    # walk cost more than the walk's own dict/heap work.
+                    hl = c.tolist()
+                    dn_l: "list[int]" = []
+                    sec_l: "list[int]" = []
+                    prim_l: "list[int]" = []
+                    prim_rows: "list[int]" = []
+                    prim_nf: "list[int]" = []
+                    for lm in midx.tolist():
+                        he = hl[lm]
+                        block = addr >> off_i[lm]
+                        # L1 MSHR present, inline (in-order file):
+                        # clamp to the never-rewinding clock, expire
+                        # returned fills, coalesce or allocate.
+                        out1 = l1outl[lm]
+                        rel1 = l1rell[lm]
+                        arr = he if he >= l1nowl[lm] else l1nowl[lm]
+                        while rel1 and rel1[0][0] <= arr:
+                            rb = heappop(rel1)[1]
+                            f = out1.get(rb)
+                            if f is not None and f <= arr:
+                                del out1[rb]
+                        fill = out1.get(block)
+                        if fill is not None and fill > arr:
+                            # Secondary miss: ride the pending fill.
+                            l1msec[lm] += 1
+                            done = fill if fill > he else he
+                            sec_l.append(lm)
                         else:
-                            l1_age[hidx, si_a[hidx], way[hidx]] = l1_clock[hidx]
-                        np_add(l1_clock, 1, out=l1_clock, where=bhit)
-                    if n_hit != L:
-                        np_not(bhit, out=b2)
-                        midx = b2.nonzero()[0]
-                        l1_miss[mem_i, midx] = True
-                        # Per-miss results are collected in plain lists and
-                        # written back with one fancy store per array —
-                        # scalar ``arr[i, j] = v`` assignments inside the
-                        # walk cost more than the walk's own dict/heap work.
-                        hl = hit_end.tolist()
-                        dn_l: "list[int]" = []
-                        sec_l: "list[int]" = []
-                        prim_l: "list[int]" = []
-                        prim_rows: "list[int]" = []
-                        prim_nf: "list[int]" = []
-                        for lm in midx.tolist():
-                            he = hl[lm]
-                            block = addr >> off_i[lm]
-                            # L1 MSHR present, inline (in-order file):
-                            # clamp to the never-rewinding clock, expire
-                            # returned fills, coalesce or allocate.
-                            out1 = l1outl[lm]
-                            rel1 = l1rell[lm]
-                            arr = he if he >= l1nowl[lm] else l1nowl[lm]
-                            while rel1 and rel1[0][0] <= arr:
-                                rb = heappop(rel1)[1]
-                                f = out1.get(rb)
-                                if f is not None and f <= arr:
-                                    del out1[rb]
-                            fill = out1.get(block)
-                            if fill is not None and fill > arr:
-                                # Secondary miss: ride the pending fill.
-                                l1msec[lm] += 1
-                                done = fill if fill > he else he
-                                sec_l.append(lm)
+                            grant = arr
+                            if len(out1) >= l1capl[lm]:
+                                e1 = rel1[0][0]
+                                if e1 > grant:
+                                    grant = e1
+                                while rel1 and rel1[0][0] <= grant:
+                                    rb = heappop(rel1)[1]
+                                    f = out1.get(rb)
+                                    if f is not None and f <= grant:
+                                        del out1[rb]
+                            l1nowl[lm] = grant
+                            l1mprim[lm] += 1
+                            l1mstall[lm] += grant - arr
+                            # L2 request (in-order miss queue: clamp).
+                            t_l2 = grant + l1tol2[lm]
+                            if t_l2 < lastl2[lm]:
+                                t_l2 = lastl2[lm]
+                            lastl2[lm] = t_l2
+                            # L2 bank grant, inline.
+                            l2free = l2freel[lm]
+                            bank = block & l2bmaskl[lm]
+                            bfree = l2free[bank]
+                            t_bank = t_l2 if t_l2 >= bfree else bfree
+                            l2free[bank] = t_bank + l2occl[lm]
+                            l2grants[lm] += 1
+                            l2wait[lm] += t_bank - t_l2
+                            # Due L2 fills, inline LRU insert.
+                            l2fh = l2fheapl[lm]
+                            l2sets = l2setsl[lm]
+                            l2sb = l2sbitsl[lm]
+                            l2sm = l2smaskl[lm]
+                            l2ob = l2offl[lm]
+                            while l2fh and l2fh[0][0] <= t_l2:
+                                fb = heappop(l2fh)[1] >> l2ob
+                                ft = fb >> l2sb
+                                fi = fb & l2sm
+                                fs = l2sets.get(fi)
+                                if fs is None:
+                                    l2sets[fi] = {ft: None}
+                                elif ft in fs:
+                                    del fs[ft]
+                                    fs[ft] = None
+                                else:
+                                    if len(fs) >= l2assocl[lm]:
+                                        del fs[next(iter(fs))]
+                                    fs[ft] = None
+                            # L2 LRU probe, inline.
+                            (rl2hs, rl2he, rl2ms, rl2me, rl2miss,
+                             rl2sec, rmemi, rmems, rmeme) = l2_rec[lm]
+                            l2b = addr >> l2ob
+                            l2t = l2b >> l2sb
+                            s2 = l2sets.get(l2b & l2sm)
+                            l2_row = len(rl2hs)
+                            l2he_t = t_bank + h2l[lm]
+                            rl2hs.append(t_bank)
+                            rl2he.append(l2he_t)
+                            if s2 is not None and l2t in s2:
+                                del s2[l2t]
+                                s2[l2t] = None
+                                rl2ms.append(0)
+                                rl2me.append(0)
+                                rl2miss.append(False)
+                                rl2sec.append(False)
+                                rmemi.append(-1)
+                                l2l3app[lm](-1)
+                                data = l2he_t + l1tol2[lm]
+                            elif not l2inl[lm]:
+                                data = walkl[lm](
+                                    addr, block, l2he_t,
+                                    rl2ms, rl2me, rl2miss, rl2sec,
+                                    rmemi, rmems, rmeme,
+                                ) + l1tol2[lm]
                             else:
-                                grant = arr
-                                if len(out1) >= l1capl[lm]:
-                                    e1 = rel1[0][0]
-                                    if e1 > grant:
-                                        grant = e1
-                                    while rel1 and rel1[0][0] <= grant:
-                                        rb = heappop(rel1)[1]
-                                        f = out1.get(rb)
-                                        if f is not None and f <= grant:
-                                            del out1[rb]
-                                l1nowl[lm] = grant
-                                l1mprim[lm] += 1
-                                l1mstall[lm] += grant - arr
-                                # L2 request (in-order miss queue: clamp).
-                                t_l2 = grant + l1tol2[lm]
-                                if t_l2 < lastl2[lm]:
-                                    t_l2 = lastl2[lm]
-                                lastl2[lm] = t_l2
-                                # L2 bank grant, inline.
-                                l2free = l2freel[lm]
-                                bank = block & l2bmaskl[lm]
-                                bfree = l2free[bank]
-                                t_bank = t_l2 if t_l2 >= bfree else bfree
-                                l2free[bank] = t_bank + l2occl[lm]
-                                l2grants[lm] += 1
-                                l2wait[lm] += t_bank - t_l2
-                                # Due L2 fills, inline LRU insert.
-                                l2fh = l2fheapl[lm]
-                                l2sets = l2setsl[lm]
-                                l2sb = l2sbitsl[lm]
-                                l2sm = l2smaskl[lm]
-                                l2ob = l2offl[lm]
-                                while l2fh and l2fh[0][0] <= t_l2:
-                                    fb = heappop(l2fh)[1] >> l2ob
-                                    ft = fb >> l2sb
-                                    fi = fb & l2sm
-                                    fs = l2sets.get(fi)
-                                    if fs is None:
-                                        l2sets[fi] = {ft: None}
-                                    elif ft in fs:
-                                        del fs[ft]
-                                        fs[ft] = None
-                                    else:
-                                        if len(fs) >= l2assocl[lm]:
-                                            del fs[next(iter(fs))]
-                                        fs[ft] = None
-                                # L2 LRU probe, inline.
-                                (rl2hs, rl2he, rl2ms, rl2me, rl2miss,
-                                 rl2sec, rmemi, rmems, rmeme) = l2_rec[lm]
-                                l2b = addr >> l2ob
-                                l2t = l2b >> l2sb
-                                s2 = l2sets.get(l2b & l2sm)
-                                l2_row = len(rl2hs)
-                                l2he_t = t_bank + h2l[lm]
-                                rl2hs.append(t_bank)
-                                rl2he.append(l2he_t)
-                                if s2 is not None and l2t in s2:
-                                    del s2[l2t]
-                                    s2[l2t] = None
-                                    rl2ms.append(0)
-                                    rl2me.append(0)
-                                    rl2miss.append(False)
-                                    rl2sec.append(False)
+                                rl2miss.append(True)
+                                # L2 MSHR present, inline (in-order).
+                                out2 = l2outl[lm]
+                                rel2 = l2rell[lm]
+                                arr2 = (
+                                    l2he_t if l2he_t >= l2nowl[lm]
+                                    else l2nowl[lm]
+                                )
+                                while rel2 and rel2[0][0] <= arr2:
+                                    rb2 = heappop(rel2)[1]
+                                    f2 = out2.get(rb2)
+                                    if f2 is not None and f2 <= arr2:
+                                        del out2[rb2]
+                                fill2 = out2.get(block)
+                                if fill2 is not None and fill2 > arr2:
+                                    l2msec[lm] += 1
+                                    rl2sec.append(True)
                                     rmemi.append(-1)
                                     l2l3app[lm](-1)
-                                    data = l2he_t + l1tol2[lm]
-                                elif not l2inl[lm]:
-                                    data = walkl[lm](
-                                        addr, block, l2he_t,
-                                        rl2ms, rl2me, rl2miss, rl2sec,
-                                        rmemi, rmems, rmeme,
-                                    ) + l1tol2[lm]
-                                else:
-                                    rl2miss.append(True)
-                                    # L2 MSHR present, inline (in-order).
-                                    out2 = l2outl[lm]
-                                    rel2 = l2rell[lm]
-                                    arr2 = (
-                                        l2he_t if l2he_t >= l2nowl[lm]
-                                        else l2nowl[lm]
-                                    )
-                                    while rel2 and rel2[0][0] <= arr2:
-                                        rb2 = heappop(rel2)[1]
-                                        f2 = out2.get(rb2)
-                                        if f2 is not None and f2 <= arr2:
-                                            del out2[rb2]
-                                    fill2 = out2.get(block)
-                                    if fill2 is not None and fill2 > arr2:
-                                        l2msec[lm] += 1
-                                        rl2sec.append(True)
-                                        rmemi.append(-1)
-                                        l2l3app[lm](-1)
-                                        mem_ready = (
-                                            fill2 if fill2 > l2he_t
-                                            else l2he_t
-                                        )
-                                    else:
-                                        grant2 = arr2
-                                        if len(out2) >= l2capl[lm]:
-                                            e2 = rel2[0][0]
-                                            if e2 > grant2:
-                                                grant2 = e2
-                                            while rel2 and rel2[0][0] <= grant2:
-                                                rb2 = heappop(rel2)[1]
-                                                f2 = out2.get(rb2)
-                                                if f2 is not None and f2 <= grant2:
-                                                    del out2[rb2]
-                                        l2nowl[lm] = grant2
-                                        l2mprim[lm] += 1
-                                        l2mstall[lm] += grant2 - arr2
-                                        rl2sec.append(False)
-                                        if hasl3[lm]:
-                                            l3_row, mem_ready = accl3[lm](
-                                                addr, block,
-                                                grant2 + l2tol3[lm],
-                                                rmems, rmeme,
-                                            )
-                                            rmemi.append(-1)
-                                            l2l3app[lm](l3_row)
-                                        else:
-                                            t_mem = grant2 + l2tomem[lm]
-                                            if t_mem < lastmem[lm]:
-                                                t_mem = lastmem[lm]
-                                            lastmem[lm] = t_mem
-                                            dres = draml[lm](block, t_mem)
-                                            rmemi.append(len(rmems))
-                                            rmems.append(dres.service_start)
-                                            rmeme.append(dres.service_end)
-                                            mem_ready = (
-                                                dres.data_ready + l2tomem[lm]
-                                            )
-                                            l2l3app[lm](-1)
-                                        heappush(l2fh, (mem_ready, addr))
-                                        out2[block] = mem_ready
-                                        heappush(rel2, (mem_ready, block))
-                                        occ2 = len(out2)
-                                        if occ2 > l2mpeakl[lm]:
-                                            l2mpeakl[lm] = occ2
-                                    rl2ms.append(l2he_t)
-                                    rl2me.append(
-                                        mem_ready if mem_ready > l2he_t
+                                    mem_ready = (
+                                        fill2 if fill2 > l2he_t
                                         else l2he_t
                                     )
-                                    data = mem_ready + l1tol2[lm]
-                                prim_l.append(lm)
-                                prim_rows.append(l2_row)
-                                # L1 fill + MSHR completion, inline.
-                                fh = fills[lm]
-                                heappush(fh, (data, addr))
-                                prim_nf.append(fh[0][0])
-                                out1[block] = data
-                                heappush(rel1, (data, block))
-                                occ1 = len(out1)
-                                if occ1 > l1mpeak[lm]:
-                                    l1mpeak[lm] = occ1
-                                done = data if data > he else he
-                            dn_l.append(done)
-                        c[midx] = dn_l
-                        l1_me[mem_i, midx] = dn_l
-                        if sec_l:
-                            l1_sec[mem_i, sec_l] = True
-                        if prim_l:
-                            l2_index[mem_i, prim_l] = prim_rows
-                            next_fill[prim_l] = prim_nf
-                            fills_pending += len(prim_l)
-                    l1_hs[mem_i] = t_port
-                    l1_cmp[mem_i] = c
-                # LSQ push + dependent-load serialization.
-                lsq[:, lu] = c
-                lu += 1
-                lsq_ub += 1
-                if lu >= W:
-                    # Physical compaction: a descending sort packs live
-                    # entries to the left (order-free — only the live
-                    # count and minimum ever matter).
-                    lsq[:] = np.sort(lsq, axis=1)[:, ::-1]
-                    np.greater(lsq, d[:, None], out=stale_buf)
-                    lu = int(np.count_nonzero(stale_buf, axis=1).max())
-                if has_dep:
-                    np_copyto(last_mem_complete, c)
-                complete_a[i] = c
-                mem_i += 1
-            elif has_dep:
-                # Compute completions (dispatch + 1) are derived inside the
-                # retire flush; only the serialization clock needs them now.
-                np_add(d, 1, out=last_compute_complete)
+                                else:
+                                    grant2 = arr2
+                                    if len(out2) >= l2capl[lm]:
+                                        e2 = rel2[0][0]
+                                        if e2 > grant2:
+                                            grant2 = e2
+                                        while rel2 and rel2[0][0] <= grant2:
+                                            rb2 = heappop(rel2)[1]
+                                            f2 = out2.get(rb2)
+                                            if f2 is not None and f2 <= grant2:
+                                                del out2[rb2]
+                                    l2nowl[lm] = grant2
+                                    l2mprim[lm] += 1
+                                    l2mstall[lm] += grant2 - arr2
+                                    rl2sec.append(False)
+                                    if hasl3[lm]:
+                                        l3_row, mem_ready = accl3[lm](
+                                            addr, block,
+                                            grant2 + l2tol3[lm],
+                                            rmems, rmeme,
+                                        )
+                                        rmemi.append(-1)
+                                        l2l3app[lm](l3_row)
+                                    else:
+                                        t_mem = grant2 + l2tomem[lm]
+                                        if t_mem < lastmem[lm]:
+                                            t_mem = lastmem[lm]
+                                        lastmem[lm] = t_mem
+                                        dres = draml[lm](block, t_mem)
+                                        rmemi.append(len(rmems))
+                                        rmems.append(dres.service_start)
+                                        rmeme.append(dres.service_end)
+                                        mem_ready = (
+                                            dres.data_ready + l2tomem[lm]
+                                        )
+                                        l2l3app[lm](-1)
+                                    heappush(l2fh, (mem_ready, addr))
+                                    out2[block] = mem_ready
+                                    heappush(rel2, (mem_ready, block))
+                                    occ2 = len(out2)
+                                    if occ2 > l2mpeakl[lm]:
+                                        l2mpeakl[lm] = occ2
+                                rl2ms.append(l2he_t)
+                                rl2me.append(
+                                    mem_ready if mem_ready > l2he_t
+                                    else l2he_t
+                                )
+                                data = mem_ready + l1tol2[lm]
+                            prim_l.append(lm)
+                            prim_rows.append(l2_row)
+                            # L1 fill + MSHR completion, inline.
+                            fh = fills[lm]
+                            heappush(fh, (data, addr))
+                            prim_nf.append(fh[0][0])
+                            out1[block] = data
+                            heappush(rel1, (data, block))
+                            occ1 = len(out1)
+                            if occ1 > l1mpeak[lm]:
+                                l1mpeak[lm] = occ1
+                            done = data if data > he else he
+                        dn_l.append(done)
+                    c[midx] = dn_l
+                    l1_me[mem_i, midx] = dn_l
+                    if sec_l:
+                        l1_sec[mem_i, sec_l] = True
+                    if prim_l:
+                        l2_index[mem_i, prim_l] = prim_rows
+                        next_fill[prim_l] = prim_nf
+                        fills_pending += len(prim_l)
+            # LSQ push.
+            lsq[:, lu] = c
+            lu += 1
+            lsq_ub += 1
+            if lu >= W:
+                # Physical compaction: a descending sort packs live
+                # entries to the left (order-free — only the live
+                # count and minimum ever matter).
+                lsq[:] = np.sort(lsq, axis=1)[:, ::-1]
+                np.greater(lsq, d[:, None], out=stale_buf)
+                lu = int(np.count_nonzero(stale_buf, axis=1).max())
+            mem_i += 1
 
+        self._l1_clock = clock
         if flushed < n:
             _flush_retire(flushed, min(n, flushed + B))
         if n_mem_total:
@@ -978,7 +1014,7 @@ class BatchHierarchySimulator:
             (r_l2_hs, r_l2_he, r_l2_ms, r_l2_me, r_l2_miss, r_l2_sec,
              r_mem_index, r_mem_s, r_mem_e) = l2_rec[lane]
             results.append(build_simulation_result(
-                config=self.configs[lane],
+                config=lanes[lane],
                 trace_name=trace.name,
                 executed=n,
                 dispatch=dispatch_a[:, lane],
@@ -1001,4 +1037,7 @@ class BatchHierarchySimulator:
                 l3_index=sim._l2_l3_index if sim.l3_cache is not None else None,
                 l3_records=sim._l3_rec,
             ))
-        return results
+        in_order: "list[SimulationResult]" = [None] * L  # type: ignore[list-item]
+        for lane, j in enumerate(self._order):
+            in_order[j] = results[lane]
+        return in_order

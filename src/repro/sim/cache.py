@@ -29,7 +29,6 @@ class FunctionalCache:
     """
 
     def __init__(self, geometry: CacheGeometry) -> None:
-        self.geometry = geometry
         self._offset_bits = geometry.offset_bits
         self._set_mask = geometry.n_sets - 1
         self._set_bits = geometry.n_sets.bit_length() - 1
@@ -89,16 +88,6 @@ class FunctionalCache:
         mutations through it are mutations of the cache.
         """
         return self._sets, self._set_mask, self._set_bits, self._offset_bits
-
-    # -- introspection -----------------------------------------------------
-    def resident_blocks(self) -> int:
-        """Total number of blocks currently resident."""
-        return sum(len(s) for s in self._sets.values())
-
-    def set_occupancy(self, set_idx: int) -> int:
-        """Number of resident ways in one set."""
-        s = self._sets.get(set_idx)
-        return len(s) if s is not None else 0
 
     def warm_lookup_array(self, addresses: np.ndarray) -> None:
         """The state an LRU replay of *addresses* leaves, without replaying.

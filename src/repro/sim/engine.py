@@ -657,10 +657,12 @@ class HierarchySimulator:
         previous quantum saved (multicore windows; avoids a full pipeline
         drain per window).  Returns ``(disp_cycle, disp_count, ret_cycle,
         ret_count, last_mem_complete, last_compute_complete, lsq,
-        recent_retires)``: *lsq* is the completion-time heap of in-flight
-        memory ops, *recent_retires* the retire times of the last ``rob``
-        instructions, and the two ``last_*_complete`` clocks serialize
-        dependent loads and compute ILP chains.
+        retired)``: *lsq* is the completion-time heap of in-flight memory
+        ops, *retired* the retire cycles of up to the last ``rob``
+        instructions (the ROB window; the core-only and fast loops pad it
+        in front and append this run's retire cycles to it), and the two
+        ``last_*_complete`` clocks serialize dependent loads and compute
+        ILP chains.
         """
         check_int("start_cycle", start_cycle, minimum=0)
         pipe = self._pipe
@@ -863,15 +865,19 @@ class HierarchySimulator:
         timing decision, record value and component statistic matches the
         reference loop bit for bit.  The speed comes from:
 
+        * the bookkeeping of :meth:`_run_impl_perfect`: one kind code per
+          instruction (bit 0 memory op, bit 1 dependent), a memory-only
+          address list, and the padded ``retired`` list as both the ROB
+          window and the retire record;
         * the L1 port grant, lazy-fill check and LRU probe inlined into the
           loop body — an L1 hit costs a handful of dict/list operations
           instead of a 20-argument method call;
-        * per-access reads served from plain Python lists (``tolist`` once
-          per run) instead of numpy scalar indexing;
-        * record columns built as append-lists and materialized into arrays
-          once, after the loop;
-        * port/MSHR/bank counters accumulated in locals and folded into the
-          scheduler objects at the end of the run.
+        * only the record columns that carry information written in the
+          loop: completions, the L1 hit-end and miss-start columns and the
+          port counters follow from dispatch, the port grant and the miss
+          end after it;
+        * MSHR/bank counters accumulated in locals and folded into the
+          component objects at the end of the run.
 
         The miss walk is inlined too — the in-order L1 MSHR present/complete,
         the L2 bank grant and the L2 LRU probe all run in the loop body.
@@ -891,12 +897,11 @@ class HierarchySimulator:
         cfg = self.config
         n = trace.n_instructions
         check_int("n_instructions", n, minimum=0)
-
-        is_mem_l = trace.is_mem.tolist()
-        address_l = trace.address.tolist()
-        depends = trace.depends
-        depends_l = depends.tolist() if depends is not None else None
-        has_dep = depends_l is not None
+        # One code per instruction: bit 0 memory op, bit 1 dependent.
+        kinds = trace.is_mem.astype(np.int8)
+        if trace.depends is not None:
+            kinds += 2 * trace.depends.astype(np.int8)
+        mem_address_l = trace.memory_addresses.tolist()
 
         issue_w = cfg.core.issue_width
         rob = cfg.core.rob_size
@@ -905,19 +910,16 @@ class HierarchySimulator:
         stop = math.inf if stop_cycle is None else stop_cycle
 
         dispatch_l: list[int] = []
-        complete_l: list[int] = []
-        retire_l: list[int] = []
 
         # L1 record columns, preallocated with their miss-free defaults: a
-        # hit (the common case) only writes the three columns that differ.
+        # hit (the common case) only writes its port grant cycle.  The
+        # hit-end, miss-start and completion columns are derived after the
+        # loop.
         n_mem_total = trace.n_mem
         l1_hs = [0] * n_mem_total
-        l1_he = [0] * n_mem_total
-        l1_ms = [0] * n_mem_total
         l1_me = [0] * n_mem_total
         l1_miss = [False] * n_mem_total
         l1_sec = [False] * n_mem_total
-        l1_complete = [0] * n_mem_total
         l2_index = [-1] * n_mem_total
 
         l2_hs: list[int] = []
@@ -933,8 +935,14 @@ class HierarchySimulator:
         self._l2_l3_index = []
 
         (disp_cycle, disp_count, ret_cycle, ret_count, last_mem_complete,
-         last_compute_complete, lsq, recent_retires) = self._pipe_start(
+         last_compute_complete, lsq, retired) = self._pipe_start(
             start_cycle, resume, rob)
+        # `retired` is the ROB window and the retire record at once, padded
+        # in front with cycles that never bind so `retired[-rob]` needs no
+        # length check; this run's retire cycles are its tail from `first`.
+        pad = max(rob - len(retired), 0)
+        retired = [-1] * pad + retired
+        first = len(retired)
 
         # Hot-loop bindings: everything the L1-hit path touches, resolved
         # once.  The LRU set dict is shared engine/cache state, so fills
@@ -999,9 +1007,6 @@ class HierarchySimulator:
         last_mem_req = self._last_mem_req
         dram_access = self.dram.access
 
-        port_grants = 0
-        port_wait = 0
-
         # Prefetcher and stream detector.  Their training tables stay in
         # the shared StridePrefetcher/StreamDetector objects.  A plain
         # config pays two local tests per L1 hit for them: `extras` and
@@ -1032,20 +1037,14 @@ class HierarchySimulator:
         demand = False  # ... and the first is its own primary miss
 
         mem_i = 0  # memory-access row index
-        executed = n
-        for i in range(n):
+        for kind in kinds.tolist():
             # --- dispatch: bandwidth + ROB + (for memory) window slots ----
-            d = disp_cycle
-            if disp_count >= issue_w:
-                d += 1
-            if len(recent_retires) >= rob:
-                rr = recent_retires[-rob]
-                if rr > d:
-                    d = rr
-            mem_op = is_mem_l[i]
-            popped = None
-            if mem_op:
-                if has_dep and depends_l[i] and last_mem_complete > d:
+            d = disp_cycle + 1 if disp_count >= issue_w else disp_cycle
+            rr = retired[-rob]
+            if rr > d:
+                d = rr
+            if kind & 1:
+                if kind == 3 and last_mem_complete > d:
                     d = last_mem_complete
                 while lsq and lsq[0] <= d:
                     heappop(lsq)
@@ -1053,23 +1052,14 @@ class HierarchySimulator:
                     popped = heappop(lsq)
                     if popped > d:
                         d = popped
-            elif has_dep and depends_l[i] and last_compute_complete > d:
-                d = last_compute_complete
-            if d >= stop:
-                if popped is not None:
-                    heappush(lsq, popped)
-                executed = i
-                break
-            if d > disp_cycle:
-                disp_cycle = d
-                disp_count = 1
-            else:
-                disp_count += 1
-            dispatch_l.append(d)
+                    if d >= stop:
+                        heappush(lsq, popped)
+                        break
+                elif d >= stop:
+                    break
 
-            # --- execute -------------------------------------------------
-            if mem_op:
-                addr = address_l[i]
+                # --- execute -----------------------------------------------
+                addr = mem_address_l[mem_i]
                 # L1 port grant, inline (PortScheduler.acquire).
                 free = port_heap[0]
                 t_port = d if d >= free else free
@@ -1077,8 +1067,6 @@ class HierarchySimulator:
                     port_heap[0] = t_port + port_occ
                 else:
                     heapreplace(port_heap, t_port + port_occ)
-                port_grants += 1
-                port_wait += t_port - d
                 # Lazy fills due before the probe, inline (the fill
                 # queue's apply_until + FunctionalCache.insert for LRU).
                 while fills_heap and fills_heap[0][0] <= t_port:
@@ -1100,12 +1088,10 @@ class HierarchySimulator:
                 tag = block >> set_bits
                 s = l1_sets.get(block & set_mask)
                 hit_end = t_port + h1
+                l1_hs[mem_i] = t_port
                 if s is not None and tag in s:
                     del s[tag]  # LRU promotion: reinsert at the tail
                     s[tag] = None
-                    l1_hs[mem_i] = t_port
-                    l1_he[mem_i] = hit_end
-                    l1_complete[mem_i] = hit_end
                     c = hit_end
                     if extras:
                         if has_bypass:
@@ -1116,8 +1102,6 @@ class HierarchySimulator:
                                 pf_inflight.pop(block, None)
                             walk = True
                 else:
-                    l1_hs[mem_i] = t_port
-                    l1_he[mem_i] = hit_end
                     l1_miss[mem_i] = True
                     pending = None
                     if extras:
@@ -1138,9 +1122,7 @@ class HierarchySimulator:
                         pf_late += 1
                         c = pending if pending > hit_end else hit_end
                         l1_sec[mem_i] = True
-                        l1_ms[mem_i] = hit_end
                         l1_me[mem_i] = c
-                        l1_complete[mem_i] = c
                         walk = True
                     else:
                         # L1 MSHR present, inline (in-order MSHRFile.present):
@@ -1159,9 +1141,7 @@ class HierarchySimulator:
                             l1m_secondary += 1
                             c = fill if fill > hit_end else hit_end
                             l1_sec[mem_i] = True
-                            l1_ms[mem_i] = hit_end
                             l1_me[mem_i] = c
-                            l1_complete[mem_i] = c
                         else:
                             grant = arr
                             if len(l1_out) >= l1_cap:
@@ -1343,10 +1323,8 @@ class HierarchySimulator:
                             occ = len(l1_out)
                             if occ > l1m_peak:
                                 l1m_peak = occ
-                            l1_ms[mem_i] = hit_end
                             c = data_at_l1 if data_at_l1 > hit_end else hit_end
                             l1_me[mem_i] = c
-                            l1_complete[mem_i] = c
                         else:
                             # Prefetch fill: into the L1 fill queue, never
                             # bypassed.
@@ -1359,33 +1337,34 @@ class HierarchySimulator:
                 last_mem_complete = c
                 mem_i += 1
             else:
+                if kind == 2 and last_compute_complete > d:
+                    d = last_compute_complete
+                if d >= stop:
+                    break
                 c = d + 1
                 last_compute_complete = c
-            complete_l.append(c)
-
-            # --- in-order retire with bandwidth ---------------------------
-            r = c
-            if recent_retires and recent_retires[-1] > r:
-                r = recent_retires[-1]
-            if r > ret_cycle:
-                ret_cycle = r
+            if d > disp_cycle:
+                disp_cycle = d
+                disp_count = 1
+            else:
+                disp_count += 1
+            dispatch_l.append(d)
+            # In-order retire with bandwidth.  `ret_cycle` never trails the
+            # previous retire, so clamping to it is the reference's clamp
+            # to the last retire followed by its bandwidth check.
+            if c > ret_cycle:
+                ret_cycle = c
+                ret_count = 1
+            elif ret_count >= issue_w:
+                ret_cycle += 1
                 ret_count = 1
             else:
-                r = ret_cycle
-                if ret_count >= issue_w:
-                    r += 1
-                    ret_cycle = r
-                    ret_count = 1
-                else:
-                    ret_count += 1
-            retire_l.append(r)
-            recent_retires.append(r)
+                ret_count += 1
+            retired.append(ret_cycle)
 
         # Fold the locally accumulated counters back into the shared
         # scheduler objects so component statistics (and any direct
         # inspection of them) match the reference loop exactly.
-        self.l1_ports.grants += port_grants
-        self.l1_ports.total_wait += port_wait
         l1m._now = l1_now
         l1m.primary_misses += l1m_primary
         l1m.secondary_misses += l1m_secondary
@@ -1409,23 +1388,37 @@ class HierarchySimulator:
             if not has_l3:
                 self._last_mem_req = last_mem_req
 
+        executed = len(dispatch_l)
         self._pipe_save(
             disp_cycle, disp_count, ret_cycle, ret_count, last_mem_complete,
-            last_compute_complete, lsq, recent_retires, rob,
+            last_compute_complete, lsq, retired[pad:], rob,
         )
 
-        if executed < n:
-            # Quantum bound hit: drop the preallocated rows never reached.
-            l1_hs, l1_he = l1_hs[:mem_i], l1_he[:mem_i]
-            l1_ms, l1_me = l1_ms[:mem_i], l1_me[:mem_i]
-            l1_miss, l1_sec = l1_miss[:mem_i], l1_sec[:mem_i]
-            l1_complete, l2_index = l1_complete[:mem_i], l2_index[:mem_i]
+        # The columns the loop leaves out follow from the ones it writes:
+        # an access's hit window ends l1_hit_time after its port grant, a
+        # miss window opens there, and the access completes there or at
+        # the end of its miss.  A compute op completes one cycle after
+        # dispatch.  (The slices drop the rows a quantum bound never
+        # reached.)
+        dispatch = np.array(dispatch_l, dtype=np.int64)
+        is_mem = trace.is_mem[:executed]
+        l1_hs = np.array(l1_hs, dtype=np.int64)[:mem_i]
+        l1_he = l1_hs + h1
+        l1_miss = np.array(l1_miss, dtype=bool)[:mem_i]
+        l1_ms = np.where(l1_miss, l1_he, 0)
+        l1_me = np.array(l1_me, dtype=np.int64)[:mem_i]
+        l1_complete = np.where(l1_miss, l1_me, l1_he)
+        l1_sec, l2_index = l1_sec[:mem_i], l2_index[:mem_i]
+        complete = dispatch + 1
+        complete[is_mem] = l1_complete
+        self.l1_ports.grants += mem_i
+        self.l1_ports.total_wait += int(l1_hs.sum() - dispatch[is_mem].sum())
         return build_simulation_result(
             config=cfg,
             trace_name=trace.name,
             executed=executed,
-            dispatch=dispatch_l, complete=complete_l, retire=retire_l,
-            is_mem=trace.is_mem[:executed],
+            dispatch=dispatch, complete=complete, retire=retired[first:],
+            is_mem=is_mem,
             l1_hit_start=l1_hs, l1_hit_end=l1_he,
             l1_miss_start=l1_ms, l1_miss_end=l1_me,
             l1_is_miss=l1_miss, l1_is_secondary=l1_sec,

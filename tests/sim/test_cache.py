@@ -77,7 +77,8 @@ class TestBasicOperation:
         c.insert(addr(0, 0))
         c.insert(addr(0, 1))
         c.insert(addr(0, 0))
-        assert c.resident_blocks() == 2
+        sets = c.lru_hot_state()[0]
+        assert sum(len(ways) for ways in sets.values()) == 2
         c.insert(addr(0, 2))  # the refresh made addr(0, 1) the oldest
         assert c.contains(addr(0, 0)) and not c.contains(addr(0, 1))
 
@@ -141,8 +142,8 @@ class TestReplacementPolicies:
             line = int(a) * 64
             if not c.lookup(line):
                 c.insert(line)
-        for s in range(2):
-            assert c.set_occupancy(s) <= 4
+        sets = c.lru_hot_state()[0]
+        assert all(len(ways) <= 4 for ways in sets.values())
 
     def test_working_set_within_capacity_has_no_capacity_misses(self):
         c = small_cache(assoc=4, sets=2)

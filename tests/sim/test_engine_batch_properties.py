@@ -3,10 +3,11 @@
 A lane's result must depend only on that lane's config, the trace and the
 seed — never on which other lanes share the kernel call.  Hypothesis
 hammers that contract with random small traces and random knob draws:
-a batch of one equals the scalar fast path, permuting the config axis
-permutes the results, re-batching any slice leaves each lane untouched,
-and ineligible configs mixed into a kernel measurement batch fall back
-per-lane without perturbing the eligible lanes.
+a batch of one equals the scalar fast path, every lane of a mixed-ROB
+batch equals its own scalar run, permuting the config axis permutes the
+results, re-batching any slice leaves each lane untouched, and ineligible
+configs mixed into a kernel measurement batch fall back per-lane without
+perturbing the eligible lanes.
 """
 
 import dataclasses
@@ -55,6 +56,24 @@ def random_batch(draw, min_size=1, max_size=4):
     return [draw(random_machine(name=f"lane{i}")) for i in range(k)]
 
 
+@st.composite
+def mixed_rob_case(draw):
+    """A trace and a batch with at least two ROB sizes drawn around its
+    length: sizes longer than the trace, whose skewed clamp rows are never
+    written, and batches whose smallest ROB outlasts the whole trace."""
+    trace = draw(random_trace())
+    n = trace.n_instructions
+    robs = draw(
+        st.lists(st.integers(min_value=1, max_value=2 * n + 2), min_size=2,
+                 max_size=5).filter(lambda robs: len(set(robs)) >= 2)
+    )
+    configs = [
+        draw(random_machine(name=f"lane{i}")).with_knobs(rob_size=rob)
+        for i, rob in enumerate(robs)
+    ]
+    return trace, configs
+
+
 def _assert_same(res_got, res_want, *, lane: str) -> None:
     for rec_name in ("accesses", "instructions"):
         got = getattr(res_got, rec_name)
@@ -75,6 +94,21 @@ class TestBatchConfigAxis:
         res_batch = BatchHierarchySimulator([machine], seed=0).run(trace)[0]
         res_fast = HierarchySimulator(machine, seed=0, engine="auto").run(trace)
         _assert_same(res_batch, res_fast, lane="batch-of-1")
+
+    @given(mixed_rob_case(), st.booleans(), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_mixed_rob_lanes_equal_their_scalar_runs(self, case, warm, perfect):
+        trace, configs = case
+        batch = BatchHierarchySimulator(configs, seed=0)
+        if warm:
+            batch.warm_caches(trace)
+        got = batch.run(trace, perfect=perfect)
+        for i, config in enumerate(configs):
+            sim = HierarchySimulator(config, seed=0)
+            if warm:
+                sim.warm_caches(trace)
+            want = sim.run(trace, perfect=perfect)
+            _assert_same(got[i], want, lane=f"rob {config.core.rob_size} lane {i}")
 
     @given(random_trace(), random_batch(min_size=2), st.randoms())
     @settings(max_examples=25, deadline=None)
