@@ -47,7 +47,7 @@ BATCH_FLOOR = 4.0
 SURROGATE_FLOOR = 3.073
 #: Minimum configurations per engine escalation in the multi-fidelity sweep.
 MIN_SIM_REDUCTION = 20.0
-#: Minimum total seconds each side of a gate is timed for (see _speedup).
+#: Minimum total seconds each side of a gate is timed for (see _alternate).
 MIN_SIDE_SECONDS = 1.5
 
 #: Access-record fields every identity check compares.
@@ -58,9 +58,8 @@ IDENTITY_FIELDS = (
 )
 
 
-def _speedup(rounds, baseline, candidate):
-    """(baseline / candidate ratio of the fastest rounds, their results,
-    the two fastest rounds in seconds).
+def _alternate(rounds, baseline, candidate):
+    """(each side's fastest round in seconds, each side's result), keyed by side.
 
     The two sides alternate, round by round, so a burst of host load lands
     on both sides alike instead of on one side's block of rounds.  They
@@ -80,10 +79,14 @@ def _speedup(rounds, baseline, candidate):
             best[fn] = min(best[fn], elapsed)
             total[fn] += elapsed
         done += 1
-    return (
-        best[baseline] / best[candidate], results[baseline], results[candidate],
-        (best[baseline], best[candidate]),
-    )
+    return best, results
+
+
+def _speedup(rounds, baseline, candidate):
+    """(baseline / candidate ratio of the fastest rounds, their results);
+    see :func:`_alternate`."""
+    best, results = _alternate(rounds, baseline, candidate)
+    return best[baseline] / best[candidate], results[baseline], results[candidate]
 
 
 def _same_accesses(a, b) -> bool:
@@ -132,14 +135,14 @@ def _fast_over_reference(config):
 
 
 def test_fast_engine_over_reference(capsys):
-    speedup, ref, fast, _ = _fast_over_reference(DEFAULT_MACHINE)
+    speedup, ref, fast = _fast_over_reference(DEFAULT_MACHINE)
     _report(capsys, f"fast/reference: {speedup:.3f}x (floor {ENGINE_FLOOR}x)")
     assert _same_accesses(fast, ref)
     assert speedup >= ENGINE_FLOOR
 
 
 def test_prefetch_fast_over_reference(capsys):
-    speedup, ref, fast, _ = _fast_over_reference(DEFAULT_MACHINE.with_(
+    speedup, ref, fast = _fast_over_reference(DEFAULT_MACHINE.with_(
         prefetch=PrefetchConfig(degree=4, distance=2), name="default+prefetch"))
     _report(capsys, f"prefetch fast/reference: {speedup:.3f}x (floor {PREFETCH_FLOOR}x)")
     assert _same_accesses(fast, ref)
@@ -167,10 +170,11 @@ def test_batch_kernel_over_scalar(capsys):
         sim.warm_caches(trace)
         return sim.run(trace)
 
-    speedup, scalar_results, batch_results, (scalar_s, batch_s) = _speedup(
-        3, scalar, batch)
+    best, results = _alternate(3, scalar, batch)
+    speedup = best[scalar] / best[batch]
+    scalar_results, batch_results = results[scalar], results[batch]
     _report(capsys, f"batch/scalar: {speedup:.3f}x over {len(configs)} configs "
-                    f"(scalar {scalar_s:.3f} s, batch {batch_s:.3f} s; "
+                    f"(scalar {best[scalar]:.3f} s, batch {best[batch]:.3f} s; "
                     f"floor {BATCH_FLOOR}x)")
     assert len(batch_results) == len(configs)
     assert all(_same_accesses(s, b) for s, b in zip(scalar_results, batch_results))
@@ -179,7 +183,7 @@ def test_batch_kernel_over_scalar(capsys):
 
 def test_multi_fidelity_over_engine_only(capsys):
     trace, configs = _gate_workload()
-    speedup, engine, multi, _ = _speedup(
+    speedup, engine, multi = _speedup(
         3,
         lambda: sweep_configs(configs, trace, seed=0),
         lambda: sweep_configs(configs, trace, seed=0, fidelity="multi",

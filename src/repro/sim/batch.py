@@ -64,9 +64,8 @@ The vectorized L1 pieces have exact scalar equivalents:
   (with two ports, a sorted pair);
 * the LSQ drain/pop == lazy staleness (an entry <= d can never influence a
   later decision because dispatch cycles are monotone per lane), with a
-  scalar upper-bound screen and a per-access bound from the trace (the
-  memory ops within one ROB of it), so the full-window check costs
-  nothing while the window is slack.
+  scalar upper-bound screen, so the full-window check costs nothing while
+  the window is slack.
 
 Eligibility is no prefetcher and no bypass detector, which only the
 scalar loops model (the single-core L1 MSHR file is in-order by
@@ -428,8 +427,7 @@ class BatchHierarchySimulator:
 
         # Memory op positions, and the memory ops before each instruction.
         mem_at = np.flatnonzero(trace.is_mem)
-        mem_before = np.r_[0, np.cumsum(trace.is_mem)]
-        mem_before_l = mem_before.tolist()
+        mem_before_l = np.r_[0, np.cumsum(trace.is_mem)].tolist()
 
         def _flush_retire(i0: int, i1: int) -> None:
             cb = complete_a[i0:i1]
@@ -570,27 +568,10 @@ class BatchHierarchySimulator:
         # instruction.
         wret_rows = list(wret_a)
 
-        # A window check can find a full lane only when ``lsq_ub`` has
-        # reached ``min_iw`` and the trace itself allows it: the ROB clamp
-        # puts every memory op at least rob instructions back at or before
-        # the dispatch cycle, so a lane's live entries are at most the
-        # memory ops among the previous ``rob - 1`` instructions.
-        # ``check_l[k]`` marks the memory ops where that count reaches some
-        # ROB group's smallest IW size, and ``next_check_l[k]`` is the
-        # first such op at or after k.
-        check = np.zeros(n_mem_total, dtype=bool)
-        for g0, g1, rob in rob_groups:
-            recent = np.arange(n_mem_total) - mem_before[np.maximum(mem_at - rob + 1, 0)]
-            check |= recent >= int(iw_arr[g0:g1].min())
-        check_l = check.tolist()
-        next_check = np.where(check, np.arange(n_mem_total), n_mem_total)
-        next_check_l = np.minimum.accumulate(next_check[::-1])[::-1].tolist()
-        next_check_l += [n_mem_total] * (min_iw + 1)
-
         # Ops that only the bandwidth step and the ROB clamp act on step as
         # one block: independent compute ops, and independent memory ops
         # that no window check would stop (``lsq_ub`` plus the block's
-        # memory ops stays under ``min_iw``, or ``check_l`` is clear).
+        # memory ops stays under ``min_iw``).
         # Between two such ops ``p_d(i) = max(p_d(i-1) + 1, R(i))`` with
         # ``R(i)`` the skewed clamp row, which unrolls to a running maximum
         # of ``R(k) - k`` just as retire does.  A block stops at the next
@@ -607,7 +588,7 @@ class BatchHierarchySimulator:
             prev_comp_l = np.r_[-1, np.maximum.accumulate(comp_at)[:-1]].tolist()
         else:
             run_end_l = [n] * n
-        mem_at_l = mem_at.tolist() + [n]
+        mem_at_l = mem_at.tolist() + [n] * (min_iw + 1)
         skip_to = 0
         run_rows = np.empty((min(B, n) if n else 1, L), dtype=i64)
 
@@ -628,7 +609,7 @@ class BatchHierarchySimulator:
                 if end > flush_at:
                     end = flush_at
                 room = min_iw - lsq_ub if lsq_ub < min_iw else 0
-                slack = mem_at_l[next_check_l[mem_i + room]]
+                slack = mem_at_l[mem_i + room]
                 if end > slack:
                     end = slack
                 if end - i >= 2:
@@ -660,7 +641,7 @@ class BatchHierarchySimulator:
                     np_fdiv(p_d, w_arr, out=d)
                     if not mem_op:
                         continue
-                    if lsq_ub >= min_iw and check_l[mem_i]:
+                    if lsq_ub >= min_iw:
                         # Exact window check: count live entries, pop the
                         # earliest completion for full lanes (it is > d
                         # after the logical drain, so d simply becomes it
