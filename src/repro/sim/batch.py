@@ -44,16 +44,14 @@ recurrence unrolls to a running maximum over a block (see
 :meth:`BatchHierarchySimulator._run_kernel`), and so does dispatch over a
 run of instructions that no dependence or full window can stall.
 
-Only the dominant L1-hit path is vectorized.  The rare L1-miss walk drops
-to per-lane scalar code that *inlines* the reference component semantics
-the same way the scalar fast path does — in-order MSHR files as
-dict + release-heap, L2 banks as a free-time list, L2 LRU as the cache's
-own set dicts (``lru_hot_state``), DRAM via each lane's real
-:class:`~repro.sim.dram.DRAMModel` — so everything below the L1 costs
-plain dict/heap operations and the local clocks/counters are folded back
-into the lane's component objects after the pass (exactly the fast path's
-fold).  Lanes with an out-of-order L2 MSHR file or an L3 route through the
-lane simulator's own ``_l2_miss_walk`` / ``_access_l3`` methods.
+Only the dominant L1-hit path is vectorized.  Each lane sends its rare L1
+misses to its own walk below the L1: the lane simulator's
+:meth:`~repro.sim.engine.HierarchySimulator._below_l1` coroutine, the
+same code the scalar fast loop sends its misses to.  It runs the lane's
+in-order L1 and L2 MSHR files, L2 banks and LRU sets, optional L3 and
+DRAM, and folds its local clocks and counters back into the lane's
+component objects when the kernel closes it after the pass.  The kernel
+keeps only the L1 record writes and the push into the lane's fill heap.
 
 The vectorized L1 pieces have exact scalar equivalents:
 
@@ -127,9 +125,9 @@ class BatchHierarchySimulator:
         self.n_lanes = L = len(configs)
         #: Per-lane delegates.  Everything below the L1 — the MSHR files,
         #: L2 banks/LRU/fill queue, optional L3, DRAM — lives in *these*
-        #: objects; the kernel's inlined miss walk mutates their dicts and
-        #: heaps in place and folds local clocks/counters back after each
-        #: run, so the post-run object state matches the reference loop.
+        #: objects, and each run walks it through their ``_below_l1``
+        #: coroutines, so the post-run object state matches the reference
+        #: loop.
         self.lane_sims = [
             HierarchySimulator(c, seed=seed, engine="reference") for c in configs
         ]
@@ -235,18 +233,14 @@ class BatchHierarchySimulator:
                 c2 = FunctionalCache(cfg.l2)
                 c2.warm_lookup_array(addresses)
                 scratch_l2[cfg.l2] = c2
-            sim.l2_cache._sets.update(
-                {k: dict(v) for k, v in c2._sets.items()}
-            )
+            sim.l2_cache.copy_from(c2)
             if sim.l3_cache is not None:
                 c3 = scratch_l3.get(cfg.l3)
                 if c3 is None:
                     c3 = FunctionalCache(cfg.l3)
                     c3.warm_lookup_array(addresses)
                     scratch_l3[cfg.l3] = c3
-                sim.l3_cache._sets.update(
-                    {k: dict(v) for k, v in c3._sets.items()}
-                )
+                sim.l3_cache.copy_from(c3)
         self._touched = True
 
     def _load_l1_lane(self, lane: int, cache: FunctionalCache) -> None:
@@ -484,64 +478,23 @@ class BatchHierarchySimulator:
         off0 = self._off_i[0]
         sbits0 = self._sbits_i[0]
         smask0 = self._smask_i[0]
-        off_i = self._off_i
         off_arr = self._off
         sbits_arr = self._sbits
         smask_arr = self._smask
         fills = self._fills
         fills_pending = sum(len(h) for h in fills)
         heappush = heapq.heappush
-        heappop = heapq.heappop
         drain = self._drain_lane_fills
 
-        # Per-lane miss-walk bindings: the lane objects' own dicts, heaps
-        # and free-time lists (mutated in place), plus local clocks and
-        # counters folded back after the loop — the fast path's layout,
-        # one list entry per lane.
-        l1outl = [s.l1_mshrs._outstanding for s in lane_sims]
-        l1rell = [s.l1_mshrs._releases for s in lane_sims]
-        l1nowl = [s.l1_mshrs._now for s in lane_sims]
-        l1capl = [s.l1_mshrs.capacity for s in lane_sims]
-        l1mprim = [0] * L
-        l1msec = [0] * L
-        l1mstall = [0] * L
-        l1mpeak = [s.l1_mshrs.peak_occupancy for s in lane_sims]
-        l1tol2 = [c.l1_to_l2_delay for c in lanes]
-        h2l = [c.l2_hit_time for c in lanes]
-        l2occl = [
-            1 if c.l2_pipelined else c.l2_hit_time for c in lanes
-        ]
-        l2freel = [s.l2_banks._free_times for s in lane_sims]
-        l2bmaskl = [s.l2_banks._mask for s in lane_sims]
-        l2grants = [0] * L
-        l2wait = [0] * L
-        l2setsl, l2smaskl, l2sbitsl, l2offl = [], [], [], []
-        for s in lane_sims:
-            sets2, smask2, sbits2, off2 = s.l2_cache.lru_hot_state()
-            l2setsl.append(sets2)
-            l2smaskl.append(smask2)
-            l2sbitsl.append(sbits2)
-            l2offl.append(off2)
-        l2assocl = [c.l2.associativity for c in lanes]
-        l2fheapl = [s._l2_fills._heap for s in lane_sims]
-        l2outl = [s.l2_mshrs._outstanding for s in lane_sims]
-        l2rell = [s.l2_mshrs._releases for s in lane_sims]
-        l2nowl = [s.l2_mshrs._now for s in lane_sims]
-        l2capl = [s.l2_mshrs.capacity for s in lane_sims]
-        l2inl = [s.l2_mshrs.in_order for s in lane_sims]
-        l2mprim = [0] * L
-        l2msec = [0] * L
-        l2mstall = [0] * L
-        l2mpeakl = [s.l2_mshrs.peak_occupancy for s in lane_sims]
-        hasl3 = [s.l3_cache is not None for s in lane_sims]
-        accl3 = [s._access_l3 for s in lane_sims]
-        l2tol3 = [c.l2_to_l3_delay for c in lanes]
-        l2tomem = [c.l2_to_mem_delay for c in lanes]
-        lastl2 = [s._last_l2_req for s in lane_sims]
-        lastmem = [s._last_mem_req for s in lane_sims]
-        draml = [s.dram.access for s in lane_sims]
-        walkl = [s._l2_miss_walk for s in lane_sims]
-        l2l3app = [s._l2_l3_index.append for s in lane_sims]
+        # Each lane sends its L1 misses to its own walk below the L1 (the
+        # scalar fast loop's coroutine), which folds its clocks and
+        # counters back into the lane's component objects on close().
+        if not perfect:
+            walks = [sim._below_l1(rec) for sim, rec in zip(lane_sims, l2_rec)]
+            for walk in walks:
+                next(walk)
+            sends = [walk.send for walk in walks]
+            l2_rows = [rec[0] for rec in l2_rec]
 
         # Scratch buffers (allocation-free hot loop) + local ufunc binds
         # (a dozen global+attribute lookups per instruction add up).
@@ -555,7 +508,6 @@ class BatchHierarchySimulator:
         np_not = np.logical_not
         tmp = np.empty(L, dtype=i64)
         b2 = np.empty(L, dtype=bool)
-        b_arg = np.empty(L, dtype=bool)
         bhit = np.empty(L, dtype=bool)
         bdue = np.empty(L, dtype=bool)
         eqbuf = np.empty((L, self._max_ways), dtype=bool)
@@ -737,183 +689,19 @@ class BatchHierarchySimulator:
                     prim_rows: "list[int]" = []
                     prim_nf: "list[int]" = []
                     for lm in midx.tolist():
-                        he = hl[lm]
-                        block = addr >> off_i[lm]
-                        # L1 MSHR present, inline (in-order file):
-                        # clamp to the never-rewinding clock, expire
-                        # returned fills, coalesce or allocate.
-                        out1 = l1outl[lm]
-                        rel1 = l1rell[lm]
-                        arr = he if he >= l1nowl[lm] else l1nowl[lm]
-                        while rel1 and rel1[0][0] <= arr:
-                            rb = heappop(rel1)[1]
-                            f = out1.get(rb)
-                            if f is not None and f <= arr:
-                                del out1[rb]
-                        fill = out1.get(block)
-                        if fill is not None and fill > arr:
-                            # Secondary miss: ride the pending fill.
-                            l1msec[lm] += 1
-                            done = fill if fill > he else he
+                        # The data comes back after the hit window closes,
+                        # so it is the access's completion either way.
+                        data = sends[lm]((True, addr, hl[lm]))
+                        if data < 0:
+                            data = -data
                             sec_l.append(lm)
                         else:
-                            grant = arr
-                            if len(out1) >= l1capl[lm]:
-                                e1 = rel1[0][0]
-                                if e1 > grant:
-                                    grant = e1
-                                while rel1 and rel1[0][0] <= grant:
-                                    rb = heappop(rel1)[1]
-                                    f = out1.get(rb)
-                                    if f is not None and f <= grant:
-                                        del out1[rb]
-                            l1nowl[lm] = grant
-                            l1mprim[lm] += 1
-                            l1mstall[lm] += grant - arr
-                            # L2 request (in-order miss queue: clamp).
-                            t_l2 = grant + l1tol2[lm]
-                            if t_l2 < lastl2[lm]:
-                                t_l2 = lastl2[lm]
-                            lastl2[lm] = t_l2
-                            # L2 bank grant, inline.
-                            l2free = l2freel[lm]
-                            bank = block & l2bmaskl[lm]
-                            bfree = l2free[bank]
-                            t_bank = t_l2 if t_l2 >= bfree else bfree
-                            l2free[bank] = t_bank + l2occl[lm]
-                            l2grants[lm] += 1
-                            l2wait[lm] += t_bank - t_l2
-                            # Due L2 fills, inline LRU insert.
-                            l2fh = l2fheapl[lm]
-                            l2sets = l2setsl[lm]
-                            l2sb = l2sbitsl[lm]
-                            l2sm = l2smaskl[lm]
-                            l2ob = l2offl[lm]
-                            while l2fh and l2fh[0][0] <= t_l2:
-                                fb = heappop(l2fh)[1] >> l2ob
-                                ft = fb >> l2sb
-                                fi = fb & l2sm
-                                fs = l2sets.get(fi)
-                                if fs is None:
-                                    l2sets[fi] = {ft: None}
-                                elif ft in fs:
-                                    del fs[ft]
-                                    fs[ft] = None
-                                else:
-                                    if len(fs) >= l2assocl[lm]:
-                                        del fs[next(iter(fs))]
-                                    fs[ft] = None
-                            # L2 LRU probe, inline.
-                            (rl2hs, rl2he, rl2ms, rl2me, rl2miss,
-                             rl2sec, rmemi, rmems, rmeme) = l2_rec[lm]
-                            l2b = addr >> l2ob
-                            l2t = l2b >> l2sb
-                            s2 = l2sets.get(l2b & l2sm)
-                            l2_row = len(rl2hs)
-                            l2he_t = t_bank + h2l[lm]
-                            rl2hs.append(t_bank)
-                            rl2he.append(l2he_t)
-                            if s2 is not None and l2t in s2:
-                                del s2[l2t]
-                                s2[l2t] = None
-                                rl2ms.append(0)
-                                rl2me.append(0)
-                                rl2miss.append(False)
-                                rl2sec.append(False)
-                                rmemi.append(-1)
-                                l2l3app[lm](-1)
-                                data = l2he_t + l1tol2[lm]
-                            elif not l2inl[lm]:
-                                data = walkl[lm](
-                                    addr, block, l2he_t,
-                                    rl2ms, rl2me, rl2miss, rl2sec,
-                                    rmemi, rmems, rmeme,
-                                ) + l1tol2[lm]
-                            else:
-                                rl2miss.append(True)
-                                # L2 MSHR present, inline (in-order).
-                                out2 = l2outl[lm]
-                                rel2 = l2rell[lm]
-                                arr2 = (
-                                    l2he_t if l2he_t >= l2nowl[lm]
-                                    else l2nowl[lm]
-                                )
-                                while rel2 and rel2[0][0] <= arr2:
-                                    rb2 = heappop(rel2)[1]
-                                    f2 = out2.get(rb2)
-                                    if f2 is not None and f2 <= arr2:
-                                        del out2[rb2]
-                                fill2 = out2.get(block)
-                                if fill2 is not None and fill2 > arr2:
-                                    l2msec[lm] += 1
-                                    rl2sec.append(True)
-                                    rmemi.append(-1)
-                                    l2l3app[lm](-1)
-                                    mem_ready = (
-                                        fill2 if fill2 > l2he_t
-                                        else l2he_t
-                                    )
-                                else:
-                                    grant2 = arr2
-                                    if len(out2) >= l2capl[lm]:
-                                        e2 = rel2[0][0]
-                                        if e2 > grant2:
-                                            grant2 = e2
-                                        while rel2 and rel2[0][0] <= grant2:
-                                            rb2 = heappop(rel2)[1]
-                                            f2 = out2.get(rb2)
-                                            if f2 is not None and f2 <= grant2:
-                                                del out2[rb2]
-                                    l2nowl[lm] = grant2
-                                    l2mprim[lm] += 1
-                                    l2mstall[lm] += grant2 - arr2
-                                    rl2sec.append(False)
-                                    if hasl3[lm]:
-                                        l3_row, mem_ready = accl3[lm](
-                                            addr, block,
-                                            grant2 + l2tol3[lm],
-                                            rmems, rmeme,
-                                        )
-                                        rmemi.append(-1)
-                                        l2l3app[lm](l3_row)
-                                    else:
-                                        t_mem = grant2 + l2tomem[lm]
-                                        if t_mem < lastmem[lm]:
-                                            t_mem = lastmem[lm]
-                                        lastmem[lm] = t_mem
-                                        dres = draml[lm](block, t_mem)
-                                        rmemi.append(len(rmems))
-                                        rmems.append(dres.service_start)
-                                        rmeme.append(dres.service_end)
-                                        mem_ready = (
-                                            dres.data_ready + l2tomem[lm]
-                                        )
-                                        l2l3app[lm](-1)
-                                    heappush(l2fh, (mem_ready, addr))
-                                    out2[block] = mem_ready
-                                    heappush(rel2, (mem_ready, block))
-                                    occ2 = len(out2)
-                                    if occ2 > l2mpeakl[lm]:
-                                        l2mpeakl[lm] = occ2
-                                rl2ms.append(l2he_t)
-                                rl2me.append(
-                                    mem_ready if mem_ready > l2he_t
-                                    else l2he_t
-                                )
-                                data = mem_ready + l1tol2[lm]
                             prim_l.append(lm)
-                            prim_rows.append(l2_row)
-                            # L1 fill + MSHR completion, inline.
+                            prim_rows.append(len(l2_rows[lm]) - 1)
                             fh = fills[lm]
                             heappush(fh, (data, addr))
                             prim_nf.append(fh[0][0])
-                            out1[block] = data
-                            heappush(rel1, (data, block))
-                            occ1 = len(out1)
-                            if occ1 > l1mpeak[lm]:
-                                l1mpeak[lm] = occ1
-                            done = data if data > he else he
-                        dn_l.append(done)
+                        dn_l.append(data)
                     c[midx] = dn_l
                     l1_me[mem_i, midx] = dn_l
                     if sec_l:
@@ -945,53 +733,25 @@ class BatchHierarchySimulator:
             np.add(l1_hs, h1_arr[None, :], out=l1_he)
             np.multiply(l1_he, l1_miss, out=l1_ms)
 
-        # Fold the locally accumulated clocks and counters back into the
-        # shared component objects so per-lane statistics match the
-        # reference loop exactly.  Port wait is derived from the record
-        # arrays (one vectorized pass) instead of being accumulated per
-        # instruction.
+        # Close the walks below the L1, which folds their clocks and
+        # counters into the lanes' component objects, and fold the L1
+        # ports in, so per-lane statistics match the reference loop
+        # exactly.  Port wait is derived from the record arrays (one
+        # vectorized pass) instead of being accumulated per instruction.
         if not perfect:
+            for walk in walks:
+                walk.close()
             pw_all = (l1_hs - dispatch_a[trace.is_mem]).sum(axis=0).tolist()
-        for lane in range(L):
-            sim = lane_sims[lane]
-            if not perfect:
+            for lane, sim in enumerate(lane_sims):
                 sim.l1_ports.grants += n_mem_total
                 sim.l1_ports.total_wait += pw_all[lane]
                 sim.l1_ports._free_times = sorted(
                     int(v) for v in port_free[lane, : self._n_ports[lane]]
                 )
-                l1m = sim.l1_mshrs
-                l1m._now = l1nowl[lane]
-                l1m.primary_misses += l1mprim[lane]
-                l1m.secondary_misses += l1msec[lane]
-                l1m.full_stall_cycles += l1mstall[lane]
-                l1m.peak_occupancy = l1mpeak[lane]
-                l2b = sim.l2_banks
-                l2b.grants += l2grants[lane]
-                l2b.total_wait += l2wait[lane]
-                sim._last_l2_req = lastl2[lane]
-                if l2inl[lane]:
-                    l2m = sim.l2_mshrs
-                    l2m._now = l2nowl[lane]
-                    l2m.primary_misses += l2mprim[lane]
-                    l2m.secondary_misses += l2msec[lane]
-                    l2m.full_stall_cycles += l2mstall[lane]
-                    l2m.peak_occupancy = l2mpeakl[lane]
-                    if not hasl3[lane]:
-                        sim._last_mem_req = lastmem[lane]
 
         results: "list[SimulationResult]" = []
         for lane in range(L):
             sim = lane_sims[lane]
-            stats = {
-                "l1_port_mean_wait": sim.l1_ports.mean_wait,
-                "l2_bank_mean_wait": sim.l2_banks.mean_wait,
-                "l1_mshr_coalescing": sim.l1_mshrs.coalescing_ratio,
-                "l1_mshr_peak": sim.l1_mshrs.peak_occupancy,
-                "l2_mshr_peak": sim.l2_mshrs.peak_occupancy,
-                "dram_row_hit_rate": sim.dram.row_hit_rate,
-                "dram_mean_bank_wait": sim.dram.mean_bank_wait,
-            }
             (r_l2_hs, r_l2_he, r_l2_ms, r_l2_me, r_l2_miss, r_l2_sec,
              r_mem_index, r_mem_s, r_mem_e) = l2_rec[lane]
             results.append(build_simulation_result(
@@ -1014,7 +774,7 @@ class BatchHierarchySimulator:
                 l2_miss_start=r_l2_ms, l2_miss_end=r_l2_me,
                 l2_is_miss=r_l2_miss, l2_is_secondary=r_l2_sec,
                 mem_index=r_mem_index, mem_start=r_mem_s, mem_end=r_mem_e,
-                component_stats=stats,
+                component_stats=sim._component_stats(),
                 l3_index=sim._l2_l3_index if sim.l3_cache is not None else None,
                 l3_records=sim._l3_rec,
             ))

@@ -77,13 +77,18 @@ class FunctionalCache:
             del s[next(iter(s))]  # evict the head (least recently used)
         s[tag] = None
 
+    def copy_from(self, other: "FunctionalCache") -> None:
+        """Replace the contents with a copy of *other*'s (same geometry)."""
+        self._sets.clear()
+        self._sets.update({k: dict(v) for k, v in other._sets.items()})
+
     def lru_hot_state(self) -> "tuple[dict[int, dict[int, None]], int, int, int]":
         """Internal lookup state for the engine's inlined LRU probe.
 
-        Returns ``(sets, set_mask, set_bits, offset_bits)``.  The engine
-        fast path (see
-        :meth:`repro.sim.engine.HierarchySimulator._run_impl_fast`) binds
-        these once per run so the per-access probe is two dict operations
+        Returns ``(sets, set_mask, set_bits, offset_bits)``.  The engine's
+        fast loop (the L1) and its walk below the L1 (the L2; see
+        :meth:`repro.sim.engine.HierarchySimulator._below_l1`) bind these
+        once per run so the per-access probe is two dict operations
         instead of a method call.  The dict is shared state, not a copy —
         mutations through it are mutations of the cache.
         """

@@ -641,8 +641,9 @@ class HierarchySimulator:
     def _use_fast_path(self) -> bool:
         """Whether this run takes the specialized fast issue loop.
 
-        Every config does unless ``engine="reference"``: the fast loop
-        inlines an in-order L1 MSHR file, which :meth:`reset` always builds
+        Every config does unless ``engine="reference"``: the fast loop's
+        walk below the L1 (:meth:`_below_l1`) runs an in-order L1 MSHR
+        file, which :meth:`reset` always builds
         (:class:`repro.sim.multicore.MulticoreSimulator` swaps only the
         shared L2/L3 files).  The equivalence suite
         (``tests/sim/test_engine_equivalence.py``) pins the fast loop to the
@@ -860,10 +861,10 @@ class HierarchySimulator:
     ) -> SimulationResult:
         """Specialized issue loop for the dominant L1-hit path.
 
-        Semantically identical to :meth:`_run_impl` restricted to the
-        eligible configurations (see :meth:`_use_fast_path`); every
-        timing decision, record value and component statistic matches the
-        reference loop bit for bit.  The speed comes from:
+        Semantically identical to :meth:`_run_impl` for every config (see
+        :meth:`_use_fast_path`); every timing decision, record value and
+        component statistic matches the reference loop bit for bit.  The
+        speed comes from:
 
         * the bookkeeping of :meth:`_run_impl_perfect`: one kind code per
           instruction (bit 0 memory op, bit 1 dependent), a memory-only
@@ -875,24 +876,24 @@ class HierarchySimulator:
         * only the record columns that carry information written in the
           loop: completions, the L1 hit-end and miss-start columns and the
           port counters follow from dispatch, the port grant and the miss
-          end after it;
-        * MSHR/bank counters accumulated in locals and folded into the
-          component objects at the end of the run.
+          end after it.
 
-        The miss walk is inlined too — the in-order L1 MSHR present/complete,
-        the L2 bank grant and the L2 LRU probe all run in the loop body.
-        The L2 MSHRs and DRAM are inlined for an in-order L2 MSHR file; an
-        optional L3 goes through :meth:`_access_l3`, and an out-of-order
-        (shared) L2 MSHR file through :meth:`_l2_miss_walk`, exactly the
-        reference walk.
+        Everything below the L1 is the :meth:`_below_l1` coroutine, the
+        same walk the batch kernel's lanes send their misses to.  The loop
+        sends it each L1 miss that no late prefetch covers and the L2
+        request of each prefetch, and keeps only its own L1 record writes
+        and L1 fill pushes.
 
         The stride prefetcher and the stream-bypass detector keep the
         reference loop's order.  The detector trains on every access and
         only a primary miss's L1 fill reads it.  The prefetcher trains on
         hits, late-prefetch hits and primary misses, not on L1-MSHR
-        secondary misses.  Its requests take the same inlined L2 walk as
-        the demand miss that triggers them, after it, so they share its
-        request clamp, L2 banks, L2 MSHRs, L3 and DRAM.
+        secondary misses, and only after a primary miss's own walk.  Its
+        requests then take the same walk, so they share the demand's
+        request clamp, L2 banks, L2 MSHRs, L3 and DRAM.  Walking the miss
+        before the candidate filters run cannot change them: neither the
+        walk nor the demand's fill push touches the L1 contents or the
+        prefetches in flight, which are all the filters read.
         """
         cfg = self.config
         n = trace.n_instructions
@@ -922,17 +923,15 @@ class HierarchySimulator:
         l1_sec = [False] * n_mem_total
         l2_index = [-1] * n_mem_total
 
-        l2_hs: list[int] = []
-        l2_he: list[int] = []
-        l2_ms: list[int] = []
-        l2_me: list[int] = []
-        l2_miss: list[bool] = []
-        l2_sec: list[bool] = []
-        mem_index: list[int] = []
-        mem_s: list[int] = []
-        mem_e: list[int] = []
         self._l3_rec = tuple([] for _ in range(7))
         self._l2_l3_index = []
+        # l2_hs, l2_he, l2_ms, l2_me, l2_miss, l2_sec, mem_index, mem_s,
+        # mem_e: the walk below the L1 appends to them.
+        below_rec = tuple([] for _ in range(9))
+        l2_hs = below_rec[0]
+        below = self._below_l1(below_rec)
+        next(below)
+        below_send = below.send
 
         (disp_cycle, disp_count, ret_cycle, ret_count, last_mem_complete,
          last_compute_complete, lsq, retired) = self._pipe_start(
@@ -957,60 +956,10 @@ class HierarchySimulator:
         heappop = heapq.heappop
         heapreplace = heapq.heapreplace
 
-        # Miss-walk bindings: the in-order L1 MSHR file, the L2 bank
-        # scheduler and the L2 LRU state, all inlined below.  Dict/heap/list
-        # structures are the objects' own (shared, mutated in place); clocks
-        # and counters are locals folded back after the loop.
-        l1m = self.l1_mshrs
-        l1_out = l1m._outstanding
-        l1_rel = l1m._releases
-        l1_now = l1m._now
-        l1_cap = l1m.capacity
-        l1m_primary = 0
-        l1m_secondary = 0
-        l1m_stall = 0
-        l1m_peak = l1m.peak_occupancy
-
-        l1_to_l2 = cfg.l1_to_l2_delay
-        h2 = cfg.l2_hit_time
-        l2_occ = 1 if cfg.l2_pipelined else h2
-        l2_banks = self.l2_banks
-        l2_free = l2_banks._free_times
-        l2_bank_mask = l2_banks._mask
-        l2_sets, l2_set_mask, l2_set_bits, l2_offset_bits = (
-            self.l2_cache.lru_hot_state()
-        )
-        l2_assoc = cfg.l2.associativity
-        l2_fills_heap = self._l2_fills._heap
-        l2_l3_append = self._l2_l3_index.append
-        l2_miss_walk = self._l2_miss_walk
-        last_l2_req = self._last_l2_req
-        l2_grants = 0
-        l2_wait = 0
-
-        # L2 MSHR + memory dispatch, inlined only for a private in-order L2
-        # MSHR file; a shared out-of-order file (multicore) leaves through
-        # :meth:`_l2_miss_walk` instead.
-        l2m = self.l2_mshrs
-        l2m_inline = l2m.in_order
-        l2m_out = l2m._outstanding
-        l2m_rel = l2m._releases
-        l2m_now = l2m._now
-        l2m_cap = l2m.capacity
-        l2m_primary = 0
-        l2m_secondary = 0
-        l2m_stall = 0
-        l2m_peak = l2m.peak_occupancy
-        has_l3 = self.l3_cache is not None
-        access_l3 = self._access_l3
-        l2_to_mem = cfg.l2_to_mem_delay
-        last_mem_req = self._last_mem_req
-        dram_access = self.dram.access
-
         # Prefetcher and stream detector.  Their training tables stay in
         # the shared StridePrefetcher/StreamDetector objects.  A plain
         # config pays two local tests per L1 hit for them: `extras` and
-        # `walk`.
+        # `train`.
         prefetcher = self.prefetcher
         has_pf = prefetcher is not None
         pf_observe = prefetcher.observe if has_pf else None
@@ -1025,7 +974,6 @@ class HierarchySimulator:
         pf_inflight = dict(pf_fills)
         pf_due = [(t, b) for b, t in pf_fills.items()]
         heapq.heapify(pf_due)
-        pf_todo: list[int] = []
         pf_issued = 0
         pf_useful = 0
         pf_late = 0
@@ -1033,8 +981,7 @@ class HierarchySimulator:
         bypass_classify = self.bypass.observe_and_classify if has_bypass else None
         bypass_fill = False
         extras = has_pf or has_bypass
-        walk = False  # this access has L2 requests or trains the prefetcher
-        demand = False  # ... and the first is its own primary miss
+        train = False  # this access trains the prefetcher
 
         mem_i = 0  # memory-access row index
         for kind in kinds.tolist():
@@ -1100,7 +1047,7 @@ class HierarchySimulator:
                             if pf_fills.pop(block, None) is not None:
                                 pf_useful += 1
                                 pf_inflight.pop(block, None)
-                            walk = True
+                            train = True
                 else:
                     l1_miss[mem_i] = True
                     pending = None
@@ -1122,217 +1069,53 @@ class HierarchySimulator:
                         pf_late += 1
                         c = pending if pending > hit_end else hit_end
                         l1_sec[mem_i] = True
-                        l1_me[mem_i] = c
-                        walk = True
+                        train = True
                     else:
-                        # L1 MSHR present, inline (in-order MSHRFile.present):
-                        # clamp to the file's never-rewinding clock, expire
-                        # returned fills, then coalesce or allocate.
-                        arr = hit_end if hit_end >= l1_now else l1_now
-                        while l1_rel and l1_rel[0][0] <= arr:
-                            rel_block = heappop(l1_rel)[1]
-                            f = l1_out.get(rel_block)
-                            if f is not None and f <= arr:
-                                del l1_out[rel_block]
-                        fill = l1_out.get(block)
-                        if fill is not None and fill > arr:
-                            # Secondary miss: ride the outstanding fill.  The
-                            # prefetcher does not train on it.
-                            l1m_secondary += 1
-                            c = fill if fill > hit_end else hit_end
+                        # The data comes back after the hit window closes,
+                        # so it is the access's completion either way.
+                        c = below_send((True, addr, hit_end))
+                        if c < 0:
+                            # Secondary miss: ride the outstanding fill.
+                            # The prefetcher does not train on it.
+                            c = -c
                             l1_sec[mem_i] = True
-                            l1_me[mem_i] = c
                         else:
-                            grant = arr
-                            if len(l1_out) >= l1_cap:
-                                # Full: stall until the earliest fill returns.
-                                earliest = l1_rel[0][0]
-                                if earliest > grant:
-                                    grant = earliest
-                                while l1_rel and l1_rel[0][0] <= grant:
-                                    rel_block = heappop(l1_rel)[1]
-                                    f = l1_out.get(rel_block)
-                                    if f is not None and f <= grant:
-                                        del l1_out[rel_block]
-                            l1_now = grant
-                            l1m_primary += 1
-                            l1m_stall += grant - arr
-                            t_l2 = grant + l1_to_l2
-                            demand = True
-                            walk = True
-                if walk:
-                    # L2 requests of this access: the primary miss's own
-                    # (`demand`), then the prefetches it triggers.
-                    walk = False
-                    if has_pf:
-                        # Train on the access; keep the candidates the
-                        # reference's _issue_prefetches would issue.  Filter
-                        # them all first: an L2 walk changes nothing the
-                        # filters read, and the candidates are distinct.
-                        candidates = pf_observe(addr)
-                        if candidates:
-                            while pf_due and pf_due[0][0] <= hit_end:
-                                due, due_block = heappop(pf_due)
-                                if pf_inflight.get(due_block) == due:
-                                    del pf_inflight[due_block]
-                            pf_budget = pf_max - len(pf_inflight)
-                            for pf_block in candidates:
-                                if pf_budget <= 0:
-                                    break
-                                if pf_block < 0 or pf_fills.get(pf_block, hit_end) > hit_end:
-                                    continue  # invalid, or already in flight
-                                fs = l1_sets.get(pf_block & set_mask)
-                                if fs is not None and pf_block >> set_bits in fs:
-                                    continue  # already resident
-                                pf_todo.append(pf_block)
-                                pf_budget -= 1
-                            pf_todo.reverse()  # popped from the tail, in order
-                    while demand or pf_todo:
-                        if not demand:
-                            block = pf_todo.pop()
-                            addr = block << offset_bits
-                            t_l2 = hit_end + 1
-                        # One L2 walk of (addr, block, t_l2).  In-order miss
-                        # queue: the request cycle clamps monotonic.
-                        if t_l2 < last_l2_req:
-                            t_l2 = last_l2_req
-                        last_l2_req = t_l2
-                        # L2 bank grant, inline (BankScheduler.acquire).
-                        bank = block & l2_bank_mask
-                        bfree = l2_free[bank]
-                        t_bank = t_l2 if t_l2 >= bfree else bfree
-                        l2_free[bank] = t_bank + l2_occ
-                        l2_grants += 1
-                        l2_wait += t_bank - t_l2
-                        while l2_fills_heap and l2_fills_heap[0][0] <= t_l2:
-                            fb = heappop(l2_fills_heap)[1] >> l2_offset_bits
-                            ft = fb >> l2_set_bits
-                            fi = fb & l2_set_mask
-                            fs = l2_sets.get(fi)
-                            if fs is None:
-                                l2_sets[fi] = {ft: None}
-                            elif ft in fs:
-                                del fs[ft]
-                                fs[ft] = None
-                            else:
-                                if len(fs) >= l2_assoc:
-                                    del fs[next(iter(fs))]
-                                fs[ft] = None
-                        # L2 LRU probe, inline.
-                        l2_block = addr >> l2_offset_bits
-                        l2_tag = l2_block >> l2_set_bits
-                        s2 = l2_sets.get(l2_block & l2_set_mask)
-                        l2_row = len(l2_hs)
-                        l2_hit_end = t_bank + h2
-                        l2_hs.append(t_bank)
-                        l2_he.append(l2_hit_end)
-                        if s2 is not None and l2_tag in s2:
-                            del s2[l2_tag]
-                            s2[l2_tag] = None
-                            l2_ms.append(0)
-                            l2_me.append(0)
-                            l2_miss.append(False)
-                            l2_sec.append(False)
-                            mem_index.append(-1)
-                            l2_l3_append(-1)
-                            data_at_l1 = l2_hit_end + l1_to_l2
-                        elif not l2m_inline:
-                            data_at_l1 = l2_miss_walk(
-                                addr, block, l2_hit_end,
-                                l2_ms, l2_me, l2_miss, l2_sec,
-                                mem_index, mem_s, mem_e,
-                            ) + l1_to_l2
-                        else:
-                            l2_miss.append(True)
-                            # L2 MSHR present, inline (in-order).
-                            arr2 = (
-                                l2_hit_end if l2_hit_end >= l2m_now
-                                else l2m_now
-                            )
-                            while l2m_rel and l2m_rel[0][0] <= arr2:
-                                rb = heappop(l2m_rel)[1]
-                                f2 = l2m_out.get(rb)
-                                if f2 is not None and f2 <= arr2:
-                                    del l2m_out[rb]
-                            fill2 = l2m_out.get(block)
-                            if fill2 is not None and fill2 > arr2:
-                                l2m_secondary += 1
-                                l2_sec.append(True)
-                                mem_index.append(-1)
-                                l2_l3_append(-1)
-                                mem_ready = (
-                                    fill2 if fill2 > l2_hit_end
-                                    else l2_hit_end
-                                )
-                            else:
-                                grant2 = arr2
-                                if len(l2m_out) >= l2m_cap:
-                                    e2 = l2m_rel[0][0]
-                                    if e2 > grant2:
-                                        grant2 = e2
-                                    while l2m_rel and l2m_rel[0][0] <= grant2:
-                                        rb = heappop(l2m_rel)[1]
-                                        f2 = l2m_out.get(rb)
-                                        if f2 is not None and f2 <= grant2:
-                                            del l2m_out[rb]
-                                l2m_now = grant2
-                                l2m_primary += 1
-                                l2m_stall += grant2 - arr2
-                                l2_sec.append(False)
-                                if has_l3:
-                                    l3_row, mem_ready = access_l3(
-                                        addr, block,
-                                        grant2 + cfg.l2_to_l3_delay,
-                                        mem_s, mem_e,
-                                    )
-                                    mem_index.append(-1)
-                                    l2_l3_append(l3_row)
-                                else:
-                                    t_mem = grant2 + l2_to_mem
-                                    if t_mem < last_mem_req:
-                                        t_mem = last_mem_req
-                                    last_mem_req = t_mem
-                                    dres = dram_access(block, t_mem)
-                                    mem_index.append(len(mem_s))
-                                    mem_s.append(dres.service_start)
-                                    mem_e.append(dres.service_end)
-                                    mem_ready = dres.data_ready + l2_to_mem
-                                    l2_l3_append(-1)
-                                # L2 fill + MSHR completion, inline.
-                                heappush(l2_fills_heap, (mem_ready, addr))
-                                l2m_out[block] = mem_ready
-                                heappush(l2m_rel, (mem_ready, block))
-                                occ2 = len(l2m_out)
-                                if occ2 > l2m_peak:
-                                    l2m_peak = occ2
-                            l2_ms.append(l2_hit_end)
-                            l2_me.append(
-                                mem_ready if mem_ready > l2_hit_end
-                                else l2_hit_end
-                            )
-                            data_at_l1 = mem_ready + l1_to_l2
-                        if demand:
-                            demand = False
-                            l2_index[mem_i] = l2_row
-                            # L1 fill (unless a confirmed stream bypasses
-                            # the L1) + MSHR completion, inline.
+                            l2_index[mem_i] = len(l2_hs) - 1
+                            # L1 fill, unless a confirmed stream bypasses
+                            # the L1.
                             if not bypass_fill:
-                                heappush(fills_heap, (data_at_l1, addr))
-                            l1_out[block] = data_at_l1
-                            heappush(l1_rel, (data_at_l1, block))
-                            occ = len(l1_out)
-                            if occ > l1m_peak:
-                                l1m_peak = occ
-                            c = data_at_l1 if data_at_l1 > hit_end else hit_end
-                            l1_me[mem_i] = c
-                        else:
+                                heappush(fills_heap, (c, addr))
+                            train = has_pf
+                    l1_me[mem_i] = c
+                if train:
+                    # Train on the access and issue the candidates the
+                    # reference's _issue_prefetches would issue.
+                    train = False
+                    candidates = pf_observe(addr)
+                    if candidates:
+                        while pf_due and pf_due[0][0] <= hit_end:
+                            due, due_block = heappop(pf_due)
+                            if pf_inflight.get(due_block) == due:
+                                del pf_inflight[due_block]
+                        pf_budget = pf_max - len(pf_inflight)
+                        for pf_block in candidates:
+                            if pf_budget <= 0:
+                                break
+                            if pf_block < 0 or pf_fills.get(pf_block, hit_end) > hit_end:
+                                continue  # invalid, or already in flight
+                            fs = l1_sets.get(pf_block & set_mask)
+                            if fs is not None and pf_block >> set_bits in fs:
+                                continue  # already resident
                             # Prefetch fill: into the L1 fill queue, never
                             # bypassed.
-                            heappush(fills_heap, (data_at_l1, addr))
-                            pf_fills[block] = data_at_l1
-                            pf_inflight[block] = data_at_l1
-                            heappush(pf_due, (data_at_l1, block))
+                            pf_addr = pf_block << offset_bits
+                            data = below_send((False, pf_addr, hit_end + 1))
+                            heappush(fills_heap, (data, pf_addr))
+                            pf_fills[pf_block] = data
+                            pf_inflight[pf_block] = data
+                            heappush(pf_due, (data, pf_block))
                             pf_issued += 1
+                            pf_budget -= 1
                 heappush(lsq, c)
                 last_mem_complete = c
                 mem_i += 1
@@ -1362,31 +1145,11 @@ class HierarchySimulator:
                 ret_count += 1
             retired.append(ret_cycle)
 
-        # Fold the locally accumulated counters back into the shared
-        # scheduler objects so component statistics (and any direct
-        # inspection of them) match the reference loop exactly.
-        l1m._now = l1_now
-        l1m.primary_misses += l1m_primary
-        l1m.secondary_misses += l1m_secondary
-        l1m.full_stall_cycles += l1m_stall
-        l1m.peak_occupancy = l1m_peak
-        l2_banks.grants += l2_grants
-        l2_banks.total_wait += l2_wait
-        self._last_l2_req = last_l2_req
+        below.close()
         if has_pf:
             prefetcher.issued += pf_issued
             prefetcher.useful += pf_useful
             prefetcher.late += pf_late
-        if l2m_inline:
-            # Only the inline path tracked these locally; the out-of-order
-            # walk mutated the MSHR file (and _last_mem_req) directly.
-            l2m._now = l2m_now
-            l2m.primary_misses += l2m_primary
-            l2m.secondary_misses += l2m_secondary
-            l2m.full_stall_cycles += l2m_stall
-            l2m.peak_occupancy = l2m_peak
-            if not has_l3:
-                self._last_mem_req = last_mem_req
 
         executed = len(dispatch_l)
         self._pipe_save(
@@ -1413,6 +1176,8 @@ class HierarchySimulator:
         complete[is_mem] = l1_complete
         self.l1_ports.grants += mem_i
         self.l1_ports.total_wait += int(l1_hs.sum() - dispatch[is_mem].sum())
+        (l2_hs, l2_he, l2_ms, l2_me, l2_miss, l2_sec,
+         mem_index, mem_s, mem_e) = below_rec
         return build_simulation_result(
             config=cfg,
             trace_name=trace.name,
@@ -1432,14 +1197,274 @@ class HierarchySimulator:
             l3_records=self._l3_rec,
         )
 
+    def _below_l1(self, records: tuple):
+        """The walk below the L1, one coroutine per run.
+
+        The fast loop and each lane of the batch kernel send it their L1
+        misses; it runs the in-order L1 MSHR file, then for a primary miss
+        the L2 request: the in-order request clamp, the L2 bank grant, the
+        due L2 fills and the L2 LRU probe, then on an L2 miss the L2 MSHR
+        file and the optional L3 (:meth:`_access_l3`) or DRAM.  A shared
+        out-of-order L2 MSHR file (multicore) takes :meth:`_l2_miss_walk`
+        instead.  Each step is exactly the reference walk of
+        :meth:`_memory_access` and :meth:`_access_l2`.
+
+        Each ``send((demand, addr, t))`` is one request and returns a plain
+        int:
+
+        * ``demand=True``: an L1 miss whose hit window ends at *t*.  A
+          primary miss returns the cycle its data is back at the L1 and
+          appends one L2 record row; a secondary miss rides an outstanding
+          fill and returns that fill's cycle, negated.  The caller pushes
+          the L1 fill of a primary miss itself, since only it knows whether
+          the L1 is bypassed.
+        * ``demand=False``: the L2 request of one prefetch, at cycle *t*.
+          It returns the cycle the data is back at the L1.
+
+        *records* holds the nine L2 and memory record lists (``l2_hs,
+        l2_he, l2_ms, l2_me, l2_miss, l2_sec, mem_index, mem_s, mem_e``).
+        The first ``next()`` binds the MSHR files' dicts and heaps, the L2
+        bank free times, the L2 LRU sets and fill heap, and
+        ``_l2_l3_index`` as locals, so the caller resets the L3 records
+        before it.  Clocks and counters run in locals too; ``close()``
+        folds them back into the component objects, after which their
+        state matches the reference loop's.
+        """
+        _, _, l2_ms, l2_me, l2_miss, l2_sec, mem_index, mem_s, mem_e = records
+        (l2_hs_append, l2_he_append, l2_ms_append, l2_me_append,
+         l2_miss_append, l2_sec_append, mem_index_append, mem_s_append,
+         mem_e_append) = [rec.append for rec in records]
+        cfg = self.config
+        offset_bits = self._offset_bits
+        heappush = heapq.heappush
+        heappop = heapq.heappop
+
+        l1m = self.l1_mshrs
+        l1_out = l1m._outstanding
+        l1_rel = l1m._releases
+        l1_now = l1m._now
+        l1_cap = l1m.capacity
+        l1m_primary = 0
+        l1m_secondary = 0
+        l1m_stall = 0
+        l1m_peak = l1m.peak_occupancy
+
+        l1_to_l2 = cfg.l1_to_l2_delay
+        h2 = cfg.l2_hit_time
+        l2_occ = 1 if cfg.l2_pipelined else h2
+        l2_banks = self.l2_banks
+        l2_free = l2_banks._free_times
+        l2_bank_mask = l2_banks._mask
+        l2_sets, l2_set_mask, l2_set_bits, l2_offset_bits = (
+            self.l2_cache.lru_hot_state()
+        )
+        l2_assoc = cfg.l2.associativity
+        l2_fills_heap = self._l2_fills._heap
+        l2_l3_append = self._l2_l3_index.append
+        last_l2_req = self._last_l2_req
+        l2_grants = 0
+        l2_wait = 0
+
+        # The L2 MSHR file and memory dispatch run here only for a private
+        # in-order L2 MSHR file.
+        l2m = self.l2_mshrs
+        l2m_inline = l2m.in_order
+        l2_miss_walk = self._l2_miss_walk
+        l2m_out = l2m._outstanding
+        l2m_rel = l2m._releases
+        l2m_now = l2m._now
+        l2m_cap = l2m.capacity
+        l2m_primary = 0
+        l2m_secondary = 0
+        l2m_stall = 0
+        l2m_peak = l2m.peak_occupancy
+        has_l3 = self.l3_cache is not None
+        access_l3 = self._access_l3
+        l2_to_l3 = cfg.l2_to_l3_delay
+        l2_to_mem = cfg.l2_to_mem_delay
+        last_mem_req = self._last_mem_req
+        dram_access = self.dram.access
+
+        data = 0
+        try:
+            while True:
+                demand, addr, t = yield data
+                block = addr >> offset_bits
+                if demand:
+                    # L1 MSHR present (in-order MSHRFile.present): clamp to
+                    # the file's never-rewinding clock, expire returned
+                    # fills, then coalesce or allocate.
+                    arr = t if t >= l1_now else l1_now
+                    while l1_rel and l1_rel[0][0] <= arr:
+                        rb = heappop(l1_rel)[1]
+                        f = l1_out.get(rb)
+                        if f is not None and f <= arr:
+                            del l1_out[rb]
+                    fill = l1_out.get(block)
+                    if fill is not None and fill > arr:
+                        l1m_secondary += 1
+                        data = -fill
+                        continue
+                    grant = arr
+                    if len(l1_out) >= l1_cap:
+                        # Full: stall until the earliest fill returns.
+                        earliest = l1_rel[0][0]
+                        if earliest > grant:
+                            grant = earliest
+                        while l1_rel and l1_rel[0][0] <= grant:
+                            rb = heappop(l1_rel)[1]
+                            f = l1_out.get(rb)
+                            if f is not None and f <= grant:
+                                del l1_out[rb]
+                    l1_now = grant
+                    l1m_primary += 1
+                    l1m_stall += grant - arr
+                    t = grant + l1_to_l2
+                # The L2 request at t.  In-order miss queue: the request
+                # cycle clamps monotonic.
+                if t < last_l2_req:
+                    t = last_l2_req
+                last_l2_req = t
+                # L2 bank grant (BankScheduler.acquire).
+                bank = block & l2_bank_mask
+                bfree = l2_free[bank]
+                t_bank = t if t >= bfree else bfree
+                l2_free[bank] = t_bank + l2_occ
+                l2_grants += 1
+                l2_wait += t_bank - t
+                # Due L2 fills (the fill queue's apply_until).
+                while l2_fills_heap and l2_fills_heap[0][0] <= t:
+                    fb = heappop(l2_fills_heap)[1] >> l2_offset_bits
+                    ft = fb >> l2_set_bits
+                    fi = fb & l2_set_mask
+                    fs = l2_sets.get(fi)
+                    if fs is None:
+                        l2_sets[fi] = {ft: None}
+                    elif ft in fs:
+                        del fs[ft]
+                        fs[ft] = None
+                    else:
+                        if len(fs) >= l2_assoc:
+                            del fs[next(iter(fs))]
+                        fs[ft] = None
+                # L2 LRU probe (FunctionalCache.lookup).
+                l2_block = addr >> l2_offset_bits
+                l2_tag = l2_block >> l2_set_bits
+                s2 = l2_sets.get(l2_block & l2_set_mask)
+                l2_hit_end = t_bank + h2
+                l2_hs_append(t_bank)
+                l2_he_append(l2_hit_end)
+                if s2 is not None and l2_tag in s2:
+                    del s2[l2_tag]
+                    s2[l2_tag] = None
+                    l2_ms_append(0)
+                    l2_me_append(0)
+                    l2_miss_append(False)
+                    l2_sec_append(False)
+                    mem_index_append(-1)
+                    l2_l3_append(-1)
+                    data = l2_hit_end + l1_to_l2
+                elif not l2m_inline:
+                    data = l2_miss_walk(
+                        addr, block, l2_hit_end,
+                        l2_ms, l2_me, l2_miss, l2_sec,
+                        mem_index, mem_s, mem_e,
+                    ) + l1_to_l2
+                else:
+                    l2_miss_append(True)
+                    # L2 MSHR present (in-order).
+                    arr2 = l2_hit_end if l2_hit_end >= l2m_now else l2m_now
+                    while l2m_rel and l2m_rel[0][0] <= arr2:
+                        rb = heappop(l2m_rel)[1]
+                        f = l2m_out.get(rb)
+                        if f is not None and f <= arr2:
+                            del l2m_out[rb]
+                    fill2 = l2m_out.get(block)
+                    if fill2 is not None and fill2 > arr2:
+                        l2m_secondary += 1
+                        l2_sec_append(True)
+                        mem_index_append(-1)
+                        l2_l3_append(-1)
+                        mem_ready = fill2
+                    else:
+                        grant2 = arr2
+                        if len(l2m_out) >= l2m_cap:
+                            earliest = l2m_rel[0][0]
+                            if earliest > grant2:
+                                grant2 = earliest
+                            while l2m_rel and l2m_rel[0][0] <= grant2:
+                                rb = heappop(l2m_rel)[1]
+                                f = l2m_out.get(rb)
+                                if f is not None and f <= grant2:
+                                    del l2m_out[rb]
+                        l2m_now = grant2
+                        l2m_primary += 1
+                        l2m_stall += grant2 - arr2
+                        l2_sec_append(False)
+                        if has_l3:
+                            l3_row, mem_ready = access_l3(
+                                addr, block, grant2 + l2_to_l3, mem_s, mem_e,
+                            )
+                            mem_index_append(-1)
+                            l2_l3_append(l3_row)
+                        else:
+                            t_mem = grant2 + l2_to_mem
+                            if t_mem < last_mem_req:
+                                t_mem = last_mem_req
+                            last_mem_req = t_mem
+                            dres = dram_access(block, t_mem)
+                            mem_index_append(len(mem_s))
+                            mem_s_append(dres.service_start)
+                            mem_e_append(dres.service_end)
+                            mem_ready = dres.data_ready + l2_to_mem
+                            l2_l3_append(-1)
+                        # L2 fill + MSHR completion.
+                        heappush(l2_fills_heap, (mem_ready, addr))
+                        l2m_out[block] = mem_ready
+                        heappush(l2m_rel, (mem_ready, block))
+                        occ = len(l2m_out)
+                        if occ > l2m_peak:
+                            l2m_peak = occ
+                    # Data never returns before the L2 miss window opens.
+                    l2_ms_append(l2_hit_end)
+                    l2_me_append(mem_ready)
+                    data = mem_ready + l1_to_l2
+                if demand:
+                    # L1 MSHR completion.
+                    l1_out[block] = data
+                    heappush(l1_rel, (data, block))
+                    occ = len(l1_out)
+                    if occ > l1m_peak:
+                        l1m_peak = occ
+        finally:
+            l1m._now = l1_now
+            l1m.primary_misses += l1m_primary
+            l1m.secondary_misses += l1m_secondary
+            l1m.full_stall_cycles += l1m_stall
+            l1m.peak_occupancy = l1m_peak
+            l2_banks.grants += l2_grants
+            l2_banks.total_wait += l2_wait
+            self._last_l2_req = last_l2_req
+            if l2m_inline:
+                # The out-of-order walk updates its file and _last_mem_req
+                # itself, and so does _access_l3 the latter.
+                l2m._now = l2m_now
+                l2m.primary_misses += l2m_primary
+                l2m.secondary_misses += l2m_secondary
+                l2m.full_stall_cycles += l2m_stall
+                l2m.peak_occupancy = l2m_peak
+                if not has_l3:
+                    self._last_mem_req = last_mem_req
+
     def _l2_miss_walk(
         self, addr, block, l2_hit_end,
         l2_ms, l2_me, l2_miss, l2_sec, mem_index, mem_s, mem_e,
     ) -> int:
-        """Fast-path L2-miss continuation: exactly the reference walk.
+        """The L2-miss branch of :meth:`_below_l1` for a shared out-of-order
+        L2 MSHR file (multicore): exactly the reference walk.
 
-        The caller already granted the L2 bank, applied due L2 fills and
-        probed (and missed) the inline L2 LRU state; this is the miss
+        The coroutine already granted the L2 bank, applied due L2 fills and
+        probed (and missed) the L2 LRU state; this is the miss
         branch of :meth:`_access_l2` — L2 MSHRs, then the optional L3 or
         DRAM — returning the cycle the data is back at the L2.
         """

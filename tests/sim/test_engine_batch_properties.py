@@ -3,11 +3,12 @@
 A lane's result must depend only on that lane's config, the trace and the
 seed — never on which other lanes share the kernel call.  Hypothesis
 hammers that contract with random small traces and random knob draws:
-a batch of one equals the scalar fast path, every lane of a mixed-ROB
-batch equals its own scalar run, permuting the config axis permutes the
-results, re-batching any slice leaves each lane untouched, and ineligible
-configs mixed into a kernel measurement batch fall back per-lane without
-perturbing the eligible lanes.
+a batch of one equals the scalar fast path, every lane equals its
+reference run, every lane of a mixed-ROB batch equals its own scalar run,
+permuting the config axis permutes the results, re-batching any slice
+leaves each lane untouched, and ineligible configs mixed into a kernel
+measurement batch fall back per-lane without perturbing the eligible
+lanes.
 """
 
 import dataclasses
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 from repro.sim import DEFAULT_MACHINE, HierarchySimulator
 from repro.sim.batch import BatchHierarchySimulator
+from repro.sim.params import CacheGeometry
 from repro.sim.prefetch import PrefetchConfig
 from repro.sim.stats import DispatchPlan, _measure_planned, simulate_and_measure
 from repro.workloads.trace import Trace
@@ -37,6 +39,11 @@ def random_trace(draw):
     )
 
 
+#: A 4 KB L2 (64 lines) that even short warm traces miss in, and the
+#: default 256 KB one.
+L2_SIZES = [CacheGeometry(4 * 1024, associativity=4), DEFAULT_MACHINE.l2]
+
+
 @st.composite
 def random_machine(draw, name="prop"):
     return DEFAULT_MACHINE.with_knobs(
@@ -47,6 +54,9 @@ def random_machine(draw, name="prop"):
         mshr_count=draw(st.sampled_from([1, 4, 16])),
         l2_banks=draw(st.sampled_from([2, 8])),
         name=name,
+    ).with_(
+        l2=draw(st.sampled_from(L2_SIZES)),
+        l2_mshr_count=draw(st.sampled_from([1, 2, 16])),
     )
 
 
@@ -94,6 +104,19 @@ class TestBatchConfigAxis:
         res_batch = BatchHierarchySimulator([machine], seed=0).run(trace)[0]
         res_fast = HierarchySimulator(machine, seed=0, engine="auto").run(trace)
         _assert_same(res_batch, res_fast, lane="batch-of-1")
+
+    @given(random_trace(), random_batch(), st.booleans())
+    @settings(max_examples=25, deadline=None)
+    def test_lanes_equal_reference_runs(self, trace, configs, warm):
+        batch = BatchHierarchySimulator(configs, seed=0)
+        refs = [HierarchySimulator(c, seed=0, engine="reference") for c in configs]
+        if warm:
+            batch.warm_caches(trace)
+            for ref in refs:
+                ref.warm_caches(trace)
+        got = batch.run(trace)
+        for i, ref in enumerate(refs):
+            _assert_same(got[i], ref.run(trace), lane=f"reference lane {i}")
 
     @given(mixed_rob_case(), st.booleans(), st.booleans())
     @settings(max_examples=40, deadline=None)

@@ -233,6 +233,17 @@ class TestBatchMultiLane:
         _assert_batch_matches_reference([DEFAULT_MACHINE, l3_config],
                                         _make_trace("zipf"), warm=True)
 
+    def test_full_l2_mshr_file_lane(self):
+        # One L2 MSHR behind four L1 MSHRs: on a cold miss-heavy trace the
+        # lane's L2 misses queue for the single register.
+        configs = [DEFAULT_MACHINE,
+                   DEFAULT_MACHINE.with_(l2_mshr_count=1, name="L2-MSHR-1")]
+        trace = _make_trace("strided")
+        _assert_batch_matches_reference(configs, trace, warm=False)
+        ref = HierarchySimulator(configs[1], seed=0, engine="reference")
+        ref.run(trace)
+        assert ref.l2_mshrs.full_stall_cycles > 0
+
     def test_sequential_runs_carry_warm_state(self):
         # Two runs on one batch instance == two runs on each reference
         # instance: cache/DRAM/port state carries across runs per lane.
@@ -246,6 +257,84 @@ class TestBatchMultiLane:
                 _assert_identical(
                     got[idx], ref.run(trace),
                     lane=f"round {round_no}, lane {idx} ({config.name})",
+                )
+
+
+#: Machines whose miss walk stalls: one L1 MSHR, and one L2 MSHR behind
+#: eight L1 ones.  The 64 KB L2 keeps the 256 KB working set missing in it
+#: on every run, not just the cold one.
+STALLING_MACHINES = [
+    DEFAULT_MACHINE.with_knobs(mshr_count=1, name="L1-MSHR-1").with_(
+        l2=CacheGeometry(64 * 1024, associativity=8)),
+    DEFAULT_MACHINE.with_knobs(mshr_count=8, name="L2-MSHR-1").with_(
+        l2=CacheGeometry(64 * 1024, associativity=8), l2_mshr_count=1),
+]
+
+
+def _folded_state(sim: HierarchySimulator) -> dict:
+    """The component state the walk below the L1 keeps in locals during a
+    run and folds back into the simulator when it closes."""
+    state = {"last_l2_req": sim._last_l2_req, "last_mem_req": sim._last_mem_req,
+             "l2_bank_grants": sim.l2_banks.grants,
+             "l2_bank_wait": sim.l2_banks.total_wait}
+    for level, mshrs in (("l1", sim.l1_mshrs), ("l2", sim.l2_mshrs)):
+        state.update({
+            f"{level}_mshr_now": mshrs._now,
+            f"{level}_mshr_primary": mshrs.primary_misses,
+            f"{level}_mshr_secondary": mshrs.secondary_misses,
+            f"{level}_mshr_stall": mshrs.full_stall_cycles,
+            f"{level}_mshr_peak": mshrs.peak_occupancy,
+        })
+    return state
+
+
+class TestFoldedState:
+    """What the fast loop and the kernel lanes fold back after a run: the
+    MSHR, L2 bank and request-clamp state, and the ``sim.*`` metrics read
+    from it, equal the reference loop's after each of two runs."""
+
+    @pytest.fixture(autouse=True)
+    def _metrics_on(self):
+        from repro.obs import metrics as obs_metrics
+
+        obs_metrics.set_metrics_enabled(True)
+        yield
+        obs_metrics.set_metrics_enabled(False)
+        obs_metrics.get_registry().reset()
+
+    @staticmethod
+    def _measured(run) -> dict:
+        """The ``sim.*`` counters and gauges that *run* records alone."""
+        from repro.obs import metrics as obs_metrics
+
+        registry = obs_metrics.get_registry()
+        registry.reset()
+        run()
+        snap = registry.snapshot()
+        return {name: value
+                for kind in ("counters", "gauges")
+                for name, value in snap[kind].items() if name.startswith("sim.")}
+
+    def test_two_runs_fold_like_the_reference(self):
+        trace = _make_trace("working_set")
+        refs = [HierarchySimulator(c, seed=0, engine="reference")
+                for c in STALLING_MACHINES]
+        fasts = [HierarchySimulator(c, seed=0) for c in STALLING_MACHINES]
+        kernel = BatchHierarchySimulator(STALLING_MACHINES, seed=0)
+        for round_no in range(2):
+            want = self._measured(lambda: [ref.run(trace) for ref in refs])
+            assert want["sim.l1.mshr_stall_cycles"] > 0
+            assert want["sim.l2.mshr_stall_cycles"] > 0
+            got_fast = self._measured(lambda: [sim.run(trace) for sim in fasts])
+            got_batch = self._measured(lambda: kernel.run(trace))
+            assert got_fast == want, f"fast loop, round {round_no}"
+            assert got_batch == want, f"batch kernel, round {round_no}"
+            for idx, config in enumerate(STALLING_MACHINES):
+                state = _folded_state(refs[idx])
+                lane = f"{config.name}, round {round_no}"
+                assert _folded_state(fasts[idx]) == state, f"fast loop, {lane}"
+                assert _folded_state(kernel.lane_sims[idx]) == state, (
+                    f"batch kernel, {lane}"
                 )
 
 
